@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 = compatible / valid, 1 = incompatible / invalid state,
-2 = input or usage error.  Human-readable summaries go to stdout; the full
-machine-readable report is written to the ``--json`` path when given.
+2 = input or usage error, 3 = unexpected internal failure (for example
+out of memory), so that a crash never reads as a verdict.  Human-readable
+summaries go to stdout; the full machine-readable report is written to the
+``--json`` path when given.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     StateValidationError,
     ZeroProbabilityOutcome,
 )
-from .linalg import Tolerances, max_abs, support_of
+from .linalg import Tolerances, _split_spectrum, max_abs
 from .states import DensityMatrix, validate_density
 from .witness import build_shared_decomposition, build_witness, simulate_protocol
 
@@ -163,7 +165,7 @@ def _cmd_validate(args: argparse.Namespace, tol: Tolerances) -> int:
 
 def _cmd_support(args: argparse.Namespace, tol: Tolerances) -> int:
     state = _load_state(args.file, tol)
-    supp = support_of(state.matrix, tol)
+    supp, _ = _split_spectrum(*state.spectrum, tol)
     print(f"support dimension {supp.dimension} of {supp.ambient_dim}")
     for k in range(supp.dimension):
         coeffs = ", ".join(
@@ -280,6 +282,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except (QcompatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -23,12 +23,11 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Subspace,
     Tolerances,
-    hermitian_eigendecompose,
+    _split_spectrum,
     intersect,
     max_abs,
     projector_from,
-    support_of,
-    null_of,
+    support_of,  # no longer called here; stays bound for code that reaches it via compat
 )
 from .states import DensityMatrix
 
@@ -124,8 +123,7 @@ def check_bfm(
             f"compatibility needs at least two state assignments, got {len(states)}"
         )
     _require_equal_dims(states)
-    supports = [support_of(s.matrix, tol) for s in states]
-    common = reduce(lambda x, y: intersect(x, y, tol=tol), supports)
+    common = intersect(*(_split_spectrum(*s.spectrum, tol)[0] for s in states), tol=tol)
 
     pi_verdicts, pii_verdicts = [], []
     commutator_norms, product_norms = [], []
@@ -153,11 +151,10 @@ def check_bfm(
 
 def _principal_vector(rho: DensityMatrix, tol: Tolerances) -> np.ndarray:
     """Top eigenvector of a rank-1 state; raises NotPure otherwise."""
-    values, vectors = hermitian_eigendecompose(rho.matrix, tol)
-    rank = int(np.sum(values > tol.eigenvalue_zero_tol))
-    if rank != 1:
-        raise NotPure(f"state has rank {rank}, expected 1")
-    return vectors[:, 0]
+    support, _ = _split_spectrum(*rho.spectrum, tol)
+    if support.dimension != 1:
+        raise NotPure(f"state has rank {support.dimension}, expected 1")
+    return support.basis[:, 0]
 
 
 def check_pure_pair(
@@ -218,17 +215,17 @@ def verify_joint(
     if not observers:
         raise ValueError("verify_joint needs at least one observer state")
     _require_equal_dims([joint, *observers])
-    supports = [support_of(s.matrix, tol) for s in observers]
-    common = reduce(lambda x, y: intersect(x, y, tol=tol), supports)
+    splits = [_split_spectrum(*s.spectrum, tol) for s in observers]
+    common = reduce(lambda x, y: intersect(x, y, tol=tol), [support for support, _ in splits])
 
     p_common = projector_from(common)
-    p_joint = projector_from(support_of(joint.matrix, tol))
+    p_joint = projector_from(_split_spectrum(*joint.spectrum, tol)[0])
     eye = np.eye(joint.dim, dtype=complex)
     leakage = max_abs((eye - p_common) @ p_joint)
 
     leaks = []
-    for k, obs in enumerate(observers):
-        null_basis = null_of(obs.matrix, tol).basis
+    for k, (obs, (_, null)) in enumerate(zip(observers, splits)):
+        null_basis = null.basis
         if null_basis.shape[1] == 0:
             restricted = 0.0
         else:

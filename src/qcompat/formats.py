@@ -140,6 +140,8 @@ def _load_json(source) -> dict:
                 doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise MalformedFile(f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise MalformedFile("invalid JSON: nested too deeply") from e
     if not isinstance(doc, dict):
         raise MalformedFile(f"expected a JSON object at top level, got {type(doc).__name__}")
     return doc

@@ -45,7 +45,8 @@ class Tolerances:
     trace_tol : float
         Max allowed deviation of a density-matrix trace from one.
     overlap_tol : float
-        Threshold for intersection eigenvalues (``> 1 - overlap_tol``) and
+        Intersection threshold (principal-angle cosines ``> 1 - 2 overlap_tol``,
+        i.e. mean-projector eigenvalues ``> 1 - overlap_tol``) and threshold
         for the commutator/product norms of the pairwise criteria.
     """
 
@@ -120,18 +121,31 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude entry is real positive."""
-    idx = int(np.argmax(np.abs(v)))
-    a = v[idx]
-    mag = abs(a)
-    if mag == 0.0:
-        return v
-    return v * (a.conjugate() / mag)
+def _lex_order(keys: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Column order by descending ``keys``; exact ties go to the column that is
+    lexicographically smaller over its interleaved ``(re, im)`` entries."""
+    dim, k = vectors.shape
+    rows = np.stack([vectors.real, vectors.imag], axis=1).reshape(2 * dim, k)
+    # np.lexsort sorts by its last key first
+    return np.lexsort(np.vstack([rows[::-1], -keys]))
 
 
-def _lex_key(v: np.ndarray) -> tuple:
-    return tuple(x for c in v for x in (c.real, c.imag))
+def _canonical(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Make each column's largest-magnitude entry real positive (columns are
+    unit vectors, so it is nonzero), then put the columns in :func:`_lex_order`."""
+    if vectors.size:
+        top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+        vectors = vectors * (top.conj() / np.abs(top))
+    order = _lex_order(values, vectors)
+    out_values = values[order]
+    out_values.setflags(write=False)
+    return out_values, _frozen(vectors[:, order])
+
+
+def _eigh_canonical(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_eigendecompose` without the input checks."""
+    # symmetrize: exact for exactly-Hermitian input, kills tolerated noise
+    return _canonical(*np.linalg.eigh((a + a.conj().T) / 2))
 
 
 def hermitian_eigendecompose(
@@ -164,26 +178,20 @@ def hermitian_eigendecompose(
     deviation = max_abs(a - a.conj().T)
     if deviation > tol.hermiticity_tol:
         raise NotHermitian([("hermiticity", deviation, tol.hermiticity_tol)])
-    # symmetrize: exact for exactly-Hermitian input, kills tolerated noise
-    h = (a + a.conj().T) / 2
-    values, vectors = np.linalg.eigh(h)
-    cols = [_phase_fixed(vectors[:, k]) for k in range(vectors.shape[1])]
-    order = sorted(
-        range(len(values)), key=lambda k: (-values[k], _lex_key(cols[k]))
-    )
-    out_values = np.array([float(values[k]) for k in order])
-    out_vectors = np.column_stack([cols[k] for k in order]) if order else np.zeros((0, 0))
-    out_values.setflags(write=False)
-    return out_values, _frozen(out_vectors)
+    return _eigh_canonical(a)
 
 
-def _split_spectrum(m, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose and check PSD; returns (values, vectors, above_mask)."""
-    values, vectors = hermitian_eigendecompose(m, tol)
+def _split_spectrum(values, vectors, tol: Tolerances) -> tuple[Subspace, Subspace]:
+    """(support, null space) of a canonical spectrum, split at ``eigenvalue_zero_tol``.
+
+    Raises NegativeEigenvalue if an eigenvalue is below ``-eigenvalue_zero_tol``.
+    """
     lam_min = float(values[-1]) if values.size else 0.0
     if lam_min < -tol.eigenvalue_zero_tol:
         raise NegativeEigenvalue([("positivity", lam_min, tol.eigenvalue_zero_tol)])
-    return values, vectors, values > tol.eigenvalue_zero_tol
+    rank = int(np.count_nonzero(values > tol.eigenvalue_zero_tol))
+    dim = vectors.shape[0]
+    return Subspace(dim, vectors[:, :rank]), Subspace(dim, vectors[:, rank:])
 
 
 def support_of(m, tol: Tolerances | None = None) -> Subspace:
@@ -193,15 +201,13 @@ def support_of(m, tol: Tolerances | None = None) -> Subspace:
     is exactly :func:`null_of` of the same matrix.
     """
     tol = tol or DEFAULT_TOLERANCES
-    values, vectors, above = _split_spectrum(m, tol)
-    return Subspace(vectors.shape[0], vectors[:, above])
+    return _split_spectrum(*hermitian_eigendecompose(m, tol), tol)[0]
 
 
 def null_of(m, tol: Tolerances | None = None) -> Subspace:
     """Span of the eigenvectors with eigenvalue at or below the zero cutoff."""
     tol = tol or DEFAULT_TOLERANCES
-    values, vectors, above = _split_spectrum(m, tol)
-    return Subspace(vectors.shape[0], vectors[:, ~above])
+    return _split_spectrum(*hermitian_eigendecompose(m, tol), tol)[1]
 
 
 def projector_from(s: Subspace) -> np.ndarray:
@@ -214,11 +220,11 @@ def projector_from(s: Subspace) -> np.ndarray:
 def intersect(a: Subspace, b: Subspace, *rest: Subspace, tol: Tolerances | None = None) -> Subspace:
     """Intersection of two or more subspaces.
 
-    Computed as the eigenspace of the mean projector ``(P_a + P_b) / 2``
-    with eigenvalues above ``1 - overlap_tol``: those eigenvalues equal 1
-    exactly on the intersection and ``cos^2(theta/2) < 1`` along principal
-    angles ``theta > 0`` outside it.  Additional subspaces are folded in
-    left to right.
+    Computed by principal angles (Björck and Golub 1973): the singular values
+    of ``B_a^dag B_b`` are their cosines, and ``B_a`` times the left singular
+    vectors with cosine above ``1 - 2 overlap_tol`` spans the result.  That is
+    the mean projector ``(P_a + P_b) / 2`` eigenvalue ``(1 + cos theta) / 2``
+    above ``1 - overlap_tol``.  Further subspaces fold in left to right.
 
     Raises
     ------
@@ -237,7 +243,7 @@ def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:
         raise AmbientMismatch(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    mean = (projector_from(a) + projector_from(b)) / 2
-    values, vectors = hermitian_eigendecompose(mean, tol)
-    keep = values > 1.0 - tol.overlap_tol
-    return Subspace(a.ambient_dim, vectors[:, keep])
+    u, cosines, _ = np.linalg.svd(a.basis.conj().T @ b.basis, full_matrices=False)
+    keep = cosines > 1.0 - 2.0 * tol.overlap_tol
+    _, basis = _canonical(cosines[keep], a.basis @ u[:, keep])
+    return Subspace(a.ambient_dim, basis)

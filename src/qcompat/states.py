@@ -26,8 +26,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _eigh_canonical,
+    _frozen,
+    _split_spectrum,
     as_complex_matrix,
-    hermitian_eigendecompose,
     max_abs,
 )
 
@@ -43,12 +45,6 @@ __all__ = [
     "partial_trace",
     "project_and_renormalize",
 ]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +102,15 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(eigenvalues, eigenvectors)`` as :func:`hermitian_eigendecompose`
+        gives them, computed on first use and kept."""
+        if "_spectrum" not in self.__dict__:
+            # no lock: callers racing on first use compute the same bits
+            object.__setattr__(self, "_spectrum", _eigh_canonical(self.matrix))
+        return self.__dict__["_spectrum"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,13 +206,9 @@ def from_ensemble(e: Ensemble, tol: Tolerances | None = None) -> DensityMatrix:
 def eigen_ensemble(rho: DensityMatrix, tol: Tolerances | None = None) -> Ensemble:
     """Canonical ensemble of eigenvectors weighted by nonzero eigenvalues."""
     tol = tol or DEFAULT_TOLERANCES
-    values, vectors = hermitian_eigendecompose(rho.matrix, tol)
-    components = [
-        (float(values[k]), PureState(vectors[:, k]))
-        for k in range(values.size)
-        if values[k] > tol.eigenvalue_zero_tol
-    ]
-    return Ensemble(tuple(components))
+    values, vectors = rho.spectrum
+    support, _ = _split_spectrum(values, vectors, tol)
+    return Ensemble(tuple((float(w), PureState(v)) for w, v in zip(values, support.basis.T)))
 
 
 def tensor(states: Sequence[DensityMatrix] | Sequence[PureState]):

@@ -17,9 +17,10 @@ from .errors import ChiOutsideSupport, Incompatible
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _lex_order,
+    _split_spectrum,
     hermitian_eigendecompose,
-    projector_from,
-    support_of,
+    intersect,
 )
 from .states import (
     DensityMatrix,
@@ -29,7 +30,7 @@ from .states import (
     project_and_renormalize,
     validate_density,
 )
-from .compat import check_bfm
+from .compat import _require_equal_dims
 
 __all__ = [
     "SharedDecomposition",
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 Component = tuple[float, PureState]
+
+# chi comes from the support intersection, so only rounding moves it off a support
+CHI_SUPPORT_RESIDUAL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +156,6 @@ class ProtocolResult:
     p_both: float
 
 
-def _lex_key(v: np.ndarray) -> tuple:
-    return tuple(x for c in v for x in (c.real, c.imag))
-
-
 def choose_common_state(
     a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = None
 ) -> PureState:
@@ -172,20 +172,12 @@ def choose_common_state(
         If the support intersection is trivial.
     """
     tol = tol or DEFAULT_TOLERANCES
-    report = check_bfm([a, b], tol)
-    if not report.verdict_bfm:
+    _require_equal_dims([a, b])
+    basis = intersect(*(_split_spectrum(*s.spectrum, tol)[0] for s in (a, b)), tol=tol).basis
+    if basis.shape[1] == 0:
         raise Incompatible("support intersection is trivial; no common state exists")
-    basis = report.intersection_basis.basis
-    candidates = []
-    for k in range(basis.shape[1]):
-        v = basis[:, k]
-        score = min(
-            float(np.vdot(v, a.matrix @ v).real),
-            float(np.vdot(v, b.matrix @ v).real),
-        )
-        candidates.append((-score, _lex_key(v), k))
-    candidates.sort()
-    return PureState(basis[:, candidates[0][2]])
+    quad = [np.einsum("ik,ik->k", basis.conj(), s.matrix @ basis).real for s in (a, b)]
+    return PureState(basis[:, _lex_order(np.minimum(*quad), basis)[0]])
 
 
 def max_common_weight(
@@ -193,43 +185,38 @@ def max_common_weight(
 ) -> float:
     """Largest weight with which ``|chi><chi|`` fits inside ``rho``.
 
-    Computed as ``1 / <chi|rho^+|chi>`` with the pseudo-inverse taken on
-    the support eigenbasis (same zero cutoff as everywhere else).  At this
-    weight the remainder ``rho - p |chi><chi|`` touches the PSD boundary;
-    any larger weight breaks positivity.
+    Computed as ``1 / <chi|rho^+|chi>`` from the overlaps of ``chi`` with the
+    support columns of ``rho``'s kept spectrum (same zero cutoff as everywhere
+    else), which also give the residual ``|P chi - chi|``.  At this weight the
+    remainder ``rho - p |chi><chi|`` touches the PSD boundary; any larger
+    weight breaks positivity.
 
     Raises
     ------
     ChiOutsideSupport
-        If ``chi`` has a component outside the support of ``rho``.
+        If ``chi`` leaves the support of ``rho`` by more than
+        ``CHI_SUPPORT_RESIDUAL``.
     """
     tol = tol or DEFAULT_TOLERANCES
     if rho.dim != chi.dim:
         raise ChiOutsideSupport(
             f"state dimension {chi.dim} does not match rho dimension {rho.dim}"
         )
-    supp = support_of(rho.matrix, tol)
-    residual = projector_from(supp) @ chi.amplitudes - chi.amplitudes
-    if float(np.linalg.norm(residual)) > 1e-8:
-        raise ChiOutsideSupport(
-            f"chi leaves the support by {float(np.linalg.norm(residual)):.3e}"
-        )
-    values, vectors = hermitian_eigendecompose(rho.matrix, tol)
-    overlaps = vectors.conj().T @ chi.amplitudes
-    inv_quadratic = 0.0
-    for lam, c in zip(values, overlaps):
-        if lam > tol.eigenvalue_zero_tol:
-            inv_quadratic += float(abs(c) ** 2) / float(lam)
-    return 1.0 / inv_quadratic
+    values, vectors = rho.spectrum
+    basis = _split_spectrum(values, vectors, tol)[0].basis
+    overlaps = basis.conj().T @ chi.amplitudes
+    residual = float(np.linalg.norm(basis @ overlaps - chi.amplitudes))
+    if residual > CHI_SUPPORT_RESIDUAL:
+        raise ChiOutsideSupport(f"chi leaves the support by {residual:.3e}")
+    return 1.0 / float(np.sum(np.abs(overlaps) ** 2 / values[: basis.shape[1]]))
 
 
 def _remainder_terms(
     rho: DensityMatrix, chi: PureState, weight: float, tol: Tolerances
 ) -> tuple[Component, ...]:
-    """Eigen-ensemble of ``rho - weight |chi><chi|`` with boundary clipping."""
+    """Eigen-ensemble of ``rho - weight |chi><chi|``."""
     remainder = rho.matrix - weight * chi.projector()
     values, vectors = hermitian_eigendecompose(remainder, tol)
-    values = np.where((values >= -1e-9) & (values <= 0.0), 0.0, values)
     return tuple(
         (float(values[k]), PureState(vectors[:, k]))
         for k in range(values.size)

@@ -324,3 +324,20 @@ def test_cli_overlap_flag_changes_verdict(corpus, tmp_path):
     pair = [corpus["pure"], corpus["mixed"]]
     assert cli_main(["check", *pair, "--criterion", "pi"]) == 1
     assert cli_main(["check", *pair, "--criterion", "pi", "--tol-overlap", "0.5"]) == 0
+
+
+def test_cli_deeply_nested_file_is_malformed(tmp_path, capsys):
+    # the JSON decoder's recursion limit must read as bad input, not as a verdict
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert cli_main(["check", str(deep), str(deep)]) == 2
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
+def test_cli_unexpected_failure_exits_3(corpus, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr("qcompat.cli.check_bfm", out_of_memory)
+    assert cli_main(["check", corpus["pure"], corpus["mixed"]]) == 3
+    assert capsys.readouterr().err == "internal error: MemoryError: cannot allocate\n"

@@ -1,0 +1,157 @@
+"""Property tests: invariances the compatibility criterion implies.
+
+* The verdict and the intersection do not depend on the order in which the
+  observers are listed, although the n-ary intersection folds left to right.
+* Two lines intersect exactly when their principal angle is below the
+  threshold angle ``theta*`` with ``cos theta* = 1 - 2 overlap_tol``.
+* The vectorized eigendecomposition convention orders exact ties like the
+  original per-column implementation, kept here as the oracle.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcompat import (
+    Subspace,
+    Tolerances,
+    check_bfm,
+    hermitian_eigendecompose,
+    intersect,
+    max_abs,
+    projector_from,
+    validate_density,
+)
+from conftest import random_unitary
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+# ---------------------------------------------------------------------------
+# observer order
+
+
+@st.composite
+def planted_sets(draw):
+    """States whose supports share exactly a planted common subspace.
+
+    Each support is ``C (+) W_i`` with ``W_i`` random in the complement of
+    ``C``; any two ``W_i`` fit together in that complement, so generically
+    they meet only at zero and the intersection is exactly ``C``.
+    """
+    dim = draw(st.integers(2, 16))
+    n = draw(st.integers(2, 5))
+    common = draw(st.integers(0, dim // 2))
+    free = dim - common
+    extras = draw(
+        st.lists(st.integers(0 if common else 1, free // 2), min_size=n, max_size=n)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = random_unitary(rng, dim)
+    shared, complement = frame[:, :common], frame[:, common:]
+    states = []
+    for extra in extras:
+        own = complement @ random_unitary(rng, free)[:, :extra]
+        basis = np.column_stack([shared, own])
+        weights = rng.uniform(0.1, 1.1, size=basis.shape[1])
+        m = (basis * weights) @ basis.conj().T
+        states.append(validate_density(m / np.trace(m).real))
+    order = draw(st.permutations(range(n)))
+    return states, Subspace(dim, shared), order
+
+
+@PROPERTY
+@given(planted_sets())
+def test_check_bfm_ignores_observer_order(case):
+    states, planted, order = case
+    report = check_bfm(states)
+    permuted = check_bfm([states[k] for k in order])
+    assert report.intersection_dim == planted.dimension
+    assert permuted.verdict_bfm == report.verdict_bfm
+    assert permuted.intersection_dim == report.intersection_dim
+    p = projector_from(report.intersection_basis)
+    assert max_abs(projector_from(permuted.intersection_basis) - p) <= 1e-8
+    assert max_abs(p - projector_from(planted)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# principal-angle threshold
+
+
+@PROPERTY
+@given(
+    dim=st.integers(2, 16),
+    log_tol=st.floats(-10, -2),
+    factor=st.sampled_from([0.95, 0.99, 1.01, 1.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lines_intersect_below_threshold_angle(dim, log_tol, factor, seed):
+    tol = Tolerances(overlap_tol=10.0**log_tol)
+    theta = factor * np.arccos(1.0 - 2.0 * tol.overlap_tol)
+    frame = random_unitary(np.random.default_rng(seed), dim)
+    a = Subspace(dim, frame[:, :1])
+    b = Subspace(dim, (np.cos(theta) * frame[:, 0] + np.sin(theta) * frame[:, 1])[:, None])
+    expected = 1 if factor < 1 else 0
+    assert intersect(a, b, tol=tol).dimension == expected
+    assert intersect(b, a, tol=tol).dimension == expected
+
+
+# ---------------------------------------------------------------------------
+# eigendecomposition convention on ties
+
+
+def reference_eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column phase fix and a Python sort on tuple keys."""
+    values, vectors = np.linalg.eigh((m + m.conj().T) / 2)
+    cols = []
+    for k in range(vectors.shape[1]):
+        v = vectors[:, k]
+        top = v[int(np.argmax(np.abs(v)))]
+        cols.append(v * (top.conjugate() / abs(top)))
+
+    def lex_key(v):
+        return tuple(x for c in v for x in (c.real, c.imag))
+
+    order = sorted(range(len(values)), key=lambda k: (-values[k], lex_key(cols[k])))
+    return (
+        np.array([float(values[k]) for k in order]),
+        np.column_stack([cols[k] for k in order]),
+    )
+
+
+LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+PHASES = np.array([1, 1j, -1, -1j])
+
+
+@st.composite
+def tied_matrices(draw):
+    """Hermitian matrices with exactly repeated eigenvalues.
+
+    Either a diagonal matrix conjugated by a phased permutation (exact, so
+    the eigenvectors are phased basis vectors), a block-diagonal repetition
+    of one 2x2 block with complex off-diagonal, or a tied diagonal rotated by
+    a random unitary (ties then split by rounding).
+    """
+    dim = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["permuted", "blocks", "rotated"]))
+    if kind == "blocks":
+        a = draw(LEVELS)
+        b = draw(st.sampled_from([0.25, 0.5])) * PHASES[draw(st.integers(0, 3))]
+        block = np.array([[a, b], [np.conj(b), a]])
+        return np.kron(np.eye(draw(st.integers(1, 5))), block)
+    levels = np.array(draw(st.lists(LEVELS, min_size=dim, max_size=dim)))
+    if kind == "rotated":
+        u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dim)
+        return (u * levels) @ u.conj().T
+    phases = PHASES[draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))]
+    p = np.eye(dim)[draw(st.permutations(range(dim)))] * phases
+    return (p * levels) @ p.conj().T
+
+
+@PROPERTY
+@given(tied_matrices())
+def test_eigendecompose_orders_ties_like_reference(m):
+    values, vectors = hermitian_eigendecompose(m)
+    ref_values, ref_vectors = reference_eigendecompose(m)
+    assert values.tobytes() == ref_values.tobytes()
+    assert max_abs(vectors - ref_vectors) <= 1e-15

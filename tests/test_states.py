@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from qcompat import (
     basis_state,
     eigen_ensemble,
     from_ensemble,
+    hermitian_eigendecompose,
     max_abs,
     partial_trace,
     project_and_renormalize,
@@ -131,6 +135,44 @@ def test_eigen_round_trip_random():
         rho = random_density(rng, dim)
         rebuilt = from_ensemble(eigen_ensemble(rho))
         assert max_abs(rebuilt.matrix - rho.matrix) <= 1e-9
+
+
+def test_spectrum_matches_eigendecompose_and_is_kept():
+    rho = random_density(np.random.default_rng(31), 7)
+    values, vectors = rho.spectrum
+    ref_values, ref_vectors = hermitian_eigendecompose(rho.matrix)
+    assert values.tobytes() == ref_values.tobytes()
+    assert vectors.tobytes() == ref_vectors.tobytes()
+    assert rho.spectrum[1] is vectors
+    assert not vectors.flags.writeable
+
+
+def test_spectrum_first_use_is_safe_across_threads():
+    rng = np.random.default_rng(37)
+    matrices = [random_density(rng, 24).matrix for _ in range(4)]
+    expected = [hermitian_eigendecompose(m) for m in matrices]
+    shared = [validate_density(m) for m in matrices]
+    results = []
+
+    def worker():
+        results.append([rho.spectrum for rho in shared])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    for spectra in results:
+        for (values, vectors), (ref_values, ref_vectors) in zip(spectra, expected):
+            assert values.tobytes() == ref_values.tobytes()
+            assert vectors.tobytes() == ref_vectors.tobytes()
 
 
 # ---------------------------------------------------------------------------
