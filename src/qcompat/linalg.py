@@ -64,6 +64,12 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+# Structural, not a ``Tolerances`` field: an orthonormal basis is an internal
+# invariant (unit-norm eigenvectors, SVD factors), not a physical threshold.
+# Its gram matrix deviates from the identity by a few ulps times D, far below
+# this bound at every supported D, and no user setting should loosen it.
+ORTHONORMALITY_TOL = 1e-10
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex, copy=True)
@@ -86,6 +92,11 @@ def max_abs(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.max(np.abs(m)))
+
+
+def _check_orthonormal(b: np.ndarray) -> None:
+    if max_abs(b.conj().T @ b - np.eye(b.shape[1])) > ORTHONORMALITY_TOL:
+        raise ValueError(f"basis columns are not orthonormal to {ORTHONORMALITY_TOL:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +122,25 @@ class Subspace:
             raise ValueError("more basis vectors than ambient dimensions")
         if not np.all(np.isfinite(b)):
             raise ValueError("basis contains non-finite entries")
-        gram = b.conj().T @ b
-        if max_abs(gram - np.eye(b.shape[1])) > 1e-10:
-            raise ValueError("basis columns are not orthonormal to 1e-10")
+        _check_orthonormal(b)
         object.__setattr__(self, "basis", _frozen(b))
 
     @property
     def dimension(self) -> int:
         return self.basis.shape[1]
+
+    @classmethod
+    def _view(cls, basis: np.ndarray) -> Subspace:
+        """Wrap read-only columns of a kept spectrum without re-checking them.
+
+        :func:`_eigh_canonical` checked the whole eigenvector matrix; the gram
+        matrix of any set of its columns is a sub-block of that gram matrix,
+        so the columns already pass the constructor's orthonormality check.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient_dim", basis.shape[0])
+        object.__setattr__(s, "basis", basis)
+        return s
 
 
 def _lex_order(keys: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -143,9 +165,15 @@ def _canonical(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _eigh_canonical(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hermitian_eigendecompose` without the input checks."""
+    """:func:`hermitian_eigendecompose` without the input checks.
+
+    The eigenvector matrix is checked orthonormal here, once, so that
+    :func:`_split_spectrum` can hand out views of its columns unchecked.
+    """
     # symmetrize: exact for exactly-Hermitian input, kills tolerated noise
-    return _canonical(*np.linalg.eigh((a + a.conj().T) / 2))
+    values, vectors = _canonical(*np.linalg.eigh((a + a.conj().T) / 2))
+    _check_orthonormal(vectors)
+    return values, vectors
 
 
 def hermitian_eigendecompose(
@@ -170,6 +198,9 @@ def hermitian_eigendecompose(
         If ``m`` is not square.
     NotHermitian
         If ``max |m - m^dag|`` exceeds ``hermiticity_tol``.
+    ValueError
+        If the eigenvectors LAPACK returns are not orthonormal to
+        ``ORTHONORMALITY_TOL``.
     """
     tol = tol or DEFAULT_TOLERANCES
     a = as_complex_matrix(m)
@@ -182,16 +213,18 @@ def hermitian_eigendecompose(
 
 
 def _split_spectrum(values, vectors, tol: Tolerances) -> tuple[Subspace, Subspace]:
-    """(support, null space) of a canonical spectrum, split at ``eigenvalue_zero_tol``.
+    """(support, null space) of a spectrum from :func:`_eigh_canonical`, split
+    at ``eigenvalue_zero_tol``.
 
-    Raises NegativeEigenvalue if an eigenvalue is below ``-eigenvalue_zero_tol``.
+    Both bases are read-only views into ``vectors``: no copy and no second
+    orthonormality check.  Raises NegativeEigenvalue if an eigenvalue is below
+    ``-eigenvalue_zero_tol``.
     """
     lam_min = float(values[-1]) if values.size else 0.0
     if lam_min < -tol.eigenvalue_zero_tol:
         raise NegativeEigenvalue([("positivity", lam_min, tol.eigenvalue_zero_tol)])
     rank = int(np.count_nonzero(values > tol.eigenvalue_zero_tol))
-    dim = vectors.shape[0]
-    return Subspace(dim, vectors[:, :rank]), Subspace(dim, vectors[:, rank:])
+    return Subspace._view(vectors[:, :rank]), Subspace._view(vectors[:, rank:])
 
 
 def support_of(m, tol: Tolerances | None = None) -> Subspace:

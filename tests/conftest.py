@@ -76,3 +76,24 @@ def compatible_pair(
         m = p * chi.projector() + (1.0 - p) * background
         states.append(validate_density(m / np.trace(m).real))
     return states[0], states[1], chi
+
+
+def random_density_exact(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
+    """Random density matrix that equals its conjugate transpose bit for bit."""
+    if rank is None:
+        rank = int(rng.integers(1, dim + 1))
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    m = (m + m.conj().T) / 2
+    return validate_density(m / np.trace(m).real)
+
+
+def product_rounding(dim: int) -> float:
+    """Bound on how far two computed orderings of a product of density matrices
+    may differ entrywise, e.g. ``b @ a`` against ``(a @ b)^dag``.
+
+    Each is within ``sqrt(2) (dim + 2) eps / 2`` times ``(|b| |a|)_ij`` of the
+    exact product, and ``(|b| |a|)_ij <= 1`` because the rows of a unit-trace
+    PSD matrix have norm at most 1.
+    """
+    return 2 * (dim + 2) * np.finfo(float).eps

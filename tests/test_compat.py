@@ -16,10 +16,13 @@ from qcompat import (
     validate_density,
     verify_joint,
 )
+from qcompat.compat import _pairwise_norms
 from conftest import (
     compatible_pair,
+    product_rounding,
     random_density,
     random_density_conditioned,
+    random_density_exact,
     random_pure,
     random_unitary,
 )
@@ -93,6 +96,75 @@ def test_pairwise_criteria_reject_dimension_mismatch():
         check_pi(a, b)
     with pytest.raises(DimensionMismatch):
         check_pii(a, b)
+
+
+def commuting_density(rng, frame):
+    """Density matrix diagonal in ``frame``, with exactly Hermitian entries."""
+    weights = rng.uniform(0.0, 1.0, size=frame.shape[1])
+    weights[rng.random(frame.shape[1]) < 0.3] = 0.0
+    weights[0] += 0.1
+    m = (frame * weights) @ frame.conj().T
+    m = (m + m.conj().T) / 2
+    return validate_density(m / np.trace(m).real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pairwise_norms_match_old_formulas(n):
+    # oracle: three products per pair, ab and ba for the commutator and ab for the product
+    rng = np.random.default_rng(97 + n)
+    for dim in (2, 3, 4, 5, 8, 13, 16):
+        frame = random_unitary(rng, dim)
+        for trial in range(6):
+            if trial % 2:
+                states = [commuting_density(rng, frame) for _ in range(n)]
+            else:
+                states = [random_density_exact(rng, dim) for _ in range(n)]
+            for s in states:
+                assert np.array_equal(s.matrix, s.matrix.conj().T)
+            pairs = [(x.matrix, y.matrix) for i, x in enumerate(states) for y in states[i + 1 :]]
+            old_products = [max_abs(a @ b) for a, b in pairs]
+            old_commutators = [max_abs(a @ b - b @ a) for a, b in pairs]
+
+            products, commutators = _pairwise_norms(states)
+            assert products.tolist() == old_products
+            assert np.all(np.abs(commutators - old_commutators) <= product_rounding(dim))
+
+            report = check_bfm(states)
+            assert report.product_norm == min(old_products)
+            assert abs(report.commutator_norm - max(old_commutators)) <= product_rounding(dim)
+            assert report.verdict_pii == all(p > 1e-7 for p in old_products)
+            assert report.verdict_pi == all(c <= 1e-7 for c in old_commutators)
+            if trial % 2:
+                assert report.verdict_pi
+
+
+def test_pairwise_norms_use_hermitian_parts():
+    # within hermiticity_tol a state may be slightly non-Hermitian; the norms
+    # are those of the Hermitian parts, the matrices the kept spectra decompose
+    rng = np.random.default_rng(107)
+    for dim in (3, 4, 7):
+        states = []
+        for _ in range(3):
+            m = random_density_exact(rng, dim).matrix
+            noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            states.append(validate_density(m + 2e-11 * (noise - noise.conj().T)))
+        hs = [(s.matrix + s.matrix.conj().T) / 2 for s in states]
+        assert max_abs(states[0].matrix - hs[0]) > 1e-12
+        pairs = [(hs[i], hs[j]) for i in range(3) for j in range(i + 1, 3)]
+        products, commutators = _pairwise_norms(states)
+        assert products.tolist() == [max_abs(a @ b) for a, b in pairs]
+        old_commutators = [max_abs(a @ b - b @ a) for a, b in pairs]
+        assert np.all(np.abs(commutators - old_commutators) <= product_rounding(dim))
+
+
+def test_check_pi_and_check_pii_equal_check_bfm_for_two_states():
+    rng = np.random.default_rng(101)
+    for dim in (2, 3, 6, 8):
+        for _ in range(5):
+            a, b = random_density(rng, dim), random_density(rng, dim)
+            report = check_bfm([a, b])
+            assert check_pi(a, b) == (report.verdict_pi, report.commutator_norm)
+            assert check_pii(a, b) == (report.verdict_pii, report.product_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +356,28 @@ def test_verify_joint_accepts_projected_state():
         joint = validate_density(m / np.trace(m).real)
         ok, _ = verify_joint(joint, [a, b])
         assert ok
+
+
+def test_verify_joint_leakage_matches_dense_formula():
+    # oracle: max |(I - P_common) P_joint| with the identity and both projectors dense
+    rng = np.random.default_rng(103)
+    verdicts = set()
+    for trial in range(40):
+        dim = int(rng.integers(2, 9))
+        a, b, chi = compatible_pair(rng, dim)
+        observers = [a, b, validate_density(0.5 * chi.projector() + 0.5 * a.matrix)][: 1 + trial % 3]
+        if trial % 2:
+            joint = validate_density(chi.projector())
+        else:
+            joint = random_density(rng, dim)
+        # the first observer repeated, so that a single observer works too
+        p_common = projector_from(check_bfm([*observers, observers[0]]).intersection_basis)
+        p_joint = projector_from(support_of(joint.matrix))
+        dense = max_abs((np.eye(dim) - p_common) @ p_joint)
+        ok, report = verify_joint(joint, observers)
+        assert abs(report.leakage - dense) <= 1e-14
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_verify_joint_requires_observers():

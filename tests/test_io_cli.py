@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcompat
 from qcompat import (
     MalformedFile,
     SchemaVersionUnsupported,
@@ -341,3 +346,26 @@ def test_cli_unexpected_failure_exits_3(corpus, monkeypatch, capsys):
     monkeypatch.setattr("qcompat.cli.check_bfm", out_of_memory)
     assert cli_main(["check", corpus["pure"], corpus["mixed"]]) == 3
     assert capsys.readouterr().err == "internal error: MemoryError: cannot allocate\n"
+
+
+@pytest.mark.parametrize("module", ["qcompat", "qcompat.cli"])
+def test_python_dash_m_exit_codes(module, corpus, tmp_path):
+    env = dict(os.environ)
+    src = str(Path(qcompat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+
+    compatible = run("check", corpus["pure"], corpus["mixed"])
+    assert compatible.returncode == 0
+    assert "support intersection: compatible" in compatible.stdout
+    assert compatible.stderr == ""
+    assert run("check", corpus["pure"], corpus["one"]).returncode == 1
+    missing = run("check", str(tmp_path / "missing.json"), str(tmp_path / "missing.json"))
+    assert missing.returncode == 2
+    assert "No such file" in missing.stderr
+    assert run().returncode == 2

@@ -2,6 +2,8 @@
 
 * The verdict and the intersection do not depend on the order in which the
   observers are listed, although the n-ary intersection folds left to right.
+  Nor do the pairwise norms and verdicts, up to the rounding of a product
+  taken in the other order.
 * Two lines intersect exactly when their principal angle is below the
   threshold angle ``theta*`` with ``cos theta* = 1 - 2 overlap_tol``.
 * The vectorized eigendecomposition convention orders exact ties like the
@@ -22,7 +24,7 @@ from qcompat import (
     projector_from,
     validate_density,
 )
-from conftest import random_unitary
+from conftest import product_rounding, random_unitary
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -72,6 +74,19 @@ def test_check_bfm_ignores_observer_order(case):
     p = projector_from(report.intersection_basis)
     assert max_abs(projector_from(permuted.intersection_basis) - p) <= 1e-8
     assert max_abs(p - projector_from(planted)) <= 1e-8
+
+
+@PROPERTY
+@given(planted_sets())
+def test_pairwise_norms_ignore_observer_order(case):
+    states, planted, order = case
+    report = check_bfm(states)
+    permuted = check_bfm([states[k] for k in order])
+    bound = product_rounding(planted.ambient_dim)
+    assert abs(permuted.commutator_norm - report.commutator_norm) <= bound
+    assert abs(permuted.product_norm - report.product_norm) <= bound
+    assert permuted.verdict_pi == report.verdict_pi
+    assert permuted.verdict_pii == report.verdict_pii
 
 
 # ---------------------------------------------------------------------------

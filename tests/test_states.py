@@ -23,6 +23,7 @@ from qcompat import (
     tensor,
     validate_density,
 )
+from qcompat.linalg import DEFAULT_TOLERANCES, _split_spectrum
 from conftest import random_density, random_pure
 
 KET0 = basis_state(2, 0)
@@ -173,6 +174,35 @@ def test_spectrum_first_use_is_safe_across_threads():
         for (values, vectors), (ref_values, ref_vectors) in zip(spectra, expected):
             assert values.tobytes() == ref_values.tobytes()
             assert vectors.tobytes() == ref_vectors.tobytes()
+
+
+def test_split_spectrum_returns_read_only_views_of_the_kept_spectrum():
+    rho = random_density(np.random.default_rng(41), 6, rank=4)
+    values, vectors = rho.spectrum
+    support, null = _split_spectrum(values, vectors, DEFAULT_TOLERANCES)
+    assert (support.dimension, null.dimension) == (4, 2)
+    for part in (support, null):
+        assert np.shares_memory(part.basis, vectors)
+        assert not part.basis.flags.writeable
+    assert np.array_equal(np.hstack([support.basis, null.basis]), vectors)
+
+
+def test_spectrum_rejects_non_orthonormal_eigenvectors(monkeypatch):
+    # the split hands out unchecked views, so the check on first use must stay
+    real_eigh = np.linalg.eigh
+
+    def skewed_eigh(a, *args, **kwargs):
+        values, vectors = real_eigh(a, *args, **kwargs)
+        vectors = vectors.copy()
+        vectors[:, 0] += 1e-6 * vectors[:, 1]
+        return values, vectors
+
+    rho = random_density(np.random.default_rng(43), 5)
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    with pytest.raises(ValueError, match="orthonormal"):
+        rho.spectrum
+    with pytest.raises(ValueError, match="orthonormal"):
+        hermitian_eigendecompose(rho.matrix)
 
 
 # ---------------------------------------------------------------------------
