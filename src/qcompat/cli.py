@@ -221,10 +221,10 @@ def _cmd_witness(args: argparse.Namespace, tol: Tolerances) -> int:
         return 1
     d = build_shared_decomposition(a, b, tol)
     w = build_witness(d)
-    result = simulate_protocol(w, tol)
     print(f"witness dimensions (ancilla A, ancilla B, system) = {w.dims}")
     print(f"normalization = {_fmt(w.normalization)}")
-    print(f"probability of both zero outcomes = {_fmt(result.p_both)}")
+    # both outcomes 0 leave the amplitudes N chi, so the probability is N^2
+    print(f"probability of both zero outcomes = {_fmt(w.normalization**2)}")
     _write_json(
         getattr(args, "json", None),
         formats.report_document(report, inputs, decomposition=d, witness=w),

@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+# Structural, like ``linalg.ORTHONORMALITY_TOL``: how far decomposition weights
+# may sum from one, and a witness normalization from ``1/p0 + 1/q0 - 1``.  It
+# bounds bookkeeping of weights, not a measured state, so it is no ``Tolerances`` field.
+WEIGHT_TOL = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A unit-norm complex amplitude vector."""
@@ -117,9 +123,9 @@ class DensityMatrix:
 class Ensemble:
     """A convex mixture ``{(w_k, |xi_k>)}`` of pure states.
 
-    Weights are strictly positive and sum to one within 1e-9; mixtures of
-    mixed states are not representable (flatten them to pure components
-    before constructing).
+    Weights are strictly positive and sum to one within ``WEIGHT_TOL``;
+    mixtures of mixed states are not representable (flatten them to pure
+    components before constructing).
     """
 
     components: tuple[tuple[float, PureState], ...]
@@ -135,7 +141,7 @@ class Ensemble:
             if not 0.0 < w <= 1.0 + 1e-12:
                 raise ValueError(f"weights must lie in (0, 1], got {w!r}")
         total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "components", comps)
 
@@ -195,12 +201,16 @@ def validate_density(
     return DensityMatrix(a, label=label)
 
 
+def _mixture(components: Sequence[tuple[float, PureState]]) -> np.ndarray:
+    """``sum_k w_k |xi_k><xi_k|`` as the one product ``(V w) V^dag``."""
+    weights = np.array([w for w, _ in components])
+    vectors = np.stack([s.amplitudes for _, s in components], axis=1)
+    return (vectors * weights) @ vectors.conj().T
+
+
 def from_ensemble(e: Ensemble, tol: Tolerances | None = None) -> DensityMatrix:
     """Mixture realization ``rho = sum_k w_k |xi_k><xi_k|``."""
-    rho = np.zeros((e.dim, e.dim), dtype=complex)
-    for w, s in e.components:
-        rho += w * s.projector()
-    return validate_density(rho, tol)
+    return validate_density(_mixture(e.components), tol)
 
 
 def eigen_ensemble(rho: DensityMatrix, tol: Tolerances | None = None) -> Ensemble:

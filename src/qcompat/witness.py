@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChiOutsideSupport, Incompatible
+from .errors import ChiOutsideSupport, Incompatible, ZeroProbabilityOutcome
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -22,14 +22,7 @@ from .linalg import (
     hermitian_eigendecompose,
     intersect,
 )
-from .states import (
-    DensityMatrix,
-    PureState,
-    basis_state,
-    partial_trace,
-    project_and_renormalize,
-    validate_density,
-)
+from .states import WEIGHT_TOL, DensityMatrix, PureState, _mixture, validate_density
 from .compat import _require_equal_dims
 
 __all__ = [
@@ -77,7 +70,7 @@ class SharedDecomposition:
             if any(s.dim != self.chi.dim for _, s in rest):
                 raise ValueError(f"rest_{name} states must match the shared-state dimension")
             total = head + sum(w for w, _ in rest)
-            if abs(total - 1.0) > 1e-9:
+            if abs(total - 1.0) > WEIGHT_TOL:
                 raise ValueError(f"weights of decomposition {name} sum to {total!r}")
 
     @property
@@ -93,10 +86,7 @@ class SharedDecomposition:
         return self._reconstruct(self.q0, self.rest_b, "B")
 
     def _reconstruct(self, head: float, rest: tuple[Component, ...], label: str) -> DensityMatrix:
-        rho = head * self.chi.projector()
-        for w, s in rest:
-            rho = rho + w * s.projector()
-        return validate_density(rho, label=label)
+        return validate_density(_mixture(((head, self.chi),) + rest), label=label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +120,7 @@ class WitnessState:
         if self.normalization <= 0:
             raise ValueError("normalization must be positive")
         identity = 1.0 / d.p0 + 1.0 / d.q0 - 1.0
-        if abs(1.0 / self.normalization**2 - identity) > 1e-9:
+        if abs(1.0 / self.normalization**2 - identity) > WEIGHT_TOL:
             raise ValueError(
                 f"normalization identity violated: 1/N^2 = {1.0 / self.normalization ** 2!r}, "
                 f"1/p0 + 1/q0 - 1 = {identity!r}"
@@ -265,12 +255,21 @@ def build_witness(d: SharedDecomposition) -> WitnessState:
     for j, (q_j, phi_j) in enumerate(d.rest_b, start=1):
         raw[j, 0, :] = np.sqrt(q_j / d.q0) * phi_j.amplitudes
     scale = 1.0 / float(np.linalg.norm(raw))
+    raw *= scale
     return WitnessState(
         dims=(dim_a, dim_b, dim_s),
-        amplitudes=PureState(scale * raw.reshape(-1)),
+        amplitudes=PureState(raw),
         normalization=scale,
         decomposition=d,
     )
+
+
+def _outcome_zero(block: np.ndarray, label: str, tol: Tolerances) -> tuple[float, DensityMatrix]:
+    """Probability of outcome 0 and the reduced state of the block ``M`` it leaves."""
+    p = float(np.vdot(block, block).real)
+    if p <= tol.eigenvalue_zero_tol:
+        raise ZeroProbabilityOutcome(p)
+    return p, validate_density(block.T @ block.conj() / p, tol, label=label)
 
 
 def simulate_protocol(
@@ -283,35 +282,29 @@ def simulate_protocol(
     outcomes leaves the pure system state.  For a witness built by
     :func:`build_witness` these reproduce the decomposed states.
 
+    In the amplitude tensor ``t[a, b, s]`` Alice's outcome leaves the block
+    ``M = t[0]``, so ``p_alice = |M|^2`` and her reduced state is the partial
+    trace ``M^T conj(M) / p_alice``; Bob's block is ``t[:, 0]`` and the pooled
+    state is ``t[0, 0]`` renormalized.  Beyond the witness this takes O(D^2) memory.
+
     Raises
     ------
     ZeroProbabilityOutcome
         Cannot occur for a valid witness; signals corrupted input.
     """
     tol = tol or DEFAULT_TOLERANCES
-    dim_a, dim_b, dim_s = w.dims
-    psi = w.amplitudes
-
-    p_alice, cond_bs = project_and_renormalize(
-        psi, w.dims, 0, basis_state(dim_a, 0), tol
-    )
-    rho_bs = validate_density(cond_bs.projector(), tol, label="A")
-    rho_alice = partial_trace(rho_bs, (dim_b, dim_s), {1}, tol)
-
-    p_bob, cond_as = project_and_renormalize(
-        psi, w.dims, 1, basis_state(dim_b, 0), tol
-    )
-    rho_as = validate_density(cond_as.projector(), tol, label="B")
-    rho_bob = partial_trace(rho_as, (dim_a, dim_s), {1}, tol)
-
-    p_second, joint = project_and_renormalize(
-        cond_bs, (dim_b, dim_s), 0, basis_state(dim_b, 0), tol
-    )
+    t = w.amplitudes.amplitudes.reshape(w.dims)
+    p_alice, rho_alice = _outcome_zero(t[0], "A", tol)
+    p_bob, rho_bob = _outcome_zero(t[:, 0], "B", tol)
+    p_both = float(np.vdot(t[0, 0], t[0, 0]).real)
+    # Bob's outcome 0 measured after Alice's: its conditional probability
+    if p_both / p_alice <= tol.eigenvalue_zero_tol:
+        raise ZeroProbabilityOutcome(p_both / p_alice)
     return ProtocolResult(
         rho_alice=rho_alice,
         rho_bob=rho_bob,
-        joint=joint,
+        joint=PureState(t[0, 0] / np.sqrt(p_both)),
         p_alice=p_alice,
         p_bob=p_bob,
-        p_both=p_alice * p_second,
+        p_both=p_both,
     )

@@ -2,14 +2,22 @@
 
 Every ``DensityMatrix`` eigendecomposes once and keeps its spectrum, and
 supports intersect through an SVD of the small ``k_a x k_b`` overlap matrix,
-so the counts below are exact.  A counting wrapper around
-``numpy.linalg.eigh`` records the shape of every operand.
+so the counts below are exact.  Counting wrappers around
+``numpy.linalg.eigh`` and ``numpy.linalg.eigvalsh`` record the shape of
+every operand.
 """
 
 import numpy as np
 import pytest
 
-from qcompat import build_shared_decomposition, check_bfm, validate_density, verify_joint
+from qcompat import (
+    build_shared_decomposition,
+    build_witness,
+    check_bfm,
+    simulate_protocol,
+    validate_density,
+    verify_joint,
+)
 from qcompat.cli import cli_main
 from qcompat.formats import serialize_matrix
 from conftest import compatible_pair, random_density_conditioned, random_pure
@@ -17,7 +25,7 @@ from conftest import compatible_pair, random_density_conditioned, random_pure
 DIM = 6
 
 
-class EighCounter:
+class CallCounter:
     def __init__(self):
         self.shapes = []
 
@@ -28,17 +36,26 @@ class EighCounter:
         return count
 
 
+def count_calls(monkeypatch, name):
+    counter = CallCounter()
+    real = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        counter.shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return counter
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    counter = EighCounter()
-    real_eigh = np.linalg.eigh
+    return count_calls(monkeypatch, "eigh")
 
-    def counting_eigh(a, *args, **kwargs):
-        counter.shapes.append(np.shape(a))
-        return real_eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    return counter
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    return count_calls(monkeypatch, "eigvalsh")
 
 
 def planted_states(rng, n):
@@ -96,3 +113,15 @@ def test_cli_witness_path_budget(eigh_calls, tmp_path):
     eigh_calls.take()
     assert cli_main(["witness", *paths, "--json", str(tmp_path / "w.json")]) == 0
     assert eigh_calls.take() <= 4
+
+
+def test_simulate_validates_two_system_states(eigh_calls, eigvalsh_calls):
+    a, b, _ = compatible_pair(np.random.default_rng(500), DIM)
+    w = build_witness(build_shared_decomposition(a, b))
+    assert w.dims[0] > 1 and w.dims[1] > 1
+    eigh_calls.take()
+    eigvalsh_calls.take()
+    simulate_protocol(w)
+    # one validation per reduced state; nothing on ancilla (x) system
+    assert eigvalsh_calls.shapes == [(DIM, DIM), (DIM, DIM)]
+    assert eigh_calls.shapes == []

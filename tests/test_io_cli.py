@@ -313,6 +313,54 @@ def test_cli_simulate_flags_round_trip_failure(corpus, tmp_path, capsys):
     assert "round trip FAILED" in capsys.readouterr().out
 
 
+def mixed_witness(tmp_path):
+    """Witness file for two full-rank qutrit states, so both ancillas carry
+    extra terms; returns the path, the document and the amplitude tensor."""
+    rng = np.random.default_rng(131)
+    chi = np.array([1, 1j, 0]) / np.sqrt(2)
+    files = [
+        write_state(
+            tmp_path / f"{name}.json",
+            0.4 * np.outer(chi, chi.conj()) + 0.6 * random_density(rng, 3, 3).matrix,
+            label=name,
+        )
+        for name in "ab"
+    ]
+    out = tmp_path / "wit.json"
+    assert cli_main(["witness", *files, "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    pairs = np.array(doc["witness"]["amplitudes"])
+    t = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(doc["witness"]["dims"])
+    assert t.shape == (3, 3, 3)
+    return out, doc, t
+
+
+def rewrite_amplitudes(out, doc, t):
+    doc["witness"]["amplitudes"] = [[z.real, z.imag] for z in t.reshape(-1)]
+    out.write_text(json.dumps(doc))
+
+
+def test_cli_simulate_flags_swapped_amplitudes(tmp_path, capsys):
+    # a swap inside one block keeps every structural invariant; only the
+    # partial trace of the stored amplitudes can notice it
+    out, doc, t = mixed_witness(tmp_path)
+    t[0, 1, [0, 1]] = t[0, 1, [1, 0]]
+    rewrite_amplitudes(out, doc, t)
+    capsys.readouterr()
+    assert cli_main(["simulate", str(out)]) == 1
+    assert "round trip FAILED" in capsys.readouterr().out
+
+
+def test_cli_simulate_zero_outcome_block_is_invalid(tmp_path, capsys):
+    out, doc, t = mixed_witness(tmp_path)
+    t[0] = 0
+    rewrite_amplitudes(out, doc, t / np.linalg.norm(t))
+    capsys.readouterr()
+    assert cli_main(["simulate", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: outcome probability 0.000e+00 is at the numerical floor")
+
+
 def test_cli_tol_eig_env_and_flag(corpus, monkeypatch):
     # lambda_min = -0.2 fails at the default cutoff
     assert cli_main(["validate", corpus["negative"]]) == 1

@@ -24,7 +24,7 @@ from qcompat import (
     validate_density,
 )
 from qcompat.linalg import DEFAULT_TOLERANCES, _split_spectrum
-from conftest import random_density, random_pure
+from conftest import product_rounding, random_density, random_pure
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -93,6 +93,18 @@ def test_from_ensemble_skewed_mixture():
     # oracle: outer products expanded by hand
     rho = from_ensemble(Ensemble(((0.5, KET0), (0.5, PLUS))))
     assert np.allclose(rho.matrix, [[0.75, 0.25], [0.25, 0.25]], atol=1e-12)
+
+
+def test_from_ensemble_matches_sum_of_projectors():
+    # oracle: the weighted projectors added one at a time
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        dim = int(rng.integers(1, 17))
+        k = int(rng.integers(1, 9))
+        weights = rng.uniform(0.1, 1.0, size=k)
+        e = Ensemble(tuple((w, random_pure(rng, dim)) for w in weights / weights.sum()))
+        reference = sum(w * s.projector() for w, s in e.components)
+        assert max_abs(from_ensemble(e).matrix - reference) <= product_rounding(k)
 
 
 def test_ensemble_rejects_bad_weights():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,18 @@ from qcompat import (
     ChiOutsideSupport,
     Incompatible,
     PureState,
+    SharedDecomposition,
+    WitnessState,
+    ZeroProbabilityOutcome,
+    basis_state,
     build_shared_decomposition,
     build_witness,
     check_bfm,
     choose_common_state,
     max_abs,
     max_common_weight,
+    partial_trace,
+    project_and_renormalize,
     simulate_protocol,
     support_of,
     validate_density,
@@ -276,3 +284,149 @@ def test_compatibility_and_construction_agree():
         else:
             with pytest.raises(Incompatible):
                 choose_common_state(a, b)
+
+
+# ---------------------------------------------------------------------------
+# protocol simulation against the dense operator chain
+
+
+def dense_protocol(w):
+    """Oracle: the protocol through full operators on ancilla (x) system.
+
+    Project one ancilla onto |0>, form the projector of the conditional
+    state, validate it and trace out the other ancilla; pool by projecting
+    Alice's conditional state once more.
+    """
+    dim_a, dim_b, dim_s = w.dims
+    p_alice, cond_bs = project_and_renormalize(w.amplitudes, w.dims, 0, basis_state(dim_a, 0))
+    rho_alice = partial_trace(validate_density(cond_bs.projector()), (dim_b, dim_s), {1})
+    p_bob, cond_as = project_and_renormalize(w.amplitudes, w.dims, 1, basis_state(dim_b, 0))
+    rho_bob = partial_trace(validate_density(cond_as.projector()), (dim_a, dim_s), {1})
+    p_second, joint = project_and_renormalize(
+        cond_bs, (dim_b, dim_s), 0, basis_state(dim_b, 0)
+    )
+    return rho_alice, rho_bob, joint, p_alice, p_bob, p_alice * p_second
+
+
+def witness_with_amplitudes(rng, dims, amplitudes):
+    """A witness carrying arbitrary unit amplitudes.
+
+    The invariants only tie the dimensions and the normalization to the
+    decomposition, so any unit vector of the right size is accepted.
+    """
+    dim_a, dim_b, dim_s = dims
+    d = SharedDecomposition(
+        chi=random_pure(rng, dim_s),
+        p0=1.0 / dim_b,
+        q0=1.0 / dim_a,
+        rest_a=tuple((1.0 / dim_b, random_pure(rng, dim_s)) for _ in range(dim_b - 1)),
+        rest_b=tuple((1.0 / dim_a, random_pure(rng, dim_s)) for _ in range(dim_a - 1)),
+    )
+    return WitnessState(dims, PureState(amplitudes), (dim_a + dim_b - 1.0) ** -0.5, d)
+
+
+def full_rank_pair(rng, dim):
+    """Compatible pair of full-rank states, so the witness is dim x dim x dim."""
+    chi = random_pure(rng, dim).projector()
+    a, b = (
+        validate_density(0.3 * chi + 0.7 * random_density_conditioned(rng, dim, dim).matrix)
+        for _ in range(2)
+    )
+    return a, b
+
+
+def test_protocol_matches_dense_chain():
+    rng = np.random.default_rng(109)
+    witnesses = []
+    for dim_a in range(1, 5):
+        for dim_b in range(1, 5):
+            for dim_s in range(1, 7):
+                dims = (dim_a, dim_b, dim_s)
+                size = dim_a * dim_b * dim_s
+                v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                witnesses.append(witness_with_amplitudes(rng, dims, v / np.linalg.norm(v)))
+    for dim in range(2, 7):
+        a, b, _ = compatible_pair(rng, dim)
+        witnesses.append(build_witness(build_shared_decomposition(a, b)))
+    for w in witnesses:
+        result = simulate_protocol(w)
+        rho_alice, rho_bob, joint, p_alice, p_bob, p_both = dense_protocol(w)
+        assert max_abs(result.rho_alice.matrix - rho_alice.matrix) <= 1e-14, w.dims
+        assert max_abs(result.rho_bob.matrix - rho_bob.matrix) <= 1e-14, w.dims
+        assert (result.rho_alice.label, result.rho_bob.label) == ("A", "B")
+        overlap = np.vdot(joint.amplitudes, result.joint.amplitudes)
+        phase = overlap / abs(overlap)
+        assert max_abs(result.joint.amplitudes - phase * joint.amplitudes) <= 1e-14, w.dims
+        assert abs(result.p_alice - p_alice) <= 1e-14
+        assert abs(result.p_bob - p_bob) <= 1e-14
+        assert abs(result.p_both - p_both) <= 1e-14
+
+
+@pytest.mark.parametrize("outcome", [np.s_[0], np.s_[:, 0], np.s_[0, 0]])
+def test_protocol_rejects_zero_probability_outcome(outcome):
+    # Alice's outcome, Bob's, and Bob's after Alice's
+    rng = np.random.default_rng(137)
+    t = rng.standard_normal((3, 3, 4)) + 1j * rng.standard_normal((3, 3, 4))
+    t[outcome] = 0
+    w = witness_with_amplitudes(rng, t.shape, t.reshape(-1) / np.linalg.norm(t))
+    with pytest.raises(ZeroProbabilityOutcome) as exc:
+        simulate_protocol(w)
+    assert exc.value.probability == 0
+
+
+def test_protocol_allocates_less_than_the_witness():
+    # the dense chain formed (dim_b D)^2 projectors here: a 64 MiB peak
+    a, b = full_rank_pair(np.random.default_rng(113), 32)
+    w = build_witness(build_shared_decomposition(a, b))
+    assert w.dims == (32, 32, 32)
+    tracemalloc.start()
+    try:
+        simulate_protocol(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.amplitudes.amplitudes.nbytes
+
+
+def test_protocol_round_trip_full_rank_dim_64():
+    a, b = full_rank_pair(np.random.default_rng(127), 64)
+    d = build_shared_decomposition(a, b)
+    w = build_witness(d)
+    assert w.dims == (64, 64, 64)
+    result = simulate_protocol(w)
+    assert max_abs(result.rho_alice.matrix - a.matrix) <= 1e-8
+    assert max_abs(result.rho_bob.matrix - b.matrix) <= 1e-8
+    assert abs(np.vdot(result.joint.amplitudes, d.chi.amplitudes)) ** 2 >= 1 - 1e-8
+    assert result.p_both == pytest.approx(w.normalization**2, abs=1e-14)
+
+
+def _near_miss(theta, error):
+    return pytest.param(
+        theta,
+        marks=pytest.mark.xfail(
+            strict=True,
+            raises=error,
+            reason="check_bfm accepts principal angles up to 2 sqrt(overlap_tol), "
+            "but a common state must lie within 1e-8 of both supports",
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [_near_miss(3.2e-4, ChiOutsideSupport), _near_miss(6.3e-6, ChiOutsideSupport),
+     _near_miss(1e-9, ValueError)],
+)
+def test_compatible_verdict_always_has_a_witness(theta):
+    # two pure states in C^2 at principal angle theta
+    a = validate_density(np.diag([1.0, 0.0]))
+    v = np.array([np.cos(theta), np.sin(theta)])
+    b = validate_density(np.outer(v, v))
+    if not check_bfm([a, b]).verdict_bfm:
+        with pytest.raises(Incompatible):
+            choose_common_state(a, b)
+        return
+    d = build_shared_decomposition(a, b)
+    result = simulate_protocol(build_witness(d))
+    assert max_abs(result.rho_alice.matrix - a.matrix) <= 1e-8
+    assert max_abs(result.rho_bob.matrix - b.matrix) <= 1e-8
