@@ -27,9 +27,7 @@ from .errors import (
 )
 from .linalg import Tolerances, _split_spectrum, max_abs
 from .states import DensityMatrix, validate_density
-from .witness import build_shared_decomposition, build_witness, simulate_protocol
-
-ROUND_TRIP_TOL = 1e-8
+from .witness import ROUND_TRIP_TOL, build_shared_decomposition, build_witness, simulate_protocol
 
 ENV_TOL_EIG = "QCOMPAT_TOL_EIG"
 

@@ -12,7 +12,6 @@ i.e. every observer's null space stays null).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -237,7 +236,7 @@ def verify_joint(
         raise ValueError("verify_joint needs at least one observer state")
     _require_equal_dims([joint, *observers])
     splits = [_split_spectrum(*s.spectrum, tol) for s in observers]
-    common = reduce(lambda x, y: intersect(x, y, tol=tol), [support for support, _ in splits])
+    common = intersect(*(support for support, _ in splits), tol=tol)
 
     # (I - P_c) P_j = P_j - B_c (B_c^dag P_j): no identity, no D x D x D product
     b_common = common.basis

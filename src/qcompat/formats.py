@@ -5,6 +5,11 @@ numbers are written as explicit ``[re, im]`` pairs and every number is
 emitted with 17 significant digits, which round-trips double precision
 losslessly; emission is canonical, so identical values always serialize to
 identical bytes.
+
+A witness section holds only ``dims`` and ``normalization``: the witness is
+its decomposition, which the file carries beside it.  Files written before
+that may still store the dense ``amplitudes``; they are read under the same
+schema version and must match the amplitudes the decomposition gives.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ import numpy as np
 
 from .compat import CompatReport
 from .errors import MalformedFile, SchemaVersionUnsupported, ShapeMismatch
-from .linalg import Subspace, Tolerances
-from .states import PureState
-from .witness import SharedDecomposition, WitnessState
+from .linalg import Subspace, Tolerances, max_abs
+from .states import WEIGHT_TOL, PureState
+from .witness import ROUND_TRIP_TOL, SharedDecomposition, WitnessState
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -268,7 +273,6 @@ def report_document(
         doc["witness"] = {
             "dims": list(witness.dims),
             "normalization": witness.normalization,
-            "amplitudes": _vector_to_pairs(witness.amplitudes.amplitudes),
         }
     return doc
 
@@ -402,26 +406,29 @@ def parse_report_document(doc: dict) -> ParsedReport:
             raise MalformedFile("field 'witness' must be an object")
         if decomposition is None:
             raise MalformedFile("witness section requires a decomposition section")
+        witness = WitnessState(decomposition)
         dims = _require(wdoc, "dims", "witness")
-        if (
-            not isinstance(dims, list)
-            or len(dims) != 3
-            or any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in dims)
-        ):
-            raise MalformedFile("witness.dims must be three positive integers")
-        amps = _pairs_to_vector(_require(wdoc, "amplitudes", "witness"), "witness.amplitudes")
-        norm = _require(wdoc, "normalization", "witness")
-        if isinstance(norm, bool) or not isinstance(norm, (int, float)):
-            raise MalformedFile("witness.normalization must be a number")
-        try:
-            witness = WitnessState(
-                dims=(dims[0], dims[1], dims[2]),
-                amplitudes=_pure(amps, "witness.amplitudes"),
-                normalization=float(norm),
-                decomposition=decomposition,
+        if dims != list(witness.dims) or any(type(d) is not int for d in dims):
+            raise MalformedFile(
+                f"witness.dims {dims!r} differ from the decomposition's {list(witness.dims)}"
             )
-        except ValueError as e:
-            raise MalformedFile(f"witness: {e}") from e
+        norm, identity = _require(wdoc, "normalization", "witness"), witness.normalization**-2
+        if type(norm) not in (int, float) or not (
+            norm > 0 and abs(1 / norm / norm - identity) <= WEIGHT_TOL
+        ):
+            raise MalformedFile(f"witness.normalization {norm!r} violates 1/N^2 = {identity!r}")
+        if "amplitudes" in wdoc:  # written before the witness was stored as its decomposition
+            stored = _pairs_to_vector(wdoc["amplitudes"], "witness.amplitudes")
+            if stored.size != np.prod(dims):
+                raise MalformedFile(
+                    f"witness.amplitudes: expected {np.prod(dims)} entries, got {stored.size}"
+                )
+            deviation = max_abs(stored - witness.amplitudes.amplitudes)
+            if deviation > ROUND_TRIP_TOL:
+                raise MalformedFile(
+                    f"witness.amplitudes deviate from the decomposition's by {deviation:.3e} "
+                    f"(tolerance {ROUND_TRIP_TOL:.0e})"
+                )
 
     return ParsedReport(
         inputs=tuple(inputs),

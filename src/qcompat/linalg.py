@@ -250,8 +250,8 @@ def projector_from(s: Subspace) -> np.ndarray:
     return s.basis @ s.basis.conj().T
 
 
-def intersect(a: Subspace, b: Subspace, *rest: Subspace, tol: Tolerances | None = None) -> Subspace:
-    """Intersection of two or more subspaces.
+def intersect(a: Subspace, *rest: Subspace, tol: Tolerances | None = None) -> Subspace:
+    """Intersection of one or more subspaces (a single one is returned as it is).
 
     Computed by principal angles (Björck and Golub 1973): the singular values
     of ``B_a^dag B_b`` are their cosines, and ``B_a`` times the left singular
@@ -265,10 +265,9 @@ def intersect(a: Subspace, b: Subspace, *rest: Subspace, tol: Tolerances | None 
         If the subspaces live in spaces of different dimension.
     """
     tol = tol or DEFAULT_TOLERANCES
-    result = _intersect_pair(a, b, tol)
     for s in rest:
-        result = _intersect_pair(result, s, tol)
-    return result
+        a = _intersect_pair(a, s, tol)
+    return a
 
 
 def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:

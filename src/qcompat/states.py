@@ -25,6 +25,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
+    ORTHONORMALITY_TOL,
     Tolerances,
     _eigh_canonical,
     _frozen,
@@ -66,7 +67,7 @@ class PureState:
         if not np.all(np.isfinite(a)):
             raise ValueError("amplitudes contain non-finite entries")
         norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > ORTHONORMALITY_TOL:  # a one-column orthonormal basis
             raise ValueError(f"state is not normalized: |amplitudes| = {norm!r}")
         object.__setattr__(self, "amplitudes", _frozen(a))
 

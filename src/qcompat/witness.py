@@ -2,9 +2,11 @@
 
 Given two compatible density matrices, this module finds a pure state
 common to both supports, builds decompositions of each state that share it,
-assembles the tripartite witness vector whose local ancilla measurements
-reproduce each observer's assignment, and simulates that measurement
-protocol to verify the round trip numerically.
+and simulates the measurement protocol on the tripartite witness state
+those decompositions define, to verify the round trip numerically.  The
+witness is kept as its decomposition: each observer's outcome-0 block is
+formed from the terms when needed, and the dense ``dim_a * dim_b * D``
+amplitude vector only on request.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ Component = tuple[float, PureState]
 
 # chi comes from the support intersection, so only rounding moves it off a support
 CHI_SUPPORT_RESIDUAL = 1e-8
+
+# Structural: how far a simulated round trip may stray from the decomposition
+# (reduced states entrywise, the pooled state's overlap with chi), and the
+# amplitudes an older witness file stores from the ones its decomposition gives.
+ROUND_TRIP_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,38 +100,34 @@ class SharedDecomposition:
 class WitnessState:
     """Tripartite pure state on ancilla_A (x) ancilla_B (x) system.
 
-    The ``normalization`` field is the scale applied to the raw
-    superposition, so ``1/normalization^2 = 1/p0 + 1/q0 - 1``.  Ancilla
-    dimensions are minimal: ancilla A indexes the second decomposition's
-    extra terms, ancilla B the first's.
+    The state is ``N (|0>|0>|chi> + sum_i sqrt(p_i/p0) |0>|i>|psi_i>
+    + sum_j sqrt(q_j/q0) |j>|0>|phi_j>)`` with ``1/N^2 = 1/p0 + 1/q0 - 1``,
+    so the decomposition is all it stores; ``dims`` and ``normalization``
+    derive from it.  Ancilla dimensions are minimal: ancilla A indexes the
+    second decomposition's extra terms, ancilla B the first's.
     """
 
-    dims: tuple[int, int, int]
-    amplitudes: PureState
-    normalization: float
     decomposition: SharedDecomposition
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "normalization", float(self.normalization))
-        dim_a, dim_b, dim_s = self.dims
+    @property
+    def dims(self) -> tuple[int, int, int]:
         d = self.decomposition
-        if dim_a != 1 + len(d.rest_b):
-            raise ValueError(f"ancilla A dimension {dim_a} != 1 + {len(d.rest_b)}")
-        if dim_b != 1 + len(d.rest_a):
-            raise ValueError(f"ancilla B dimension {dim_b} != 1 + {len(d.rest_a)}")
-        if dim_s != d.dim:
-            raise ValueError(f"system dimension {dim_s} != shared-state dimension {d.dim}")
-        if self.amplitudes.dim != dim_a * dim_b * dim_s:
-            raise ValueError("amplitude vector does not match recorded dimensions")
-        if self.normalization <= 0:
-            raise ValueError("normalization must be positive")
-        identity = 1.0 / d.p0 + 1.0 / d.q0 - 1.0
-        if abs(1.0 / self.normalization**2 - identity) > WEIGHT_TOL:
-            raise ValueError(
-                f"normalization identity violated: 1/N^2 = {1.0 / self.normalization ** 2!r}, "
-                f"1/p0 + 1/q0 - 1 = {identity!r}"
-            )
+        return (1 + len(d.rest_b), 1 + len(d.rest_a), d.dim)
+
+    @property
+    def normalization(self) -> float:
+        d = self.decomposition
+        return (1.0 / d.p0 + 1.0 / d.q0 - 1.0) ** -0.5
+
+    @property
+    def amplitudes(self) -> PureState:
+        """The dense ``dim_a * dim_b * D`` amplitude vector, built from the terms
+        on every read (unit-scaled, absorbing the ``WEIGHT_TOL`` slack of the
+        weights).  In the library only the check of an older file reads it."""
+        t = np.zeros(self.dims, dtype=complex)
+        t[0], t[:, 0] = _zero_block(self, "A"), _zero_block(self, "B")
+        t /= np.linalg.norm(t)
+        return PureState(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,30 +241,24 @@ def build_shared_decomposition(
 
 
 def build_witness(d: SharedDecomposition) -> WitnessState:
-    """Assemble the tripartite witness vector for a shared decomposition.
+    """The tripartite witness state of a shared decomposition, which is all it stores.
 
-    The raw superposition puts the shared state under both ancillas' zero
+    Its superposition puts the shared state under both ancillas' zero
     outcome, each extra term of the first decomposition under a distinct
     ancilla-B label with coefficient ``sqrt(p_i/p0)``, and each extra term
     of the second under a distinct ancilla-A label with ``sqrt(q_j/q0)``.
     """
-    dim_a = 1 + len(d.rest_b)
-    dim_b = 1 + len(d.rest_a)
-    dim_s = d.dim
-    raw = np.zeros((dim_a, dim_b, dim_s), dtype=complex)
-    raw[0, 0, :] = d.chi.amplitudes
-    for i, (p_i, psi_i) in enumerate(d.rest_a, start=1):
-        raw[0, i, :] = np.sqrt(p_i / d.p0) * psi_i.amplitudes
-    for j, (q_j, phi_j) in enumerate(d.rest_b, start=1):
-        raw[j, 0, :] = np.sqrt(q_j / d.q0) * phi_j.amplitudes
-    scale = 1.0 / float(np.linalg.norm(raw))
-    raw *= scale
-    return WitnessState(
-        dims=(dim_a, dim_b, dim_s),
-        amplitudes=PureState(raw),
-        normalization=scale,
-        decomposition=d,
-    )
+    return WitnessState(d)
+
+
+def _zero_block(w: WitnessState, side: str) -> np.ndarray:
+    """The amplitudes one observer's outcome 0 leaves, a row per label of the
+    other ancilla: ``N [chi; sqrt(p_i/p0) psi_i]`` for Alice ("A") and
+    ``N [chi; sqrt(q_j/q0) phi_j]`` for Bob ("B")."""
+    d = w.decomposition
+    head, rest = (d.p0, d.rest_a) if side == "A" else (d.q0, d.rest_b)
+    terms = ((head, d.chi),) + rest
+    return w.normalization * np.array([np.sqrt(p / head) * s.amplitudes for p, s in terms])
 
 
 def _outcome_zero(block: np.ndarray, label: str, tol: Tolerances) -> tuple[float, DensityMatrix]:
@@ -279,31 +276,33 @@ def simulate_protocol(
 
     Alice projects ancilla A onto outcome 0 and, not knowing Bob's result,
     traces out ancilla B; Bob does the mirror image.  Pooling both zero
-    outcomes leaves the pure system state.  For a witness built by
-    :func:`build_witness` these reproduce the decomposed states.
+    outcomes leaves the pure system state.  These reproduce the decomposed
+    states.
 
-    In the amplitude tensor ``t[a, b, s]`` Alice's outcome leaves the block
-    ``M = t[0]``, so ``p_alice = |M|^2`` and her reduced state is the partial
-    trace ``M^T conj(M) / p_alice``; Bob's block is ``t[:, 0]`` and the pooled
-    state is ``t[0, 0]`` renormalized.  Beyond the witness this takes O(D^2) memory.
+    Alice's outcome leaves the block ``M = N [chi; sqrt(p_i/p0) psi_i]``, so
+    ``p_alice = |M|^2`` and her reduced state is the partial trace
+    ``M^T conj(M) / p_alice``; Bob's block is ``N [chi; sqrt(q_j/q0) phi_j]``
+    and the pooled state is their common row ``N chi`` renormalized.  This
+    takes O((dim_a + dim_b) D^2) time and O(D^2) memory.
 
     Raises
     ------
     ZeroProbabilityOutcome
-        Cannot occur for a valid witness; signals corrupted input.
+        If an outcome's probability is at the numerical floor, which needs a
+        leading weight ``p0`` or ``q0`` near ``eigenvalue_zero_tol``.
     """
     tol = tol or DEFAULT_TOLERANCES
-    t = w.amplitudes.amplitudes.reshape(w.dims)
-    p_alice, rho_alice = _outcome_zero(t[0], "A", tol)
-    p_bob, rho_bob = _outcome_zero(t[:, 0], "B", tol)
-    p_both = float(np.vdot(t[0, 0], t[0, 0]).real)
+    alice, bob = _zero_block(w, "A"), _zero_block(w, "B")
+    p_alice, rho_alice = _outcome_zero(alice, "A", tol)
+    p_bob, rho_bob = _outcome_zero(bob, "B", tol)
+    p_both = float(np.vdot(alice[0], alice[0]).real)
     # Bob's outcome 0 measured after Alice's: its conditional probability
     if p_both / p_alice <= tol.eigenvalue_zero_tol:
         raise ZeroProbabilityOutcome(p_both / p_alice)
     return ProtocolResult(
         rho_alice=rho_alice,
         rho_bob=rho_bob,
-        joint=PureState(t[0, 0] / np.sqrt(p_both)),
+        joint=PureState(alice[0] / np.sqrt(p_both)),
         p_alice=p_alice,
         p_bob=p_bob,
         p_both=p_both,

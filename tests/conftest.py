@@ -97,3 +97,13 @@ def product_rounding(dim: int) -> float:
     PSD matrix have norm at most 1.
     """
     return 2 * (dim + 2) * np.finfo(float).eps
+
+
+def full_rank_pair(rng: np.random.Generator, dim: int) -> tuple[DensityMatrix, DensityMatrix]:
+    """Compatible pair of full-rank states, so the witness is dim x dim x dim."""
+    chi = random_pure(rng, dim).projector()
+    a, b = (
+        validate_density(0.3 * chi + 0.7 * random_density_conditioned(rng, dim, dim).matrix)
+        for _ in range(2)
+    )
+    return a, b

@@ -6,6 +6,7 @@ from qcompat import (
     FewerThanTwoStates,
     NotPure,
     PureState,
+    Tolerances,
     check_bfm,
     check_pi,
     check_pii,
@@ -376,6 +377,27 @@ def test_verify_joint_leakage_matches_dense_formula():
         dense = max_abs((np.eye(dim) - p_common) @ p_joint)
         ok, report = verify_joint(joint, observers)
         assert abs(report.leakage - dense) <= 1e-14
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_verify_joint_single_observer_uses_its_support():
+    # oracle: with one observer the common support is that observer's support
+    rng = np.random.default_rng(157)
+    verdicts = set()
+    for trial in range(20):
+        dim = int(rng.integers(2, 7))
+        obs = random_density(rng, dim, int(rng.integers(1, dim + 1)))
+        joint = random_density(rng, dim, 1) if trial % 2 else validate_density(
+            obs.matrix @ obs.matrix / np.trace(obs.matrix @ obs.matrix).real
+        )
+        p_obs = projector_from(support_of(obs.matrix))
+        p_joint = projector_from(support_of(joint.matrix))
+        dense = max_abs((np.eye(dim) - p_obs) @ p_joint)
+        ok, report = verify_joint(joint, [obs])
+        assert abs(report.leakage - dense) <= 1e-14
+        assert ok == (dense <= Tolerances().overlap_tol)
+        assert len(report.per_observer) == 1
         verdicts.add(ok)
     assert verdicts == {True, False}
 

@@ -29,7 +29,9 @@ from qcompat.formats import (
     report_document,
     serialize_matrix,
 )
-from conftest import random_density
+from conftest import full_rank_pair, random_density
+
+DATA = Path(__file__).parent / "data"
 
 GOLDEN_A = np.array([[1, 0], [0, 0]], dtype=complex)
 GOLDEN_B = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
@@ -299,23 +301,27 @@ def test_cli_simulate_rejects_corrupt_witness(corpus, tmp_path, capsys):
     assert cli_main(["simulate", str(plain)]) == 2
 
 
+LEGACY_MISMATCH = "error: witness.amplitudes deviate from the decomposition's by "
+
+
 def test_cli_simulate_flags_round_trip_failure(corpus, tmp_path, capsys):
-    # amplitudes that satisfy every structural invariant but encode the
-    # wrong states must come back as a failed round trip, not an OK one
+    # stored amplitudes that encode the wrong states must never read as an
+    # OK round trip: the reader rejects them against the decomposition
     out = tmp_path / "wit.json"
     cli_main(["witness", corpus["pure"], corpus["mixed"], "--json", str(out)])
     doc = json.loads(out.read_text())
-    amps = doc["witness"]["amplitudes"]
-    doc["witness"]["amplitudes"] = amps[::-1]
+    amps = load_report(str(out)).witness.amplitudes.amplitudes
+    doc["witness"]["amplitudes"] = [[z.real, z.imag] for z in amps[::-1]]
     out.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert cli_main(["simulate", str(out)]) == 1
-    assert "round trip FAILED" in capsys.readouterr().out
+    assert cli_main(["simulate", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(LEGACY_MISMATCH)
 
 
 def mixed_witness(tmp_path):
     """Witness file for two full-rank qutrit states, so both ancillas carry
-    extra terms; returns the path, the document and the amplitude tensor."""
+    extra terms; returns the path, the document and the amplitude tensor
+    its decomposition gives."""
     rng = np.random.default_rng(131)
     chi = np.array([1, 1j, 0]) / np.sqrt(2)
     files = [
@@ -329,8 +335,8 @@ def mixed_witness(tmp_path):
     out = tmp_path / "wit.json"
     assert cli_main(["witness", *files, "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
-    pairs = np.array(doc["witness"]["amplitudes"])
-    t = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(doc["witness"]["dims"])
+    w = load_report(str(out)).witness
+    t = w.amplitudes.amplitudes.reshape(w.dims).copy()
     assert t.shape == (3, 3, 3)
     return out, doc, t
 
@@ -341,14 +347,13 @@ def rewrite_amplitudes(out, doc, t):
 
 
 def test_cli_simulate_flags_swapped_amplitudes(tmp_path, capsys):
-    # a swap inside one block keeps every structural invariant; only the
-    # partial trace of the stored amplitudes can notice it
+    # a swap inside one block keeps the vector's norm and every dimension
     out, doc, t = mixed_witness(tmp_path)
     t[0, 1, [0, 1]] = t[0, 1, [1, 0]]
     rewrite_amplitudes(out, doc, t)
     capsys.readouterr()
-    assert cli_main(["simulate", str(out)]) == 1
-    assert "round trip FAILED" in capsys.readouterr().out
+    assert cli_main(["simulate", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(LEGACY_MISMATCH)
 
 
 def test_cli_simulate_zero_outcome_block_is_invalid(tmp_path, capsys):
@@ -356,9 +361,77 @@ def test_cli_simulate_zero_outcome_block_is_invalid(tmp_path, capsys):
     t[0] = 0
     rewrite_amplitudes(out, doc, t / np.linalg.norm(t))
     capsys.readouterr()
-    assert cli_main(["simulate", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: outcome probability 0.000e+00 is at the numerical floor")
+    assert cli_main(["simulate", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(LEGACY_MISMATCH)
+
+
+def test_cli_simulate_reads_legacy_witness_file(tmp_path, capsys):
+    # written by `qcompat witness` while witness files still stored the dense
+    # amplitudes (full-rank qutrits, dims (3, 3, 3)); they match the
+    # decomposition, so the file reads and round-trips as before
+    legacy = DATA / "legacy_witness.json"
+    assert len(json.loads(legacy.read_text())["witness"]["amplitudes"]) == 27
+    assert cli_main(["simulate", str(legacy)]) == 0
+    assert "round trip OK" in capsys.readouterr().out
+
+    doc = json.loads(legacy.read_text())
+    doc["witness"]["amplitudes"].pop()
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(doc))
+    assert cli_main(["simulate", str(short)]) == 2
+    assert capsys.readouterr().err == "error: witness.amplitudes: expected 27 entries, got 26\n"
+
+
+def test_witness_file_holds_no_dense_amplitudes(tmp_path):
+    # D=32 full rank: 32 768 stored amplitudes made the file 0.47 MiB; the
+    # report's intersection basis and the decomposition take 0.14 MiB
+    a, b = full_rank_pair(np.random.default_rng(1), 32)
+    paths = [write_state(tmp_path / f"{n}.json", s.matrix) for n, s in (("a", a), ("b", b))]
+    out = tmp_path / "wit.json"
+    assert cli_main(["witness", *paths, "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc["witness"]) == ["dims", "normalization"]
+    assert doc["witness"]["dims"] == [32, 32, 32]
+    assert out.stat().st_size <= 0.15 * 2**20
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dims", [2, 2, 2]),
+        ("dims", [2, True, 2]),
+        ("dims", [2.0, 1, 2]),
+        ("dims", "212"),
+        ("normalization", 0.7),
+        ("normalization", -(0.5**0.5)),
+        ("normalization", 1e-200),
+        ("normalization", float("inf")),
+        ("normalization", float("nan")),
+        ("normalization", 0),
+        ("normalization", True),
+    ],
+)
+def test_report_parse_checks_witness_against_decomposition(field, value):
+    a, b = golden_states()
+    d = build_shared_decomposition(a, b)
+    doc = report_document(check_bfm([a, b]), ["A", "B"], d, build_witness(d))
+    # golden pair: dims (2, 1, 2), N = 1/sqrt(2)
+    parse_report_document(doc)
+    doc["witness"][field] = value
+    with pytest.raises(MalformedFile) as exc:
+        parse_report_document(doc)
+    assert str(exc.value).startswith(f"witness.{field} {value!r} ")
+
+
+def test_cli_witness_simulate_full_rank_dim_256(tmp_path, capsys):
+    # the whole pipeline through files at the top of the documented range
+    a, b = full_rank_pair(np.random.default_rng(149), 256)
+    paths = [write_state(tmp_path / f"{n}.json", s.matrix) for n, s in (("a", a), ("b", b))]
+    out = tmp_path / "wit.json"
+    assert cli_main(["witness", *paths, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(["simulate", str(out)]) == 0
+    assert "round trip OK" in capsys.readouterr().out
 
 
 def test_cli_tol_eig_env_and_flag(corpus, monkeypatch):

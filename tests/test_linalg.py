@@ -292,6 +292,13 @@ def test_intersect_variadic_fold():
     assert np.allclose(np.abs(out.basis[:, 0]), e[2], atol=1e-10)
 
 
+def test_intersect_of_one_subspace_is_itself():
+    e = np.eye(3, dtype=complex)
+    s = span(e[0], e[2])
+    assert intersect(s) is s
+    assert intersect(s, tol=Tolerances(overlap_tol=1e-3)) is s
+
+
 def test_subspace_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))

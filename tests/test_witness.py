@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from qcompat import (
     validate_density,
     verify_joint,
 )
-from conftest import compatible_pair, random_density_conditioned, random_pure
+from conftest import compatible_pair, full_rank_pair, random_density_conditioned, random_pure
 
 KET0 = PureState(np.array([1, 0], dtype=complex))
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
@@ -290,17 +291,28 @@ def test_compatibility_and_construction_agree():
 # protocol simulation against the dense operator chain
 
 
-def dense_protocol(w):
+def dense_witness(d):
+    """Oracle: the witness vector summed term by term from the paper's formula."""
+    raw = np.zeros((1 + len(d.rest_b), 1 + len(d.rest_a), d.dim), dtype=complex)
+    raw[0, 0] = d.chi.amplitudes
+    for i, (p_i, psi_i) in enumerate(d.rest_a, start=1):
+        raw[0, i] = np.sqrt(p_i / d.p0) * psi_i.amplitudes
+    for j, (q_j, phi_j) in enumerate(d.rest_b, start=1):
+        raw[j, 0] = np.sqrt(q_j / d.q0) * phi_j.amplitudes
+    return PureState(raw / np.linalg.norm(raw))
+
+
+def dense_protocol(amplitudes, dims):
     """Oracle: the protocol through full operators on ancilla (x) system.
 
     Project one ancilla onto |0>, form the projector of the conditional
     state, validate it and trace out the other ancilla; pool by projecting
     Alice's conditional state once more.
     """
-    dim_a, dim_b, dim_s = w.dims
-    p_alice, cond_bs = project_and_renormalize(w.amplitudes, w.dims, 0, basis_state(dim_a, 0))
+    dim_a, dim_b, dim_s = dims
+    p_alice, cond_bs = project_and_renormalize(amplitudes, dims, 0, basis_state(dim_a, 0))
     rho_alice = partial_trace(validate_density(cond_bs.projector()), (dim_b, dim_s), {1})
-    p_bob, cond_as = project_and_renormalize(w.amplitudes, w.dims, 1, basis_state(dim_b, 0))
+    p_bob, cond_as = project_and_renormalize(amplitudes, dims, 1, basis_state(dim_b, 0))
     rho_bob = partial_trace(validate_density(cond_as.projector()), (dim_a, dim_s), {1})
     p_second, joint = project_and_renormalize(
         cond_bs, (dim_b, dim_s), 0, basis_state(dim_b, 0)
@@ -308,49 +320,68 @@ def dense_protocol(w):
     return rho_alice, rho_bob, joint, p_alice, p_bob, p_alice * p_second
 
 
-def witness_with_amplitudes(rng, dims, amplitudes):
-    """A witness carrying arbitrary unit amplitudes.
+def random_decomposition(rng, dims, p0=None, q0=None):
+    """A shared decomposition whose witness has the given dims.
 
-    The invariants only tie the dimensions and the normalization to the
-    decomposition, so any unit vector of the right size is accepted.
+    The extra terms are random pure states (not orthogonal) with random
+    positive weights; a leading weight is drawn unless given, and is 1 on
+    a side without extra terms.
     """
     dim_a, dim_b, dim_s = dims
-    d = SharedDecomposition(
-        chi=random_pure(rng, dim_s),
-        p0=1.0 / dim_b,
-        q0=1.0 / dim_a,
-        rest_a=tuple((1.0 / dim_b, random_pure(rng, dim_s)) for _ in range(dim_b - 1)),
-        rest_b=tuple((1.0 / dim_a, random_pure(rng, dim_s)) for _ in range(dim_a - 1)),
-    )
-    return WitnessState(dims, PureState(amplitudes), (dim_a + dim_b - 1.0) ** -0.5, d)
+
+    def side(head, n):
+        if n == 0:
+            return 1.0, ()
+        head = rng.uniform(0.05, 0.95) if head is None else head
+        weights = rng.uniform(0.1, 1.0, n)
+        weights *= (1.0 - head) / weights.sum()
+        return head, tuple((w, random_pure(rng, dim_s)) for w in weights)
+
+    p0, rest_a = side(p0, dim_b - 1)
+    q0, rest_b = side(q0, dim_a - 1)
+    return SharedDecomposition(random_pure(rng, dim_s), p0, q0, rest_a, rest_b)
 
 
-def full_rank_pair(rng, dim):
-    """Compatible pair of full-rank states, so the witness is dim x dim x dim."""
-    chi = random_pure(rng, dim).projector()
-    a, b = (
-        validate_density(0.3 * chi + 0.7 * random_density_conditioned(rng, dim, dim).matrix)
-        for _ in range(2)
-    )
-    return a, b
+def test_witness_stores_only_its_decomposition():
+    d = random_decomposition(np.random.default_rng(139), (3, 4, 5))
+    w = build_witness(d)
+    assert [f.name for f in dataclasses.fields(WitnessState)] == ["decomposition"]
+    assert w.dims == (3, 4, 5)
+    assert 1.0 / w.normalization**2 == pytest.approx(1 / d.p0 + 1 / d.q0 - 1, rel=1e-15)
+    # the dense vector is assembled on each read and not kept
+    assert max_abs(w.amplitudes.amplitudes - dense_witness(d).amplitudes) <= 1e-15
+    assert w.amplitudes is not w.amplitudes
+    assert list(vars(w)) == ["decomposition"]
+
+
+def test_dense_amplitudes_absorb_the_weight_slack():
+    # weights may sum to 1 within WEIGHT_TOL; here N times the raw terms has
+    # norm 1 + 2.5e-10, beyond the unit-norm check of a PureState
+    rng = np.random.default_rng(163)
+    rest_a = ((0.25, random_pure(rng, 3)), (0.25 + 5e-10, random_pure(rng, 3)))
+    d = SharedDecomposition(random_pure(rng, 3), 0.5, 1.0, rest_a, ())
+    amplitudes = build_witness(d).amplitudes.amplitudes
+    assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-15)
+    assert max_abs(amplitudes - dense_witness(d).amplitudes) <= 1e-15
 
 
 def test_protocol_matches_dense_chain():
     rng = np.random.default_rng(109)
-    witnesses = []
-    for dim_a in range(1, 5):
-        for dim_b in range(1, 5):
-            for dim_s in range(1, 7):
-                dims = (dim_a, dim_b, dim_s)
-                size = dim_a * dim_b * dim_s
-                v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                witnesses.append(witness_with_amplitudes(rng, dims, v / np.linalg.norm(v)))
+    decompositions = [
+        random_decomposition(rng, (dim_a, dim_b, dim_s))
+        for dim_a in range(1, 5)
+        for dim_b in range(1, 5)
+        for dim_s in range(1, 7)
+    ]
     for dim in range(2, 7):
         a, b, _ = compatible_pair(rng, dim)
-        witnesses.append(build_witness(build_shared_decomposition(a, b)))
-    for w in witnesses:
+        decompositions.append(build_shared_decomposition(a, b))
+    for d in decompositions:
+        w = build_witness(d)
         result = simulate_protocol(w)
-        rho_alice, rho_bob, joint, p_alice, p_bob, p_both = dense_protocol(w)
+        rho_alice, rho_bob, joint, p_alice, p_bob, p_both = dense_protocol(
+            dense_witness(d), w.dims
+        )
         assert max_abs(result.rho_alice.matrix - rho_alice.matrix) <= 1e-14, w.dims
         assert max_abs(result.rho_bob.matrix - rho_bob.matrix) <= 1e-14, w.dims
         assert (result.rho_alice.label, result.rho_bob.label) == ("A", "B")
@@ -362,16 +393,23 @@ def test_protocol_matches_dense_chain():
         assert abs(result.p_both - p_both) <= 1e-14
 
 
-@pytest.mark.parametrize("outcome", [np.s_[0], np.s_[:, 0], np.s_[0, 0]])
-def test_protocol_rejects_zero_probability_outcome(outcome):
-    # Alice's outcome, Bob's, and Bob's after Alice's
-    rng = np.random.default_rng(137)
-    t = rng.standard_normal((3, 3, 4)) + 1j * rng.standard_normal((3, 3, 4))
-    t[outcome] = 0
-    w = witness_with_amplitudes(rng, t.shape, t.reshape(-1) / np.linalg.norm(t))
+@pytest.mark.parametrize(
+    "p0, q0, outcome",
+    [(0.5, 1e-10, "alice"), (1e-10, 0.5, "bob"), (5e-10, 1e-3, "conditional")],
+)
+def test_protocol_rejects_zero_probability_outcome(p0, q0, outcome):
+    # p_alice = q0 / (p0 + q0 - p0 q0), p_bob = p0 / (same), and Bob's outcome
+    # after Alice's has conditional probability p0
+    d = random_decomposition(np.random.default_rng(137), (3, 3, 4), p0, q0)
+    expected = {
+        "alice": q0 / (p0 + q0 - p0 * q0),
+        "bob": p0 / (p0 + q0 - p0 * q0),
+        "conditional": p0,
+    }[outcome]
+    assert expected <= 1e-9
     with pytest.raises(ZeroProbabilityOutcome) as exc:
-        simulate_protocol(w)
-    assert exc.value.probability == 0
+        simulate_protocol(build_witness(d))
+    assert exc.value.probability == pytest.approx(expected, rel=1e-9)
 
 
 def test_protocol_allocates_less_than_the_witness():
@@ -386,6 +424,21 @@ def test_protocol_allocates_less_than_the_witness():
     finally:
         tracemalloc.stop()
     assert peak < w.amplitudes.amplitudes.nbytes
+
+
+def test_witness_and_protocol_stay_small_at_full_rank_dim_256():
+    # a dense 256 x 256 x 256 witness alone is 256 MiB
+    d = build_shared_decomposition(*full_rank_pair(np.random.default_rng(151), 256))
+    tracemalloc.start()
+    try:
+        w = build_witness(d)
+        result = simulate_protocol(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.dims == (256, 256, 256)
+    assert peak < 16 * 2**20
+    assert result.p_both == pytest.approx(w.normalization**2, abs=1e-14)
 
 
 def test_protocol_round_trip_full_rank_dim_64():
