@@ -393,9 +393,15 @@ def test_protocol_matches_dense_chain():
         assert abs(result.p_both - p_both) <= 1e-14
 
 
+# The ids are those of the earlier cases, which zeroed a slice of a stored
+# amplitude tensor for the same three outcomes; they keep the test names stable.
 @pytest.mark.parametrize(
     "p0, q0, outcome",
-    [(0.5, 1e-10, "alice"), (1e-10, 0.5, "bob"), (5e-10, 1e-3, "conditional")],
+    [
+        pytest.param(0.5, 1e-10, "alice", id="0"),
+        pytest.param(1e-10, 0.5, "bob", id="outcome1"),
+        pytest.param(5e-10, 1e-3, "conditional", id="outcome2"),
+    ],
 )
 def test_protocol_rejects_zero_probability_outcome(p0, q0, outcome):
     # p_alice = q0 / (p0 + q0 - p0 q0), p_bob = p0 / (same), and Bob's outcome
