@@ -122,7 +122,10 @@ def _pair_to_complex(entry, where: str) -> complex:
         or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in entry)
     ):
         raise MalformedFile(f"{where}: expected a [re, im] number pair, got {entry!r}")
-    value = complex(float(entry[0]), float(entry[1]))
+    try:
+        value = complex(float(entry[0]), float(entry[1]))
+    except OverflowError as e:
+        raise MalformedFile(f"{where}: entry out of range for a double") from e
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise MalformedFile(f"{where}: non-finite entry {entry!r}")
     return value
@@ -136,13 +139,18 @@ def _pairs_to_vector(pairs, where: str) -> np.ndarray:
     )
 
 
+def _reject_constant(name: str):
+    # qcompat never writes NaN or Infinity (see _emit_number)
+    raise MalformedFile(f"invalid JSON: non-finite constant {name}")
+
+
 def _load_json(source) -> dict:
     try:
         if hasattr(source, "read"):
-            doc = json.load(source)
+            doc = json.load(source, parse_constant=_reject_constant)
         else:
             with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise MalformedFile(f"invalid JSON: {e}") from e
     except RecursionError as e:
@@ -303,7 +311,7 @@ def _parse_tolerances(doc, where: str) -> Tolerances:
             trace_tol=float(_require(doc, "trace_tol", where)),
             overlap_tol=float(_require(doc, "overlap_tol", where)),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise MalformedFile(f"{where}: {e}") from e
 
 
@@ -344,7 +352,7 @@ def _parse_decomposition(doc, where: str) -> SharedDecomposition:
             rest_a=_parse_components(_require(doc, "rest_a", where), f"{where}.rest_a", dim),
             rest_b=_parse_components(_require(doc, "rest_b", where), f"{where}.rest_b", dim),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise MalformedFile(f"{where}: {e}") from e
 
 
@@ -392,12 +400,14 @@ def parse_report_document(doc: dict) -> ParsedReport:
             n_states=int(_require(rep, "n_states", "report")),
             pairwise_conjunction=bool(_require(rep, "pairwise_conjunction", "report")),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise MalformedFile(f"report: {e}") from e
 
     decomposition = None
     if "decomposition" in doc:
         decomposition = _parse_decomposition(doc["decomposition"], "decomposition")
+        if decomposition.dim != dim:
+            raise ShapeMismatch(f"decomposition.chi: expected dimension {dim}")
 
     witness = None
     if "witness" in doc:
@@ -413,9 +423,13 @@ def parse_report_document(doc: dict) -> ParsedReport:
                 f"witness.dims {dims!r} differ from the decomposition's {list(witness.dims)}"
             )
         norm, identity = _require(wdoc, "normalization", "witness"), witness.normalization**-2
-        if type(norm) not in (int, float) or not (
-            norm > 0 and abs(1 / norm / norm - identity) <= WEIGHT_TOL
-        ):
+        try:  # relative: the rounding of 1/p0 + 1/q0 - 1 grows with its size
+            consistent = type(norm) in (int, float) and norm > 0 and (
+                abs(1 / norm / norm - identity) <= WEIGHT_TOL * identity
+            )
+        except OverflowError:  # an integer beyond the range of a double
+            consistent = False
+        if not consistent:
             raise MalformedFile(f"witness.normalization {norm!r} violates 1/N^2 = {identity!r}")
         if "amplitudes" in wdoc:  # written before the witness was stored as its decomposition
             stored = _pairs_to_vector(wdoc["amplitudes"], "witness.amplitudes")

@@ -21,7 +21,6 @@ from .linalg import (
     Tolerances,
     _lex_order,
     _split_spectrum,
-    hermitian_eigendecompose,
     intersect,
 )
 from .states import WEIGHT_TOL, DensityMatrix, PureState, _mixture, validate_density
@@ -178,11 +177,11 @@ def max_common_weight(
 ) -> float:
     """Largest weight with which ``|chi><chi|`` fits inside ``rho``.
 
-    Computed as ``1 / <chi|rho^+|chi>`` from the overlaps of ``chi`` with the
-    support columns of ``rho``'s kept spectrum (same zero cutoff as everywhere
-    else), which also give the residual ``|P chi - chi|``.  At this weight the
-    remainder ``rho - p |chi><chi|`` touches the PSD boundary; any larger
-    weight breaks positivity.
+    Computed as ``1 / <chi|rho^+|chi>`` (capped at 1) from the overlaps of
+    ``chi`` with the support columns of ``rho``'s kept spectrum (same zero
+    cutoff as everywhere else), which also give the residual ``|P chi - chi|``.
+    At this weight the remainder ``rho - p |chi><chi|`` touches the PSD
+    boundary; any larger weight breaks positivity.
 
     Raises
     ------
@@ -190,7 +189,22 @@ def max_common_weight(
         If ``chi`` leaves the support of ``rho`` by more than
         ``CHI_SUPPORT_RESIDUAL``.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    return _split_off(rho, chi, tol or DEFAULT_TOLERANCES)[0]
+
+
+def _split_off(
+    rho: DensityMatrix, chi: PureState, tol: Tolerances
+) -> tuple[float, tuple[Component, ...]]:
+    """The maximal weight ``p`` of ``|chi><chi|`` in ``rho`` and the remainder
+    ``rho - p |chi><chi|`` as terms, both read from the kept spectrum.
+
+    With support columns ``V``, their eigenvalues ``L``, ``F = V L^(1/2)`` and
+    ``u = L^(-1/2) V^dag chi``, ``p = 1/|u|^2`` and the remainder is
+    ``F (I - u u^dag/|u|^2) F^dag``.  So the ``k - 1`` columns of ``F Q``, for
+    ``Q`` an orthonormal basis of u's complement, decompose it (the ensemble
+    freedom of Hughston-Jozsa-Wootters), each weighted by its squared norm,
+    which is at least the smallest kept eigenvalue.  They are not orthogonal.
+    """
     if rho.dim != chi.dim:
         raise ChiOutsideSupport(
             f"state dimension {chi.dim} does not match rho dimension {rho.dim}"
@@ -201,20 +215,12 @@ def max_common_weight(
     residual = float(np.linalg.norm(basis @ overlaps - chi.amplitudes))
     if residual > CHI_SUPPORT_RESIDUAL:
         raise ChiOutsideSupport(f"chi leaves the support by {residual:.3e}")
-    return 1.0 / float(np.sum(np.abs(overlaps) ** 2 / values[: basis.shape[1]]))
-
-
-def _remainder_terms(
-    rho: DensityMatrix, chi: PureState, weight: float, tol: Tolerances
-) -> tuple[Component, ...]:
-    """Eigen-ensemble of ``rho - weight |chi><chi|``."""
-    remainder = rho.matrix - weight * chi.projector()
-    values, vectors = hermitian_eigendecompose(remainder, tol)
-    return tuple(
-        (float(values[k]), PureState(vectors[:, k]))
-        for k in range(values.size)
-        if values[k] > tol.eigenvalue_zero_tol
-    )
+    kept = values[: basis.shape[1]]
+    weight = min(1.0 / float(np.sum(np.abs(overlaps) ** 2 / kept)), 1.0)
+    complement = np.linalg.qr((overlaps / np.sqrt(kept))[:, None], mode="complete")[0][:, 1:]
+    terms = (basis * np.sqrt(kept)) @ complement
+    norms = np.linalg.norm(terms, axis=0)
+    return weight, tuple((float(n) ** 2, PureState(t / n)) for n, t in zip(norms, terms.T))
 
 
 def build_shared_decomposition(
@@ -224,20 +230,14 @@ def build_shared_decomposition(
 
     The shared weight in each state is the maximal extractable one, which
     keeps the ancillas minimal and the witness coefficients
-    well-conditioned; the remainders are decomposed into their eigen
-    ensembles.
+    well-conditioned; each remainder becomes ``rank - 1`` terms read from
+    the state's kept spectrum (see :func:`_split_off`), with no further
+    eigendecomposition.  These terms are not orthogonal.
     """
     tol = tol or DEFAULT_TOLERANCES
     chi = choose_common_state(a, b, tol)
-    p0 = min(max_common_weight(a, chi, tol), 1.0)
-    q0 = min(max_common_weight(b, chi, tol), 1.0)
-    return SharedDecomposition(
-        chi=chi,
-        p0=p0,
-        q0=q0,
-        rest_a=_remainder_terms(a, chi, p0, tol),
-        rest_b=_remainder_terms(b, chi, q0, tol),
-    )
+    (p0, rest_a), (q0, rest_b) = _split_off(a, chi, tol), _split_off(b, chi, tol)
+    return SharedDecomposition(chi=chi, p0=p0, q0=q0, rest_a=rest_a, rest_b=rest_b)
 
 
 def build_witness(d: SharedDecomposition) -> WitnessState:

@@ -93,14 +93,14 @@ def test_decompose_reuses_spectra(eigh_calls):
     a, b, _ = compatible_pair(rng, DIM)
     eigh_calls.take()
     build_shared_decomposition(a, b)
-    # one spectrum per input state, one per remainder
-    assert eigh_calls.take() == 4
+    # one spectrum per input state; the remainders are read from those spectra
+    assert eigh_calls.take() == 2
 
     a, b, _ = compatible_pair(rng, DIM)
     check_bfm([a, b])
     eigh_calls.take()
     build_shared_decomposition(a, b)
-    assert eigh_calls.take() == 2
+    assert eigh_calls.take() == 0
 
 
 def test_cli_witness_path_budget(eigh_calls, tmp_path):
@@ -112,7 +112,7 @@ def test_cli_witness_path_budget(eigh_calls, tmp_path):
         paths.append(str(path))
     eigh_calls.take()
     assert cli_main(["witness", *paths, "--json", str(tmp_path / "w.json")]) == 0
-    assert eigh_calls.take() <= 4
+    assert eigh_calls.take() == 2
 
 
 def test_simulate_validates_two_system_states(eigh_calls, eigvalsh_calls):

@@ -13,6 +13,7 @@ from qcompat import (
     MalformedFile,
     SchemaVersionUnsupported,
     ShapeMismatch,
+    SharedDecomposition,
     check_bfm,
     build_shared_decomposition,
     build_witness,
@@ -29,7 +30,7 @@ from qcompat.formats import (
     report_document,
     serialize_matrix,
 )
-from conftest import full_rank_pair, random_density
+from conftest import compatible_pair, full_rank_pair, random_density, random_pure
 
 DATA = Path(__file__).parent / "data"
 
@@ -421,6 +422,74 @@ def test_report_parse_checks_witness_against_decomposition(field, value):
     with pytest.raises(MalformedFile) as exc:
         parse_report_document(doc)
     assert str(exc.value).startswith(f"witness.{field} {value!r} ")
+
+
+def test_report_round_trip_with_tiny_shared_weight():
+    # 1/N^2 = 1/p0 + 1/q0 - 1 is about 1e8 here, so rounding alone moves it
+    # by more than an absolute WEIGHT_TOL; the check is relative to its size
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        chi, psi, phi = (random_pure(rng, 3) for _ in range(3))
+        q0 = float(rng.uniform(0.1, 0.9))
+        d = SharedDecomposition(chi, 1e-8, q0, ((1 - 1e-8, psi),), ((1 - q0, phi),))
+        w = build_witness(d)
+        doc = report_document(check_bfm([d.rho_a(), d.rho_b()]), ["A", "B"], d, w)
+        parsed = parse_report_document(json.loads(dumps_canonical(doc)))
+        assert parsed.decomposition.p0 == 1e-8
+        assert parsed.witness.normalization == w.normalization
+
+
+def test_report_parse_checks_decomposition_against_report_dim():
+    a, b = golden_states()
+    doc = report_document(check_bfm([a, b]), ["A", "B"])
+    c, e, _ = compatible_pair(np.random.default_rng(43), 4)
+    doc["decomposition"] = report_document(
+        check_bfm([c, e]), ["C", "E"], build_shared_decomposition(c, e)
+    )["decomposition"]
+    with pytest.raises(ShapeMismatch) as exc:
+        parse_report_document(doc)
+    assert str(exc.value) == "decomposition.chi: expected dimension 2"
+
+
+BIG = "1" + "0" * 400  # the integer 10**400, beyond the range of a double
+
+
+@pytest.mark.parametrize(
+    "path, literal",
+    [
+        pytest.param(("entries",), BIG, id="matrix-entry-big"),
+        pytest.param(("entries",), "NaN", id="matrix-entry-nan"),
+        pytest.param(("entries",), "-Infinity", id="matrix-entry-minus-infinity"),
+        pytest.param(("decomposition", "p0"), BIG, id="p0-big"),
+        pytest.param(("decomposition", "rest_b", 0, "weight"), BIG, id="weight-big"),
+        pytest.param(("tolerances_used", "overlap_tol"), BIG, id="overlap-tol-big"),
+        pytest.param(("report", "commutator_norm"), BIG, id="commutator-norm-big"),
+        pytest.param(("report", "commutator_norm"), "NaN", id="commutator-norm-nan"),
+        pytest.param(("report", "intersection_dim"), "Infinity", id="intersection-dim-infinity"),
+        pytest.param(("report", "n_states"), "Infinity", id="n-states-infinity"),
+        pytest.param(("witness", "normalization"), BIG, id="normalization-big"),
+    ],
+)
+def test_cli_number_out_of_range_or_not_finite_is_malformed(
+    corpus, tmp_path, capsys, path, literal
+):
+    if path == ("entries",):
+        command = "validate"
+        text = f'{{"schema_version": "qcompat-1", "dim": 1, "entries": [[[{literal}, 0]]]}}'
+    else:
+        command, out = "simulate", tmp_path / "wit.json"
+        assert cli_main(["witness", corpus["pure"], corpus["mixed"], "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "@"
+        text = json.dumps(doc).replace('"@"', literal)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert cli_main([command, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_witness_simulate_full_rank_dim_256(tmp_path, capsys):

@@ -8,6 +8,9 @@
   threshold angle ``theta*`` with ``cos theta* = 1 - 2 overlap_tol``.
 * The vectorized eigendecomposition convention orders exact ties like the
   original per-column implementation, kept here as the oracle.
+* A shared decomposition splits each state of rank ``k`` into the shared
+  state and ``k - 1`` remainder terms, each weighted at least the state's
+  smallest kept eigenvalue, and rebuilds the state.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from qcompat import (
     Subspace,
     Tolerances,
+    build_shared_decomposition,
     check_bfm,
     hermitian_eigendecompose,
     intersect,
@@ -24,7 +28,8 @@ from qcompat import (
     projector_from,
     validate_density,
 )
-from conftest import product_rounding, random_unitary
+from qcompat.states import WEIGHT_TOL
+from conftest import product_rounding, random_pure, random_unitary
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -170,3 +175,48 @@ def test_eigendecompose_orders_ties_like_reference(m):
     ref_values, ref_vectors = reference_eigendecompose(m)
     assert values.tobytes() == ref_values.tobytes()
     assert max_abs(vectors - ref_vectors) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# shared decomposition
+
+
+@st.composite
+def decomposable_pairs(draw):
+    """Compatible pairs whose supports share a planted pure state chi.
+
+    Each state of rank ``r`` is ``w |chi><chi| + (1 - w) sigma`` with ``sigma``
+    of rank ``r - 1`` inside a fixed hyperplane that holds at most half of
+    chi, so the state holds chi with weight exactly ``w`` and its smallest
+    eigenvalue stays near ``w`` or above.  D runs up to 64, ranks often
+    within 3 of D, and ``w`` down to 1e-7.
+    """
+    dim = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = random_unitary(rng, dim)
+    t = draw(st.floats(0, np.pi / 4))
+    chi = np.cos(t) * frame[:, 0] + np.sin(t) * frame[:, 1:] @ random_pure(rng, dim - 1).amplitudes
+    states = []
+    for _ in range(2):
+        rank = dim - draw(st.one_of(st.integers(0, min(3, dim - 1)), st.integers(0, dim - 1)))
+        w = 1.0 if rank == 1 else 10.0 ** draw(st.floats(-7, -0.3))
+        others = frame[:, 1:] @ random_unitary(rng, dim - 1)[:, : rank - 1]
+        levels = 10.0 ** rng.uniform(-3, 0, size=rank - 1)
+        sigma = (others * levels) @ others.conj().T / (levels.sum() or 1.0)
+        states.append(validate_density(w * np.outer(chi, chi.conj()) + (1 - w) * sigma))
+    return states
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(decomposable_pairs())
+def test_remainder_terms_come_from_the_kept_spectrum(pair):
+    a, b = pair
+    d = build_shared_decomposition(a, b)
+    sides = ((a, d.p0, d.rest_a, d.rho_a()), (b, d.q0, d.rest_b, d.rho_b()))
+    for state, head, rest, rebuilt in sides:
+        values = state.spectrum[0]
+        kept = values[values > Tolerances().eigenvalue_zero_tol]
+        assert len(rest) == kept.size - 1
+        assert all(w >= kept[-1] * (1 - 1e-10) for w, _ in rest)
+        assert abs(head + sum(w for w, _ in rest) - 1) <= WEIGHT_TOL
+        assert max_abs(rebuilt.matrix - state.matrix) <= 1e-9
