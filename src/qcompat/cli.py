@@ -130,9 +130,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6e")
 
 
-def _write_json(path: str | None, doc: dict) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+def _write_json(
+    args: argparse.Namespace, report: CompatReport, inputs: list[str], **sections
+) -> None:
+    """Write the report file if ``--json`` names one; only then is it assembled."""
+    if args.json:
+        doc = formats.report_document(report, inputs, **sections)
+        with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(formats.dumps_canonical(doc))
 
 
@@ -178,7 +182,7 @@ def _cmd_check(args: argparse.Namespace, tol: Tolerances) -> int:
     report = check_bfm(states, tol)
     _print_report(report)
     inputs = [_input_name(p, s) for p, s in zip(args.files, states)]
-    _write_json(getattr(args, "json", None), formats.report_document(report, inputs))
+    _write_json(args, report, inputs)
     verdict = {
         "bfm": report.verdict_bfm,
         "all": report.verdict_bfm,
@@ -195,16 +199,13 @@ def _cmd_decompose(args: argparse.Namespace, tol: Tolerances) -> int:
     inputs = [_input_name(args.file_a, a), _input_name(args.file_b, b)]
     if not report.verdict_bfm:
         print("incompatible: support intersection is trivial, no shared decomposition")
-        _write_json(getattr(args, "json", None), formats.report_document(report, inputs))
+        _write_json(args, report, inputs)
         return 1
     d = build_shared_decomposition(a, b, tol)
     print(f"shared state found (intersection dimension {report.intersection_dim})")
     print(f"p0 = {_fmt(d.p0)} with {len(d.rest_a)} extra term(s) for state A")
     print(f"q0 = {_fmt(d.q0)} with {len(d.rest_b)} extra term(s) for state B")
-    _write_json(
-        getattr(args, "json", None),
-        formats.report_document(report, inputs, decomposition=d),
-    )
+    _write_json(args, report, inputs, decomposition=d)
     return 0
 
 
@@ -215,7 +216,7 @@ def _cmd_witness(args: argparse.Namespace, tol: Tolerances) -> int:
     inputs = [_input_name(args.file_a, a), _input_name(args.file_b, b)]
     if not report.verdict_bfm:
         print("incompatible: support intersection is trivial, no witness exists")
-        _write_json(getattr(args, "json", None), formats.report_document(report, inputs))
+        _write_json(args, report, inputs)
         return 1
     d = build_shared_decomposition(a, b, tol)
     w = build_witness(d)
@@ -223,10 +224,7 @@ def _cmd_witness(args: argparse.Namespace, tol: Tolerances) -> int:
     print(f"normalization = {_fmt(w.normalization)}")
     # both outcomes 0 leave the amplitudes N chi, so the probability is N^2
     print(f"probability of both zero outcomes = {_fmt(w.normalization**2)}")
-    _write_json(
-        getattr(args, "json", None),
-        formats.report_document(report, inputs, decomposition=d, witness=w),
-    )
+    _write_json(args, report, inputs, decomposition=d, witness=w)
     return 0
 
 

@@ -10,12 +10,26 @@ A witness section holds only ``dims`` and ``normalization``: the witness is
 its decomposition, which the file carries beside it.  Files written before
 that may still store the dense ``amplitudes``; they are read under the same
 schema version and must match the amplitudes the decomposition gives.
+
+Number arrays cross the codec in bulk.  ``_to_pairs`` turns a complex array
+into nested ``[re, im]`` lists at once, and the emitter writes each row of
+float pairs with one ``"[%.17g, %.17g]"`` format per pair (``_pair_row``);
+anything else in a document (integers, bools, ``null``, non-finite values)
+goes through the per-value emitter, so the bytes are the same either way.
+On the way in, ``_pairs_to_array`` type-scans the parsed pairs and builds
+the float array in one ``np.array`` call, viewed as complex so the sign of
+a zero part survives.  Any entry it cannot take exactly (a bool, a string,
+``null``, the wrong nesting or pair length, a value that is not finite or
+beyond a double) hands the whole read to the per-entry reader, which stays
+as the fallback that names the faulty entry in its error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO
 
@@ -73,6 +87,21 @@ def _is_flat(x) -> bool:
     return False
 
 
+_PAIR = "[%.17g, %.17g]"  # "%.17g" and format(x, ".17g") convert alike
+
+
+def _pair_row(x) -> str | None:
+    """A list of finite ``[re, im]`` float pairs on one line, one format per
+    pair; None for any other list, which ``_emit`` writes value by value."""
+    if set(map(type, x)) != {list} or set(map(len, x)) != {2}:
+        return None
+    if set(map(type, chain.from_iterable(x))) != {float}:
+        return None
+    if not all(map(math.isfinite, chain.from_iterable(x))):
+        return None  # _emit_number raises for the first non-finite value
+    return "[" + ", ".join(map(_PAIR.__mod__, map(tuple, x))) + "]"
+
+
 def _emit(x, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -85,6 +114,9 @@ def _emit(x, indent: int) -> str:
     if isinstance(x, (list, tuple)):
         if len(x) == 0:
             return "[]"
+        row = _pair_row(x)
+        if row is not None:
+            return row
         if _is_flat(x):
             return "[" + ", ".join(_emit(e, 0) for e in x) + "]"
         body = ",\n".join(inner + _emit(e, indent + 1) for e in x)
@@ -107,12 +139,10 @@ def dumps_canonical(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # complex payload helpers
 
-def _vector_to_pairs(v: np.ndarray) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(v, dtype=complex)]
-
-
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [_vector_to_pairs(row) for row in np.asarray(m, dtype=complex)]
+def _to_pairs(a: np.ndarray) -> list:
+    """Nested ``[re, im]`` float lists of a complex array of any shape."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _pair_to_complex(entry, where: str) -> complex:
@@ -131,11 +161,34 @@ def _pair_to_complex(entry, where: str) -> complex:
     return value
 
 
+def _pairs_to_array(nested, shape: tuple[int, ...], per_entry) -> np.ndarray:
+    """The complex array of ``shape`` that nested ``[re, im]`` pairs hold, read
+    in bulk.  When an entry is not a pair of finite int or float numbers, or
+    the nesting is not ``shape``, ``per_entry()`` reads them one by one
+    instead, and its error names the first faulty entry."""
+    leaves = nested
+    for _ in shape:
+        leaves = chain.from_iterable(leaves)
+    try:
+        if set(map(type, leaves)) <= {int, float}:  # no bool, str, None or list
+            values = np.array(nested, dtype=float)
+            if values.shape == (*shape, 2) and np.isfinite(values).all():
+                # a view, not re + 1j*im, which would drop the sign of a zero part
+                return values.view(np.complex128).reshape(shape)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return per_entry()
+
+
 def _pairs_to_vector(pairs, where: str) -> np.ndarray:
     if not isinstance(pairs, list) or not pairs:
         raise MalformedFile(f"{where}: expected a nonempty list of [re, im] pairs")
-    return np.array(
-        [_pair_to_complex(e, f"{where}[{k}]") for k, e in enumerate(pairs)], dtype=complex
+    return _pairs_to_array(
+        pairs,
+        (len(pairs),),
+        lambda: np.array(
+            [_pair_to_complex(e, f"{where}[{k}]") for k, e in enumerate(pairs)], dtype=complex
+        ),
     )
 
 
@@ -195,14 +248,19 @@ def parse_matrix(source: str | Path | IO) -> tuple[np.ndarray, str | None]:
         raise MalformedFile("field 'entries' must be a list of rows")
     if len(entries) != dim:
         raise ShapeMismatch(f"expected {dim} rows, got {len(entries)}")
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list):
-            raise MalformedFile(f"entries[{i}]: expected a list of [re, im] pairs")
-        if len(row) != dim:
-            raise ShapeMismatch(f"entries[{i}]: expected {dim} columns, got {len(row)}")
-        for j, entry in enumerate(row):
-            matrix[i, j] = _pair_to_complex(entry, f"entries[{i}][{j}]")
+
+    def per_entry() -> np.ndarray:
+        matrix = np.zeros((dim, dim), dtype=complex)
+        for i, row in enumerate(entries):
+            if not isinstance(row, list):
+                raise MalformedFile(f"entries[{i}]: expected a list of [re, im] pairs")
+            if len(row) != dim:
+                raise ShapeMismatch(f"entries[{i}]: expected {dim} columns, got {len(row)}")
+            for j, entry in enumerate(row):
+                matrix[i, j] = _pair_to_complex(entry, f"entries[{i}][{j}]")
+        return matrix
+
+    matrix = _pairs_to_array(entries, (dim, dim), per_entry)
 
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
@@ -218,7 +276,7 @@ def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
     doc: dict = {"schema_version": SCHEMA_VERSION, "dim": int(m.shape[0])}
     if label is not None:
         doc["label"] = label
-    doc["entries"] = _matrix_to_pairs(m)
+    doc["entries"] = _to_pairs(m)
     return dumps_canonical(doc)
 
 
@@ -236,14 +294,14 @@ def _tolerances_doc(tol: Tolerances) -> dict:
 
 def _decomposition_doc(d: SharedDecomposition) -> dict:
     return {
-        "chi": _vector_to_pairs(d.chi.amplitudes),
+        "chi": _to_pairs(d.chi.amplitudes),
         "p0": d.p0,
         "q0": d.q0,
         "rest_a": [
-            {"weight": w, "state": _vector_to_pairs(s.amplitudes)} for w, s in d.rest_a
+            {"weight": w, "state": _to_pairs(s.amplitudes)} for w, s in d.rest_a
         ],
         "rest_b": [
-            {"weight": w, "state": _vector_to_pairs(s.amplitudes)} for w, s in d.rest_b
+            {"weight": w, "state": _to_pairs(s.amplitudes)} for w, s in d.rest_b
         ],
     }
 
@@ -265,10 +323,7 @@ def report_document(
             "verdict_pi": report.verdict_pi,
             "verdict_pii": report.verdict_pii,
             "intersection_dim": report.intersection_dim,
-            "intersection_basis": [
-                _vector_to_pairs(report.intersection_basis.basis[:, k])
-                for k in range(report.intersection_dim)
-            ],
+            "intersection_basis": _to_pairs(report.intersection_basis.basis.T),
             "commutator_norm": report.commutator_norm,
             "product_norm": report.product_norm,
             "pairwise_conjunction": report.pairwise_conjunction,
@@ -386,6 +441,20 @@ def parse_report_document(doc: dict) -> ParsedReport:
     basis = (
         np.column_stack(vectors) if vectors else np.zeros((dim, 0), dtype=complex)
     )
+    n_states = _require(rep, "n_states", "report")
+    if type(n_states) is not int or n_states < 2:
+        raise MalformedFile(f"report.n_states {n_states!r} is not an integer of at least 2")
+    if inputs and n_states != len(inputs):
+        raise MalformedFile(f"report.n_states {n_states!r} differs from the {len(inputs)} inputs")
+    if "decomposition" in doc and n_states != 2:
+        raise MalformedFile(
+            f"report.n_states {n_states!r} differs from the 2 states of a decomposition"
+        )
+    conjunction = _require(rep, "pairwise_conjunction", "report")
+    if conjunction != (n_states > 2):
+        raise MalformedFile(
+            f"report.pairwise_conjunction {conjunction!r} contradicts n_states {n_states}"
+        )
     tolerances = _parse_tolerances(_require(doc, "tolerances_used", "document"), "tolerances_used")
     try:
         report = CompatReport(
@@ -397,8 +466,8 @@ def parse_report_document(doc: dict) -> ParsedReport:
             commutator_norm=float(_require(rep, "commutator_norm", "report")),
             product_norm=float(_require(rep, "product_norm", "report")),
             tolerances_used=tolerances,
-            n_states=int(_require(rep, "n_states", "report")),
-            pairwise_conjunction=bool(_require(rep, "pairwise_conjunction", "report")),
+            n_states=n_states,
+            pairwise_conjunction=bool(conjunction),
         )
     except (TypeError, ValueError, OverflowError) as e:
         raise MalformedFile(f"report: {e}") from e

@@ -189,22 +189,16 @@ def max_common_weight(
         If ``chi`` leaves the support of ``rho`` by more than
         ``CHI_SUPPORT_RESIDUAL``.
     """
-    return _split_off(rho, chi, tol or DEFAULT_TOLERANCES)[0]
+    return _common_weight(rho, chi, tol or DEFAULT_TOLERANCES)[0]
 
 
-def _split_off(
+def _common_weight(
     rho: DensityMatrix, chi: PureState, tol: Tolerances
-) -> tuple[float, tuple[Component, ...]]:
-    """The maximal weight ``p`` of ``|chi><chi|`` in ``rho`` and the remainder
-    ``rho - p |chi><chi|`` as terms, both read from the kept spectrum.
-
-    With support columns ``V``, their eigenvalues ``L``, ``F = V L^(1/2)`` and
-    ``u = L^(-1/2) V^dag chi``, ``p = 1/|u|^2`` and the remainder is
-    ``F (I - u u^dag/|u|^2) F^dag``.  So the ``k - 1`` columns of ``F Q``, for
-    ``Q`` an orthonormal basis of u's complement, decompose it (the ensemble
-    freedom of Hughston-Jozsa-Wootters), each weighted by its squared norm,
-    which is at least the smallest kept eigenvalue.  They are not orthogonal.
-    """
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The maximal weight ``p = 1/|u|^2`` of ``|chi><chi|`` in ``rho``, with
+    ``u = L^(-1/2) V^dag chi`` for the support columns ``V`` of the kept
+    spectrum and their eigenvalues ``L``; returns ``p``, ``V``, ``L`` and
+    ``V^dag chi``.  Raises ``ChiOutsideSupport`` as :func:`max_common_weight`."""
     if rho.dim != chi.dim:
         raise ChiOutsideSupport(
             f"state dimension {chi.dim} does not match rho dimension {rho.dim}"
@@ -217,6 +211,23 @@ def _split_off(
         raise ChiOutsideSupport(f"chi leaves the support by {residual:.3e}")
     kept = values[: basis.shape[1]]
     weight = min(1.0 / float(np.sum(np.abs(overlaps) ** 2 / kept)), 1.0)
+    return weight, basis, kept, overlaps
+
+
+def _split_off(
+    rho: DensityMatrix, chi: PureState, tol: Tolerances
+) -> tuple[float, tuple[Component, ...]]:
+    """The maximal weight ``p`` of ``|chi><chi|`` in ``rho`` and the remainder
+    ``rho - p |chi><chi|`` as terms, both read from the kept spectrum.
+
+    With ``V``, ``L`` and ``u`` as in :func:`_common_weight` and
+    ``F = V L^(1/2)``, the remainder is ``F (I - u u^dag/|u|^2) F^dag``.  So
+    the ``k - 1`` columns of ``F Q``, for ``Q`` an orthonormal basis of u's
+    complement, decompose it (the ensemble freedom of
+    Hughston-Jozsa-Wootters), each weighted by its squared norm, which is at
+    least the smallest kept eigenvalue.  They are not orthogonal.
+    """
+    weight, basis, kept, overlaps = _common_weight(rho, chi, tol)
     complement = np.linalg.qr((overlaps / np.sqrt(kept))[:, None], mode="complete")[0][:, 1:]
     terms = (basis * np.sqrt(kept)) @ complement
     norms = np.linalg.norm(terms, axis=0)

@@ -467,6 +467,7 @@ BIG = "1" + "0" * 400  # the integer 10**400, beyond the range of a double
         pytest.param(("report", "commutator_norm"), "NaN", id="commutator-norm-nan"),
         pytest.param(("report", "intersection_dim"), "Infinity", id="intersection-dim-infinity"),
         pytest.param(("report", "n_states"), "Infinity", id="n-states-infinity"),
+        pytest.param(("report", "n_states"), BIG, id="n-states-big"),
         pytest.param(("witness", "normalization"), BIG, id="normalization-big"),
     ],
 )
@@ -490,6 +491,54 @@ def test_cli_number_out_of_range_or_not_finite_is_malformed(
     capsys.readouterr()
     assert cli_main([command, str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+NOT_TWO = "is not an integer of at least 2"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param({"n_states": 1}, "report.n_states 1 " + NOT_TWO, id="one"),
+        pytest.param({"n_states": True}, "report.n_states True " + NOT_TWO, id="bool"),
+        pytest.param({"n_states": 2.0}, "report.n_states 2.0 " + NOT_TWO, id="float"),
+        pytest.param({"n_states": "2"}, "report.n_states '2' " + NOT_TWO, id="string"),
+        pytest.param({"n_states": 3}, "report.n_states 3 differs from the 2 inputs", id="inputs"),
+        pytest.param(
+            {"n_states": 3, "inputs": []},
+            "report.n_states 3 differs from the 2 states of a decomposition",
+            id="decomposition",
+        ),
+        pytest.param(
+            {"pairwise_conjunction": True},
+            "report.pairwise_conjunction True contradicts n_states 2",
+            id="conjunction",
+        ),
+        pytest.param(
+            {"pairwise_conjunction": "no"},
+            "report.pairwise_conjunction 'no' contradicts n_states 2",
+            id="conjunction-string",
+        ),
+    ],
+)
+def test_report_parse_checks_n_states(change, message):
+    a, b = golden_states()
+    d = build_shared_decomposition(a, b)
+    doc = report_document(check_bfm([a, b]), ["A", "B"], d, build_witness(d))
+    parse_report_document(doc)
+    for key, value in change.items():
+        (doc if key == "inputs" else doc["report"])[key] = value
+    with pytest.raises(MalformedFile) as exc:
+        parse_report_document(doc)
+    assert str(exc.value) == message
+
+
+def test_report_of_three_states_round_trips():
+    a, b = golden_states()
+    report = check_bfm([a, b, a])
+    for inputs in (["A", "B", "A"], []):
+        parsed = parse_report_document(json.loads(dumps_canonical(report_document(report, inputs))))
+        assert parsed.report.n_states == 3 and parsed.report.pairwise_conjunction
 
 
 def test_cli_witness_simulate_full_rank_dim_256(tmp_path, capsys):

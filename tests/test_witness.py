@@ -129,6 +129,17 @@ def test_weight_is_maximal_random():
         assert p == pytest.approx(psd_weight_by_bisection(rho, chi), abs=1e-6)
 
 
+def test_weight_builds_no_remainder_terms(monkeypatch):
+    # the remainder's terms need a QR of chi's overlaps; the weight alone does not
+    a, b = full_rank_pair(np.random.default_rng(89), 16)
+    chi = choose_common_state(a, b)
+    p = max_common_weight(a, chi)
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(args) or qr(*args, **kw))
+    assert max_common_weight(a, chi) == p
+    assert calls == []
+
+
 def test_weight_rejects_chi_outside_support():
     rho = validate_density(KET0.projector())
     with pytest.raises(ChiOutsideSupport):
