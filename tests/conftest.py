@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qcompat import DensityMatrix, PureState, validate_density
+from qcompat import DensityMatrix, PureState, Tolerances, validate_density
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> PureState:
@@ -97,6 +97,33 @@ def product_rounding(dim: int) -> float:
     PSD matrix have norm at most 1.
     """
     return 2 * (dim + 2) * np.finfo(float).eps
+
+
+def delta_bound(a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = None) -> float:
+    """How far a pair's product norm may move when a state's kept factor stands
+    in for it: ``delta_a lambda_max_b + delta_b lambda_max_a + delta_a delta_b``.
+
+    ``delta`` is the largest eigenvalue magnitude the support split at
+    ``eigenvalue_zero_tol`` drops (0 when none is), ``lambda_max`` the largest
+    eigenvalue.  The commutator norm may move twice as far.
+    """
+    cutoff = (tol or Tolerances()).eigenvalue_zero_tol
+    (da, la), (db, lb) = (
+        (float(np.abs(v[v <= cutoff]).max(initial=0.0)), float(v[0]))
+        for v in (a.spectrum[0], b.spectrum[0])
+    )
+    return da * lb + db * la + da * db
+
+
+def product_bound(a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = None) -> float:
+    """Allowed gap between a pair's computed product norm and the dense
+    ``max |h_a h_b|``: 0 when both ranks are at least ``D / 2`` (that pair is
+    formed densely, bit for bit), else :func:`delta_bound` plus
+    :func:`product_rounding`."""
+    cutoff = (tol or Tolerances()).eigenvalue_zero_tol
+    if all(2 * np.count_nonzero(s.spectrum[0] > cutoff) >= s.dim for s in (a, b)):
+        return 0.0
+    return delta_bound(a, b, tol) + product_rounding(a.dim)
 
 
 def full_rank_pair(rng: np.random.Generator, dim: int) -> tuple[DensityMatrix, DensityMatrix]:

@@ -17,9 +17,10 @@ from qcompat import (
     validate_density,
     verify_joint,
 )
-from qcompat.compat import _pairwise_norms
+from qcompat.compat import _hermitian_deviation, _pairwise_norms
 from conftest import (
     compatible_pair,
+    product_bound,
     product_rounding,
     random_density,
     random_density_conditioned,
@@ -127,11 +128,12 @@ def test_pairwise_norms_match_old_formulas(n):
             old_commutators = [max_abs(a @ b - b @ a) for a, b in pairs]
 
             products, commutators = _pairwise_norms(states)
-            assert products.tolist() == old_products
+            bounds = [product_bound(x, y) for i, x in enumerate(states) for y in states[i + 1 :]]
+            assert np.all(np.abs(products - old_products) <= bounds)
             assert np.all(np.abs(commutators - old_commutators) <= product_rounding(dim))
 
             report = check_bfm(states)
-            assert report.product_norm == min(old_products)
+            assert abs(report.product_norm - min(old_products)) <= max(bounds)
             assert abs(report.commutator_norm - max(old_commutators)) <= product_rounding(dim)
             assert report.verdict_pii == all(p > 1e-7 for p in old_products)
             assert report.verdict_pi == all(c <= 1e-7 for c in old_commutators)
@@ -153,9 +155,19 @@ def test_pairwise_norms_use_hermitian_parts():
         assert max_abs(states[0].matrix - hs[0]) > 1e-12
         pairs = [(hs[i], hs[j]) for i in range(3) for j in range(i + 1, 3)]
         products, commutators = _pairwise_norms(states)
-        assert products.tolist() == [max_abs(a @ b) for a, b in pairs]
+        bounds = [product_bound(states[i], states[j]) for i in range(3) for j in range(i + 1, 3)]
+        assert np.all(np.abs(products - [max_abs(a @ b) for a, b in pairs]) <= bounds)
         old_commutators = [max_abs(a @ b - b @ a) for a, b in pairs]
         assert np.all(np.abs(commutators - old_commutators) <= product_rounding(dim))
+
+
+def tail_density(rng, dim, rank, tail, level=1e-7):
+    """Rank ``rank + tail`` state whose last ``tail`` eigenvalues equal ``level``."""
+    frame = random_unitary(rng, dim)[:, : rank + tail]
+    weights = np.concatenate([rng.uniform(0.1, 1.1, size=rank), np.full(tail, level)])
+    weights[:rank] *= (1.0 - tail * level) / weights[:rank].sum()
+    m = (frame * weights) @ frame.conj().T
+    return validate_density((m + m.conj().T) / 2)
 
 
 def test_check_pi_and_check_pii_equal_check_bfm_for_two_states():
@@ -166,6 +178,28 @@ def test_check_pi_and_check_pii_equal_check_bfm_for_two_states():
             report = check_bfm([a, b])
             assert check_pi(a, b) == (report.verdict_pi, report.commutator_norm)
             assert check_pii(a, b) == (report.verdict_pii, report.product_norm)
+    # rank-deficient states with eigenvalues 1e-7, kept at the default cutoff
+    # and dropped at 1e-6: the norms move, and the standalone checks follow tol
+    tol = Tolerances(eigenvalue_zero_tol=1e-6)
+    for dim in (3, 40, 64):
+        for _ in range(3):
+            a, b = (tail_density(rng, dim, max(1, dim // 4), 2) for _ in range(2))
+            for t in (None, tol):
+                report = check_bfm([a, b], t)
+                assert check_pi(a, b, t) == (report.verdict_pi, report.commutator_norm)
+                assert check_pii(a, b, t) == (report.verdict_pii, report.product_norm)
+            if dim >= 32:
+                assert check_pii(a, b, tol)[1] != check_pii(a, b)[1]
+                assert check_pi(a, b, tol)[1] != check_pi(a, b)[1]
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("dim", [1, 2, 31, 32, 33, 63, 64, 65, 256])
+def test_blocked_commutator_pass_matches_whole_stack(dim, batch):
+    rng = np.random.default_rng(dim + 1000 * batch)
+    p = rng.standard_normal((batch, dim, dim)) + 1j * rng.standard_normal((batch, dim, dim))
+    whole = np.abs(p - p.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    assert _hermitian_deviation(p).tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------

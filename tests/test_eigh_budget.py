@@ -14,6 +14,8 @@ from qcompat import (
     build_shared_decomposition,
     build_witness,
     check_bfm,
+    check_pi,
+    check_pii,
     simulate_protocol,
     validate_density,
     verify_joint,
@@ -29,9 +31,9 @@ class CallCounter:
     def __init__(self):
         self.shapes = []
 
-    def take(self) -> int:
-        """D x D calls since the last take."""
-        count = sum(1 for shape in self.shapes if shape == (DIM, DIM))
+    def take(self, dim: int = DIM) -> int:
+        """dim x dim calls since the last take."""
+        count = sum(1 for shape in self.shapes if shape == (dim, dim))
         self.shapes.clear()
         return count
 
@@ -76,6 +78,25 @@ def test_check_bfm_decomposes_each_state_once(eigh_calls, n):
     assert eigh_calls.take() == n
     check_bfm(states)
     assert eigh_calls.take() == 0
+
+
+def test_check_pi_and_check_pii_decompose_each_state_once(eigh_calls):
+    # from D = 32 the pairwise norms read each state's rank from its spectrum
+    rng = np.random.default_rng(150)
+    dim = 40
+    for check in (check_pi, check_pii):
+        a, b = (random_density_conditioned(rng, dim, 10) for _ in range(2))
+        eigh_calls.take(dim)
+        check(a, b)
+        assert eigh_calls.take(dim) == 2
+        check(a, b)
+        assert eigh_calls.take(dim) == 0
+    # below it every pair is formed densely and no spectrum is needed
+    for check in (check_pi, check_pii):
+        a, b = (random_density_conditioned(rng, DIM, 2) for _ in range(2))
+        eigh_calls.take()
+        check(a, b)
+        assert eigh_calls.take() == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])

@@ -4,6 +4,9 @@
   observers are listed, although the n-ary intersection folds left to right.
   Nor do the pairwise norms and verdicts, up to the rounding of a product
   taken in the other order.
+* The pairwise norms stay within the dropped-eigenvalue bound of the dense
+  products, wherever a low-rank state's kept factor stands in for it, and
+  so do the verdicts away from ``overlap_tol``.
 * Two lines intersect exactly when their principal angle is below the
   threshold angle ``theta*`` with ``cos theta* = 1 - 2 overlap_tol``.
 * The vectorized eigendecomposition convention orders exact ties like the
@@ -12,6 +15,8 @@
   state and ``k - 1`` remainder terms, each weighted at least the state's
   smallest kept eigenvalue, and rebuilds the state.
 """
+
+from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,8 +33,15 @@ from qcompat import (
     projector_from,
     validate_density,
 )
+from qcompat.compat import _pairwise_norms
 from qcompat.states import WEIGHT_TOL
-from conftest import product_rounding, random_pure, random_unitary
+from conftest import (
+    delta_bound,
+    product_bound,
+    product_rounding,
+    random_pure,
+    random_unitary,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -90,6 +102,77 @@ def test_pairwise_norms_ignore_observer_order(case):
     bound = product_rounding(planted.ambient_dim)
     assert abs(permuted.commutator_norm - report.commutator_norm) <= bound
     assert abs(permuted.product_norm - report.product_norm) <= bound
+    assert permuted.verdict_pi == report.verdict_pi
+    assert permuted.verdict_pii == report.verdict_pii
+
+
+@st.composite
+def ranked_sets(draw):
+    """States of rank on either side of D/2, some with eigenvalues planted in
+    ``(0, eigenvalue_zero_tol]`` that the support split drops.
+
+    In one set in two every state is diagonal in one shared frame, so the
+    pairs commute and disjoint supports give a zero product: both pairwise
+    verdicts then take either value.
+    """
+    # half the sets at D >= 32, where a low-rank state's kept factor stands in
+    dim = draw(st.one_of(st.integers(2, 31), st.integers(32, 64)))
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = random_unitary(rng, dim) if rng.random() < 0.5 else None
+    states = []
+    for _ in range(n):
+        if dim >= 3 and rng.random() < 0.5:
+            rank = int(rng.integers(1, (dim + 1) // 2))
+        else:
+            rank = int(rng.integers((dim + 1) // 2, dim + 1))
+        tail = int(rng.integers(0, min(3, dim - rank) + 1))
+        frame = random_unitary(rng, dim) if shared is None else shared[:, rng.permutation(dim)]
+        levels = np.concatenate([
+            rng.uniform(0.1, 1.1, size=rank),
+            10.0 ** rng.uniform(-14, np.log10(Tolerances().eigenvalue_zero_tol), size=tail),
+        ])
+        levels[:rank] *= (1.0 - levels[rank:].sum()) / levels[:rank].sum()
+        basis = frame[:, : rank + tail]
+        m = (basis * levels) @ basis.conj().T
+        states.append(validate_density((m + m.conj().T) / 2))
+    return states, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ranked_sets())
+def test_pairwise_norms_stay_within_the_dropped_eigenvalue_bound(case):
+    states, order = case
+    dim, n = states[0].dim, len(states)
+    threshold = Tolerances().overlap_tol
+    h = [(s.matrix + s.matrix.conj().T) / 2 for s in states]
+    pairs = list(combinations(range(n), 2))
+    dense_p = [max_abs(h[i] @ h[j]) for i, j in pairs]
+    dense_c = [max_abs(h[i] @ h[j] - h[j] @ h[i]) for i, j in pairs]
+    bound_p = [delta_bound(states[i], states[j]) + product_rounding(dim) for i, j in pairs]
+    bound_c = [2 * delta_bound(states[i], states[j]) + product_rounding(dim) for i, j in pairs]
+
+    products, commutators = _pairwise_norms(states)
+    # exact where both ranks are at least D/2
+    exact_or_bound = [product_bound(states[i], states[j]) for i, j in pairs]
+    assert np.all(np.abs(products - dense_p) <= exact_or_bound)
+    assert np.all(np.abs(commutators - dense_c) <= bound_c)
+
+    report = check_bfm(states)
+    if all(abs(x - threshold) > b for x, b in zip(dense_p, bound_p)):
+        assert report.verdict_pii == all(x > threshold for x in dense_p)
+    if all(abs(x - threshold) > b for x, b in zip(dense_c, bound_c)):
+        assert report.verdict_pi == all(x <= threshold for x in dense_c)
+
+    # observer order: the same pair, possibly formed the other way round
+    moved = [states[k] for k in order]
+    where = {pair: slot for slot, pair in enumerate(pairs)}
+    p2, c2 = _pairwise_norms(moved)
+    for (a, b), x, y in zip(combinations(order, 2), p2, c2):
+        slot = where[min(a, b), max(a, b)]
+        assert abs(x - products[slot]) <= 2 * bound_p[slot]
+        assert abs(y - commutators[slot]) <= 2 * bound_c[slot]
+    permuted = check_bfm(moved)
     assert permuted.verdict_pi == report.verdict_pi
     assert permuted.verdict_pii == report.verdict_pii
 
