@@ -56,14 +56,14 @@ class CompatReport:
     (for Hermitian inputs ``P^dag = rho_b rho_a``).
 
     At ``D >= 32`` a state of rank ``k < D / 2`` enters its pairs through its
-    kept spectrum, ``h = V Lambda V^dag`` without the eigenvalues its support
-    split drops (``delta``: the largest of them in magnitude, 0 when none is
-    dropped).  Each norm then stays within ``delta_a lambda_max_b +
-    delta_b lambda_max_a + delta_a delta_b`` of the dense norm (the
-    commutator norm within twice that), plus product rounding, so a pairwise
-    verdict can differ from the dense rule only when the dense norm lies
-    within that bound of ``overlap_tol``.  Every other pair is formed
-    densely, bit for bit.
+    kept spectrum, ``h = V Lambda V^dag`` without its eigenvalues at or below
+    ``eigenvalue_zero_tol`` (``delta``: the largest of them in magnitude, 0
+    when there are none).  Each norm then stays within
+    ``delta_a lambda_max_b + delta_b lambda_max_a + delta_a delta_b`` of the
+    dense norm (the commutator norm within twice that), plus product
+    rounding, so a pairwise verdict can differ from the dense rule only when
+    the dense norm lies within that bound of ``overlap_tol``.  Every other
+    pair is formed densely, bit for bit.
     """
 
     verdict_bfm: bool
@@ -112,8 +112,6 @@ def _hermitian_deviation(p: np.ndarray) -> np.ndarray:
     rows ``16 D`` bytes apart and is the slow pass at D = 256.
     """
     dim = p.shape[-1]
-    if dim <= _BLOCK:
-        return np.abs(p - p.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     out = None
     for r in range(0, dim, _BLOCK):
         for c in range(r, dim, _BLOCK):
@@ -136,58 +134,59 @@ def _pairwise_norms(
     unchanged under ``P -> P^dag``, so either state of a pair may stand on the
     left.
 
-    The state of smaller rank ``k`` (its support split at
+    The state of smaller rank ``k`` (its count of eigenvalues above
     ``eigenvalue_zero_tol``) stands on the left.  When ``2 k < D`` and
     ``D >= 32``, its kept factor stands in for it, ``P = V (Lambda V^dag h_j)``:
-    that costs ``2 D^2 k`` instead of ``D^3`` and drops the eigenvalues the
-    split drops.  With ``delta`` the largest of them in magnitude (0 when
-    none is dropped) and ``lambda_max`` the largest eigenvalue, each norm
-    stays within ``delta_i lambda_max_j + delta_j lambda_max_i +
-    delta_i delta_j`` of the dense norm, and the commutator norm within twice
-    that, plus product rounding.  Every other pair, among them every pair in
-    which both ranks are at least ``D / 2``, is formed densely as ``h_i h_j``
-    with ``i`` first in the caller's order, and gets exactly those bits.
+    that costs ``2 D^2 k`` instead of ``D^3`` and drops the other
+    eigenvalues.  The rank is read without a positivity check, so a state
+    built directly as :class:`DensityMatrix` with an eigenvalue below
+    ``-eigenvalue_zero_tol`` raises nothing here, at any D.  With ``delta``
+    the largest dropped eigenvalue in magnitude (0 when none is dropped) and
+    ``lambda_max`` the largest eigenvalue, each norm stays within
+    ``delta_i lambda_max_j + delta_j lambda_max_i + delta_i delta_j`` of the
+    dense norm, and the commutator norm within twice that, plus product
+    rounding.  Every other pair, among them every pair in which both ranks
+    are at least ``D / 2``, is formed densely as ``h_i h_j`` with ``i`` first
+    in the caller's order, and gets exactly those bits.
     Each left state multiplies against the stack of its later partners in
     one batched product: transient memory is O(n D^2).
     """
     tol = tol or DEFAULT_TOLERANCES
     n, dim = len(states), states[0].dim
-    thin: list[Subspace | None] = [None] * n  # supports a thin factor stands in for
-    order = list(range(n))
+    ranks = [dim] * n  # rank below D / 2: the kept factor stands in, else dim
     if dim >= _THIN_MIN_DIM:
         for i, s in enumerate(states):
-            support = _split_spectrum(*s.spectrum, tol)[0]
-            if 2 * support.dimension < dim:
-                thin[i] = support
-        # thin states by rank (stable), then the dense ones in the caller's
-        # order: no partner after a left state has a smaller rank
-        order.sort(key=lambda i: dim if thin[i] is None else thin[i].dimension)
+            k = int(np.count_nonzero(s.spectrum[0] > tol.eigenvalue_zero_tol))
+            ranks[i] = k if 2 * k < dim else dim
+    # thin states by rank (stable), then the dense ones in the caller's
+    # order: no partner after a left state has a smaller rank
+    order = sorted(range(n), key=ranks.__getitem__)
     m = np.stack([states[i].matrix for i in order])
     # in place: the conjugate-transpose read is the slow pass at D = 256
     # (rows 4 KiB apart), so make it once and add into its output
     h = np.conjugate(m.transpose(0, 2, 1), out=np.empty_like(m))
     h += m
     h *= 0.5
-    products, commutators = [], []
+    # the norms of pair (i, j) land at [:, i, j] or [:, j, i], as it is formed
+    norms = np.zeros((2, n, n))
+    caller = np.array(order)  # the caller's index of each stacked state
     for pos, i in enumerate(order[:-1]):
-        support = thin[i]
-        if support is None:
+        k = ranks[i]
+        if k == dim:
             p = h[pos] @ h[pos + 1 :]
         else:
-            v = support.basis
-            lam = states[i].spectrum[0][: support.dimension, None]
-            p = v @ ((lam * v.conj().T) @ h[pos + 1 :])
-        products.append(np.abs(p).max(axis=(1, 2)))
-        commutators.append(_hermitian_deviation(p))
-    products, commutators = np.concatenate(products), np.concatenate(commutators)
-    if n > 2 and order != sorted(order):
-        # pair (order[a], order[b]) goes to slot lo (2n - lo - 1) / 2 + hi - lo - 1
-        perm, r = np.array(order), np.arange(n)
-        a, b = np.nonzero(r[:, None] < r)
-        lo, hi = np.minimum(perm[a], perm[b]), np.maximum(perm[a], perm[b])
-        where = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
-        products[where], commutators[where] = products.copy(), commutators.copy()
-    return products, commutators
+            values, vectors = states[i].spectrum
+            v = vectors[:, :k]
+            p = v @ ((values[:k, None] * v.conj().T) @ h[pos + 1 :])
+        partners = caller[pos + 1 :]
+        norms[0, i, partners] = np.abs(p).max(axis=(1, 2))
+        norms[1, i, partners] = _hermitian_deviation(p)
+    # the mirror entry of each pair is 0, so adding it is exact; the upper
+    # triangle read row by row is combinations order
+    products, commutators = norms + norms.transpose(0, 2, 1)
+    r = np.arange(n)
+    upper = r[:, None] < r
+    return products[upper], commutators[upper]
 
 
 def check_pi(
@@ -198,10 +197,11 @@ def check_pi(
     Returns the verdict together with the commutator norm
     ``max |rho_a rho_b - rho_b rho_a|``, computed as ``max |P - P^dag|`` from
     the one product ``P`` of the Hermitian parts.  At ``D >= 32`` a state of
-    rank below ``D / 2`` enters through its kept spectrum, split at
-    ``tol.eigenvalue_zero_tol``, and the norm stays within twice the
-    ``delta`` bound of :class:`CompatReport` of the dense norm; there each
-    fresh state is eigendecomposed once and keeps its spectrum.
+    rank below ``D / 2`` (eigenvalues above ``tol.eigenvalue_zero_tol``, read
+    with no positivity check) enters through its kept spectrum, and the norm
+    stays within twice the ``delta`` bound of :class:`CompatReport` of the
+    dense norm; there each fresh state is eigendecomposed once and keeps its
+    spectrum.
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])
@@ -216,10 +216,11 @@ def check_pii(
 
     Returns the verdict together with the product norm ``max |rho_a rho_b|``,
     taken from the product of the Hermitian parts.  At ``D >= 32`` a state of
-    rank below ``D / 2`` enters through its kept spectrum, split at
-    ``tol.eigenvalue_zero_tol``, and the norm stays within the ``delta``
-    bound of :class:`CompatReport` of the dense norm; there each fresh state
-    is eigendecomposed once and keeps its spectrum.
+    rank below ``D / 2`` (eigenvalues above ``tol.eigenvalue_zero_tol``, read
+    with no positivity check) enters through its kept spectrum, and the norm
+    stays within the ``delta`` bound of :class:`CompatReport` of the dense
+    norm; there each fresh state is eigendecomposed once and keeps its
+    spectrum.
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])

@@ -117,9 +117,11 @@ def delta_bound(a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = Non
 
 def product_bound(a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = None) -> float:
     """Allowed gap between a pair's computed product norm and the dense
-    ``max |h_a h_b|``: 0 when both ranks are at least ``D / 2`` (that pair is
-    formed densely, bit for bit), else :func:`delta_bound` plus
-    :func:`product_rounding`."""
+    ``max |h_a h_b|``: 0 below ``D = 32`` or when both ranks are at least
+    ``D / 2`` (that pair is formed densely, bit for bit), else
+    :func:`delta_bound` plus :func:`product_rounding`."""
+    if a.dim < 32:  # the documented floor of the thin factor
+        return 0.0
     cutoff = (tol or Tolerances()).eigenvalue_zero_tol
     if all(2 * np.count_nonzero(s.spectrum[0] > cutoff) >= s.dim for s in (a, b)):
         return 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcompat import (
+    DensityMatrix,
     DimensionMismatch,
     FewerThanTwoStates,
     NotPure,
@@ -20,6 +21,7 @@ from qcompat import (
 from qcompat.compat import _hermitian_deviation, _pairwise_norms
 from conftest import (
     compatible_pair,
+    delta_bound,
     product_bound,
     product_rounding,
     random_density,
@@ -133,7 +135,7 @@ def test_pairwise_norms_match_old_formulas(n):
             assert np.all(np.abs(commutators - old_commutators) <= product_rounding(dim))
 
             report = check_bfm(states)
-            assert abs(report.product_norm - min(old_products)) <= max(bounds)
+            assert report.product_norm == min(old_products)
             assert abs(report.commutator_norm - max(old_commutators)) <= product_rounding(dim)
             assert report.verdict_pii == all(p > 1e-7 for p in old_products)
             assert report.verdict_pi == all(c <= 1e-7 for c in old_commutators)
@@ -191,6 +193,28 @@ def test_check_pi_and_check_pii_equal_check_bfm_for_two_states():
             if dim >= 32:
                 assert check_pii(a, b, tol)[1] != check_pii(a, b)[1]
                 assert check_pi(a, b, tol)[1] != check_pi(a, b)[1]
+
+
+def test_check_pi_and_check_pii_read_unvalidated_states_at_every_dim():
+    # DensityMatrix checks structure only: an eigenvalue below
+    # -eigenvalue_zero_tol is dropped like the small ones, at every D, and
+    # the norms stay within the delta bound of the dense ones
+    rng = np.random.default_rng(103)
+    for dim in (8, 40, 64):
+        frame = random_unitary(rng, dim)
+        weights = np.zeros(dim)
+        weights[: dim // 4] = 1.0 / (dim // 4)
+        weights[-1] = -1e-6
+        m = (frame * weights) @ frame.conj().T
+        a = DensityMatrix((m + m.conj().T) / 2)
+        b = random_density(rng, dim, dim // 4)
+        assert a.spectrum[0][-1] < -Tolerances().eigenvalue_zero_tol
+        ha, hb = ((s.matrix + s.matrix.conj().T) / 2 for s in (a, b))
+        _, product = check_pii(a, b)
+        assert abs(product - max_abs(ha @ hb)) <= product_bound(a, b)
+        _, commutator = check_pi(a, b)
+        slack = 2 * delta_bound(a, b) if dim >= 32 else 0.0
+        assert abs(commutator - max_abs(ha @ hb - hb @ ha)) <= slack + product_rounding(dim)
 
 
 @pytest.mark.parametrize("batch", [1, 7])
