@@ -79,15 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_common(p, json_out=True)
 
-    p = sub.add_parser("decompose", help="decompositions of a compatible pair sharing a pure state")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    add_common(p, json_out=True)
-
-    p = sub.add_parser("witness", help="build the tripartite witness state for a compatible pair")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    add_common(p, json_out=True)
+    for name, help_text in (
+        ("decompose", "decompositions of a compatible pair sharing a pure state"),
+        ("witness", "build the tripartite witness state for a compatible pair"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file_a")
+        p.add_argument("file_b")
+        add_common(p, json_out=True)
 
     p = sub.add_parser("simulate", help="run the measurement protocol on a witness file")
     p.add_argument("witness_file")
@@ -192,33 +191,26 @@ def _cmd_check(args: argparse.Namespace, tol: Tolerances) -> int:
     return 0 if verdict else 1
 
 
-def _cmd_decompose(args: argparse.Namespace, tol: Tolerances) -> int:
+def _cmd_pair(args: argparse.Namespace, tol: Tolerances) -> int:
+    """``decompose`` and ``witness``: the shared decomposition of a compatible
+    pair, and for ``witness`` the witness state it defines."""
     a = _load_state(args.file_a, tol)
     b = _load_state(args.file_b, tol)
     report = check_bfm([a, b], tol)
     inputs = [_input_name(args.file_a, a), _input_name(args.file_b, b)]
+    witness = args.command == "witness"
     if not report.verdict_bfm:
-        print("incompatible: support intersection is trivial, no shared decomposition")
+        missing = "no witness exists" if witness else "no shared decomposition"
+        print(f"incompatible: support intersection is trivial, {missing}")
         _write_json(args, report, inputs)
         return 1
     d = build_shared_decomposition(a, b, tol)
-    print(f"shared state found (intersection dimension {report.intersection_dim})")
-    print(f"p0 = {_fmt(d.p0)} with {len(d.rest_a)} extra term(s) for state A")
-    print(f"q0 = {_fmt(d.q0)} with {len(d.rest_b)} extra term(s) for state B")
-    _write_json(args, report, inputs, decomposition=d)
-    return 0
-
-
-def _cmd_witness(args: argparse.Namespace, tol: Tolerances) -> int:
-    a = _load_state(args.file_a, tol)
-    b = _load_state(args.file_b, tol)
-    report = check_bfm([a, b], tol)
-    inputs = [_input_name(args.file_a, a), _input_name(args.file_b, b)]
-    if not report.verdict_bfm:
-        print("incompatible: support intersection is trivial, no witness exists")
-        _write_json(args, report, inputs)
-        return 1
-    d = build_shared_decomposition(a, b, tol)
+    if not witness:
+        print(f"shared state found (intersection dimension {report.intersection_dim})")
+        print(f"p0 = {_fmt(d.p0)} with {len(d.rest_a)} extra term(s) for state A")
+        print(f"q0 = {_fmt(d.q0)} with {len(d.rest_b)} extra term(s) for state B")
+        _write_json(args, report, inputs, decomposition=d)
+        return 0
     w = build_witness(d)
     print(f"witness dimensions (ancilla A, ancilla B, system) = {w.dims}")
     print(f"normalization = {_fmt(w.normalization)}")
@@ -256,8 +248,8 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "support": _cmd_support,
     "check": _cmd_check,
-    "decompose": _cmd_decompose,
-    "witness": _cmd_witness,
+    "decompose": _cmd_pair,
+    "witness": _cmd_pair,
     "simulate": _cmd_simulate,
 }
 

@@ -51,12 +51,11 @@ class CompatReport:
     pairs (an extension beyond the two-observer criteria, flagged by
     ``pairwise_conjunction``), with ``commutator_norm`` the worst pair and
     ``product_norm`` the weakest pair.  Both norms are max-entry norms taken
-    from one product ``P = h_a h_b`` of the Hermitian parts
-    ``h = (rho + rho^dag) / 2`` per pair: ``max |P|`` and ``max |P - P^dag|``
-    (for Hermitian inputs ``P^dag = rho_b rho_a``).
+    from one product ``P = rho_a rho_b`` per pair: ``max |P|`` and
+    ``max |P - P^dag|``, since ``P^dag = rho_b rho_a``.
 
     At ``D >= 32`` a state of rank ``k < D / 2`` enters its pairs through its
-    kept spectrum, ``h = V Lambda V^dag`` without its eigenvalues at or below
+    kept spectrum, ``rho = V Lambda V^dag`` without its eigenvalues at or below
     ``eigenvalue_zero_tol`` (``delta``: the largest of them in magnitude, 0
     when there are none).  Each norm then stays within
     ``delta_a lambda_max_b + delta_b lambda_max_a + delta_a delta_b`` of the
@@ -128,15 +127,14 @@ def _pairwise_norms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(max |P|, max |P - P^dag|)`` per pair, in ``itertools.combinations`` order.
 
-    ``P = h_i h_j`` with ``h = (rho + rho^dag) / 2`` the Hermitian part that the
-    kept spectrum decomposes, so ``P^dag = h_j h_i`` and one product per pair
+    ``P = rho_i rho_j``, so ``P^dag = rho_j rho_i`` and one product per pair
     gives both the PII product and the PI commutator.  Both norms are
     unchanged under ``P -> P^dag``, so either state of a pair may stand on the
     left.
 
     The state of smaller rank ``k`` (its count of eigenvalues above
     ``eigenvalue_zero_tol``) stands on the left.  When ``2 k < D`` and
-    ``D >= 32``, its kept factor stands in for it, ``P = V (Lambda V^dag h_j)``:
+    ``D >= 32``, its kept factor stands in for it, ``P = V (Lambda V^dag rho_j)``:
     that costs ``2 D^2 k`` instead of ``D^3`` and drops the other
     eigenvalues.  The rank is read without a positivity check, so a state
     built directly as :class:`DensityMatrix` with an eigenvalue below
@@ -146,7 +144,7 @@ def _pairwise_norms(
     ``delta_i lambda_max_j + delta_j lambda_max_i + delta_i delta_j`` of the
     dense norm, and the commutator norm within twice that, plus product
     rounding.  Every other pair, among them every pair in which both ranks
-    are at least ``D / 2``, is formed densely as ``h_i h_j`` with ``i`` first
+    are at least ``D / 2``, is formed densely as ``rho_i rho_j`` with ``i`` first
     in the caller's order, and gets exactly those bits.
     Each left state multiplies against the stack of its later partners in
     one batched product: transient memory is O(n D^2).
@@ -162,22 +160,17 @@ def _pairwise_norms(
     # order: no partner after a left state has a smaller rank
     order = sorted(range(n), key=ranks.__getitem__)
     m = np.stack([states[i].matrix for i in order])
-    # in place: the conjugate-transpose read is the slow pass at D = 256
-    # (rows 4 KiB apart), so make it once and add into its output
-    h = np.conjugate(m.transpose(0, 2, 1), out=np.empty_like(m))
-    h += m
-    h *= 0.5
     # the norms of pair (i, j) land at [:, i, j] or [:, j, i], as it is formed
     norms = np.zeros((2, n, n))
     caller = np.array(order)  # the caller's index of each stacked state
     for pos, i in enumerate(order[:-1]):
         k = ranks[i]
         if k == dim:
-            p = h[pos] @ h[pos + 1 :]
+            p = m[pos] @ m[pos + 1 :]
         else:
             values, vectors = states[i].spectrum
             v = vectors[:, :k]
-            p = v @ ((values[:k, None] * v.conj().T) @ h[pos + 1 :])
+            p = v @ ((values[:k, None] * v.conj().T) @ m[pos + 1 :])
         partners = caller[pos + 1 :]
         norms[0, i, partners] = np.abs(p).max(axis=(1, 2))
         norms[1, i, partners] = _hermitian_deviation(p)
@@ -196,7 +189,7 @@ def check_pi(
 
     Returns the verdict together with the commutator norm
     ``max |rho_a rho_b - rho_b rho_a|``, computed as ``max |P - P^dag|`` from
-    the one product ``P`` of the Hermitian parts.  At ``D >= 32`` a state of
+    the one product ``P = rho_a rho_b``.  At ``D >= 32`` a state of
     rank below ``D / 2`` (eigenvalues above ``tol.eigenvalue_zero_tol``, read
     with no positivity check) enters through its kept spectrum, and the norm
     stays within twice the ``delta`` bound of :class:`CompatReport` of the
@@ -214,13 +207,12 @@ def check_pii(
 ) -> tuple[bool, float]:
     """Non-orthogonality criterion: is the operator product nonzero?
 
-    Returns the verdict together with the product norm ``max |rho_a rho_b|``,
-    taken from the product of the Hermitian parts.  At ``D >= 32`` a state of
-    rank below ``D / 2`` (eigenvalues above ``tol.eigenvalue_zero_tol``, read
-    with no positivity check) enters through its kept spectrum, and the norm
-    stays within the ``delta`` bound of :class:`CompatReport` of the dense
-    norm; there each fresh state is eigendecomposed once and keeps its
-    spectrum.
+    Returns the verdict together with the product norm ``max |rho_a rho_b|``.
+    At ``D >= 32`` a state of rank below ``D / 2`` (eigenvalues above
+    ``tol.eigenvalue_zero_tol``, read with no positivity check) enters through
+    its kept spectrum, and the norm stays within the ``delta`` bound of
+    :class:`CompatReport` of the dense norm; there each fresh state is
+    eigendecomposed once and keeps its spectrum.
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])
@@ -264,12 +256,12 @@ def check_bfm(
     )
 
 
-def _principal_vector(rho: DensityMatrix, tol: Tolerances) -> np.ndarray:
-    """Top eigenvector of a rank-1 state; raises NotPure otherwise."""
+def _pure_support(rho: DensityMatrix, tol: Tolerances) -> Subspace:
+    """Support of a rank-1 state; raises NotPure otherwise."""
     support, _ = _split_spectrum(*rho.spectrum, tol)
     if support.dimension != 1:
         raise NotPure(f"state has rank {support.dimension}, expected 1")
-    return support.basis[:, 0]
+    return support
 
 
 def check_pure_pair(
@@ -277,14 +269,13 @@ def check_pure_pair(
 ) -> bool:
     """Pure-state special case: two rank-1 assignments must be identical.
 
-    True iff ``|<psi_a|psi_b>|^2 >= 1 - overlap_tol`` (global phase is
-    irrelevant).  Agrees with :func:`check_bfm` on rank-1 pairs.
+    True iff the two supports intersect under the rule of :func:`intersect`,
+    ``|<psi_a|psi_b>| > 1 - 2 overlap_tol`` (global phase is irrelevant), so
+    it agrees with :func:`check_bfm` on rank-1 pairs.
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])
-    va = _principal_vector(a, tol)
-    vb = _principal_vector(b, tol)
-    return float(abs(np.vdot(va, vb)) ** 2) >= 1.0 - tol.overlap_tol
+    return intersect(_pure_support(a, tol), _pure_support(b, tol), tol=tol).dimension > 0
 
 
 @dataclass(frozen=True)

@@ -165,13 +165,13 @@ def _canonical(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _eigh_canonical(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hermitian_eigendecompose` without the input checks.
+    """:func:`hermitian_eigendecompose` of an exactly Hermitian matrix, without
+    the input checks.
 
     The eigenvector matrix is checked orthonormal here, once, so that
     :func:`_split_spectrum` can hand out views of its columns unchecked.
     """
-    # symmetrize: exact for exactly-Hermitian input, kills tolerated noise
-    values, vectors = _canonical(*np.linalg.eigh((a + a.conj().T) / 2))
+    values, vectors = _canonical(*np.linalg.eigh(a))
     _check_orthonormal(vectors)
     return values, vectors
 
@@ -184,7 +184,9 @@ def hermitian_eigendecompose(
     Eigenvalues come back sorted descending; exact ties are ordered by
     lexicographic comparison of the phase-fixed eigenvectors.  Each
     eigenvector's largest-magnitude entry is made real and positive, so
-    identical inputs produce bit-identical outputs.
+    identical inputs produce bit-identical outputs.  The matrix decomposed is
+    the Hermitian part ``(m + m^dag) / 2``, which is ``m`` itself when ``m`` is
+    exactly Hermitian.
 
     Returns
     -------
@@ -209,7 +211,7 @@ def hermitian_eigendecompose(
     deviation = max_abs(a - a.conj().T)
     if deviation > tol.hermiticity_tol:
         raise NotHermitian([("hermiticity", deviation, tol.hermiticity_tol)])
-    return _eigh_canonical(a)
+    return _eigh_canonical((a + a.conj().T) / 2)
 
 
 def _split_spectrum(values, vectors, tol: Tolerances) -> tuple[Subspace, Subspace]:

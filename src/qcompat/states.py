@@ -1,10 +1,11 @@
 """Physically validated quantum states and multipartite operations.
 
 Density matrices are validated on entry (Hermitian, positive semidefinite,
-unit trace); everything downstream can then rely on physicality.  Composite
-systems use the row-major subsystem convention: in a tensor product the
-leftmost factor has the largest index stride, so ``|1>  (x) |+>`` occupies
-basis indices 2 and 3 of the four-dimensional product space.
+unit trace) and hold their exactly Hermitian part, so everything downstream
+can rely on physicality.  Composite systems use the row-major subsystem
+convention: in a tensor product the leftmost factor has the largest index
+stride, so ``|1>  (x) |+>`` occupies basis indices 2 and 3 of the
+four-dimensional product space.
 """
 
 from __future__ import annotations
@@ -54,6 +55,17 @@ __all__ = [
 WEIGHT_TOL = 1e-9
 
 
+def _check_weights(weights: Sequence[float], what: str) -> None:
+    """The one rule for mixture weights: each strictly positive, and their sum
+    within ``WEIGHT_TOL`` of one (a NaN weight fails both)."""
+    bad = [w for w in weights if not w > 0]
+    if bad:
+        raise ValueError(f"{what} must be strictly positive, got {bad[0]!r}")
+    total = sum(weights)
+    if not abs(total - 1.0) <= WEIGHT_TOL:
+        raise ValueError(f"{what} sum to {total!r}, expected 1")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A unit-norm complex amplitude vector."""
@@ -93,8 +105,11 @@ def basis_state(dim: int, index: int) -> PureState:
 class DensityMatrix:
     """A validated density operator with an optional observer label.
 
-    Construct through :func:`validate_density`; the dataclass itself only
-    checks structure, not physicality.
+    ``matrix`` holds the Hermitian part ``(m + m^dag) / 2`` of the matrix
+    ``m`` it is given, a fresh read-only array, so every state is exactly
+    Hermitian; an exactly Hermitian ``m`` keeps its values.  Construct
+    through :func:`validate_density`, which bounds how far ``m`` was from
+    Hermitian; the dataclass itself only checks structure, not physicality.
     """
 
     matrix: np.ndarray
@@ -104,7 +119,9 @@ class DensityMatrix:
         m = as_complex_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise NotSquare(f"density matrix has shape {m.shape}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        h = (m + m.conj().T) / 2
+        h.setflags(write=False)
+        object.__setattr__(self, "matrix", h)
 
     @property
     def dim(self) -> int:
@@ -138,12 +155,7 @@ class Ensemble:
         dims = {s.dim for _, s in comps}
         if len(dims) != 1:
             raise ValueError(f"ensemble components have mixed dimensions {sorted(dims)}")
-        for w, _ in comps:
-            if not 0.0 < w <= 1.0 + 1e-12:
-                raise ValueError(f"weights must lie in (0, 1], got {w!r}")
-        total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
+        _check_weights([w for w, _ in comps], "weights")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -156,9 +168,9 @@ def validate_density(
 ) -> DensityMatrix:
     """Validate an operator as a physical density matrix.
 
-    Measures all three invariants (hermiticity, positivity, unit trace) and
-    rejects with the full violation list; the raised class corresponds to
-    the first violated invariant in that order.
+    Measures hermiticity and trace of the input and positivity of the
+    Hermitian part the state holds, and rejects with the full violation list;
+    the raised class corresponds to the first violated invariant in that order.
 
     Raises
     ------
@@ -172,14 +184,14 @@ def validate_density(
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"density matrix must be square, got shape {a.shape}")
+    rho = DensityMatrix(a, label=label)
 
     violations: list[tuple[str, float, float]] = []
     hermiticity = max_abs(a - a.conj().T)
     if hermiticity > tol.hermiticity_tol:
         violations.append(("hermiticity", hermiticity, tol.hermiticity_tol))
 
-    # eigenvalues of the Hermitian part; equal to those of a when Hermitian
-    lam = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    lam = np.linalg.eigvalsh(rho.matrix)
     lam_min = float(lam[0])
     if lam_min < -tol.eigenvalue_zero_tol:
         violations.append(("positivity lambda_min", lam_min, tol.eigenvalue_zero_tol))
@@ -199,7 +211,7 @@ def validate_density(
         if first.startswith("positivity"):
             raise NotPSD(violations)
         raise TraceNotOne(violations)
-    return DensityMatrix(a, label=label)
+    return rho
 
 
 def _mixture(components: Sequence[tuple[float, PureState]]) -> np.ndarray:
@@ -214,12 +226,21 @@ def from_ensemble(e: Ensemble, tol: Tolerances | None = None) -> DensityMatrix:
     return validate_density(_mixture(e.components), tol)
 
 
-def eigen_ensemble(rho: DensityMatrix, tol: Tolerances | None = None) -> Ensemble:
-    """Canonical ensemble of eigenvectors weighted by nonzero eigenvalues."""
-    tol = tol or DEFAULT_TOLERANCES
+def _support_weights(rho: DensityMatrix, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Support columns of ``rho``'s kept spectrum and their eigenvalues divided
+    by their sum, which gives back the mass the zero cutoff drops (up to ``D``
+    times ``eigenvalue_zero_tol``): weights read here sum to one in rounding."""
     values, vectors = rho.spectrum
-    support, _ = _split_spectrum(values, vectors, tol)
-    return Ensemble(tuple((float(w), PureState(v)) for w, v in zip(values, support.basis.T)))
+    basis = _split_spectrum(values, vectors, tol)[0].basis
+    kept = values[: basis.shape[1]]
+    return basis, kept / kept.sum()
+
+
+def eigen_ensemble(rho: DensityMatrix, tol: Tolerances | None = None) -> Ensemble:
+    """Canonical ensemble of the support eigenvectors, weighted by their
+    eigenvalues rescaled to sum to one (:func:`_support_weights`)."""
+    basis, weights = _support_weights(rho, tol or DEFAULT_TOLERANCES)
+    return Ensemble(tuple((float(w), PureState(v)) for w, v in zip(weights, basis.T)))
 
 
 def tensor(states: Sequence[DensityMatrix] | Sequence[PureState]):

@@ -16,14 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChiOutsideSupport, Incompatible, ZeroProbabilityOutcome
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    _lex_order,
-    _split_spectrum,
-    intersect,
-)
-from .states import WEIGHT_TOL, DensityMatrix, PureState, _mixture, validate_density
+from .linalg import DEFAULT_TOLERANCES, Tolerances, _lex_order, _split_spectrum, intersect
+from .states import DensityMatrix, PureState, _mixture, _support_weights, validate_density
+from .states import _check_weights
 from .compat import _require_equal_dims
 
 __all__ = [
@@ -54,7 +49,8 @@ class SharedDecomposition:
 
     ``rho_a = p0 |chi><chi| + sum_i p_i |psi_i><psi_i|`` with the ``rest_a``
     terms carrying the ``(p_i, |psi_i>)`` pairs, and likewise ``rho_b`` with
-    ``q0`` and ``rest_b``.  Both leading weights are strictly positive.
+    ``q0`` and ``rest_b``.  Each side's weights follow the one mixture rule
+    of ``states``: strictly positive, summing to one within ``WEIGHT_TOL``.
     """
 
     chi: PureState
@@ -68,16 +64,10 @@ class SharedDecomposition:
         object.__setattr__(self, "q0", float(self.q0))
         object.__setattr__(self, "rest_a", tuple((float(w), s) for w, s in self.rest_a))
         object.__setattr__(self, "rest_b", tuple((float(w), s) for w, s in self.rest_b))
-        if self.p0 <= 0 or self.q0 <= 0:
-            raise ValueError(f"shared weights must be positive, got {self.p0}, {self.q0}")
         for name, head, rest in (("a", self.p0, self.rest_a), ("b", self.q0, self.rest_b)):
-            if any(w <= 0 for w, _ in rest):
-                raise ValueError(f"rest_{name} weights must be strictly positive")
+            _check_weights([head, *(w for w, _ in rest)], f"weights of decomposition {name}")
             if any(s.dim != self.chi.dim for _, s in rest):
                 raise ValueError(f"rest_{name} states must match the shared-state dimension")
-            total = head + sum(w for w, _ in rest)
-            if abs(total - 1.0) > WEIGHT_TOL:
-                raise ValueError(f"weights of decomposition {name} sum to {total!r}")
 
     @property
     def dim(self) -> int:
@@ -180,8 +170,11 @@ def max_common_weight(
     Computed as ``1 / <chi|rho^+|chi>`` (capped at 1) from the overlaps of
     ``chi`` with the support columns of ``rho``'s kept spectrum (same zero
     cutoff as everywhere else), which also give the residual ``|P chi - chi|``.
-    At this weight the remainder ``rho - p |chi><chi|`` touches the PSD
-    boundary; any larger weight breaks positivity.
+    ``rho^+`` inverts the kept eigenvalues rescaled to sum to one, so the
+    mass the zero cutoff drops stays in the support and the weights of the
+    decomposition still sum to one.  At this weight the remainder
+    ``rho - p |chi><chi|`` touches the PSD boundary; any larger weight breaks
+    positivity.
 
     Raises
     ------
@@ -197,19 +190,18 @@ def _common_weight(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The maximal weight ``p = 1/|u|^2`` of ``|chi><chi|`` in ``rho``, with
     ``u = L^(-1/2) V^dag chi`` for the support columns ``V`` of the kept
-    spectrum and their eigenvalues ``L``; returns ``p``, ``V``, ``L`` and
+    spectrum and their eigenvalues ``L`` rescaled to sum to one
+    (``states._support_weights``); returns ``p``, ``V``, ``L`` and
     ``V^dag chi``.  Raises ``ChiOutsideSupport`` as :func:`max_common_weight`."""
     if rho.dim != chi.dim:
         raise ChiOutsideSupport(
             f"state dimension {chi.dim} does not match rho dimension {rho.dim}"
         )
-    values, vectors = rho.spectrum
-    basis = _split_spectrum(values, vectors, tol)[0].basis
+    basis, kept = _support_weights(rho, tol)
     overlaps = basis.conj().T @ chi.amplitudes
     residual = float(np.linalg.norm(basis @ overlaps - chi.amplitudes))
     if residual > CHI_SUPPORT_RESIDUAL:
         raise ChiOutsideSupport(f"chi leaves the support by {residual:.3e}")
-    kept = values[: basis.shape[1]]
     weight = min(1.0 / float(np.sum(np.abs(overlaps) ** 2 / kept)), 1.0)
     return weight, basis, kept, overlaps
 

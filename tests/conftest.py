@@ -136,3 +136,22 @@ def full_rank_pair(rng: np.random.Generator, dim: int) -> tuple[DensityMatrix, D
         for _ in range(2)
     )
     return a, b
+
+
+def cutoff_mass_pair(
+    rng: np.random.Generator, dim: int = 64
+) -> tuple[DensityMatrix, DensityMatrix, float]:
+    """A state with eigenvalues proportional to ``exp(-k/2)``, paired with the pure
+    state on its top eigenvector, and the mass its zero cutoff drops.
+
+    At ``dim = 64`` the eigenvalues at or below the default cutoff 1e-9 (k >= 40)
+    sum to 2.06e-9, more than ``WEIGHT_TOL``: weights read from the kept
+    eigenvalues as they are sum to 1 - 2.06e-9.
+    """
+    frame = random_unitary(rng, dim)
+    weights = np.exp(-np.arange(dim) / 2)
+    weights /= weights.sum()
+    m = (frame * weights) @ frame.conj().T
+    top = np.outer(frame[:, 0], frame[:, 0].conj())
+    a, b = (validate_density((x + x.conj().T) / 2) for x in (m, top))
+    return a, b, float(weights[weights <= Tolerances().eigenvalue_zero_tol].sum())

@@ -144,17 +144,19 @@ def test_pairwise_norms_match_old_formulas(n):
 
 
 def test_pairwise_norms_use_hermitian_parts():
-    # within hermiticity_tol a state may be slightly non-Hermitian; the norms
-    # are those of the Hermitian parts, the matrices the kept spectra decompose
+    # within hermiticity_tol an input may be slightly non-Hermitian; the state
+    # holds its Hermitian part, and the norms are those of the Hermitian parts
     rng = np.random.default_rng(107)
     for dim in (3, 4, 7):
-        states = []
+        raw, states = [], []
         for _ in range(3):
             m = random_density_exact(rng, dim).matrix
             noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            states.append(validate_density(m + 2e-11 * (noise - noise.conj().T)))
-        hs = [(s.matrix + s.matrix.conj().T) / 2 for s in states]
-        assert max_abs(states[0].matrix - hs[0]) > 1e-12
+            raw.append(m + 2e-11 * (noise - noise.conj().T))
+            states.append(validate_density(raw[-1]))
+        hs = [(r + r.conj().T) / 2 for r in raw]
+        assert max_abs(raw[0] - hs[0]) > 1e-12
+        assert states[0].matrix.tobytes() == hs[0].tobytes()
         pairs = [(hs[i], hs[j]) for i in range(3) for j in range(i + 1, 3)]
         products, commutators = _pairwise_norms(states)
         bounds = [product_bound(states[i], states[j]) for i in range(3) for j in range(i + 1, 3)]
@@ -378,6 +380,21 @@ def test_pure_pair_matches_bfm_on_random_pairs():
         a = validate_density(psi.projector())
         b = validate_density(phi.projector())
         assert check_pure_pair(a, b) == check_bfm([a, b]).verdict_bfm
+
+
+@pytest.mark.parametrize("theta, compatible", [(3e-4, True), (5e-4, True), (7e-4, False)])
+def test_pure_pair_follows_the_intersection_rule_near_the_threshold(theta, compatible):
+    # cos(theta) against 1 - 2 overlap_tol = 1 - 2e-7: 1 - 4.5e-8, 1 - 1.25e-7 and
+    # 1 - 2.45e-7; |<a|b>|^2 >= 1 - overlap_tol would reject 5e-4 (1 - 2.5e-7)
+    rng = np.random.default_rng(139)
+    for dim in (2, 5):
+        frame = random_unitary(rng, dim)
+        psi = frame[:, 0]
+        phi = np.exp(0.7j) * (np.cos(theta) * frame[:, 0] + np.sin(theta) * frame[:, 1])
+        a, b = (validate_density(np.outer(v, v.conj())) for v in (psi, phi))
+        assert check_bfm([a, b]).verdict_bfm == compatible
+        assert check_pure_pair(a, b) == compatible
+        assert check_pure_pair(b, a) == compatible
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,13 @@ from qcompat.formats import (
     report_document,
     serialize_matrix,
 )
-from conftest import compatible_pair, full_rank_pair, random_density, random_pure
+from conftest import (
+    compatible_pair,
+    cutoff_mass_pair,
+    full_rank_pair,
+    random_density,
+    random_pure,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -286,6 +292,42 @@ def test_cli_witness_and_simulate_pipeline(corpus, tmp_path, capsys):
     assert cli_main(["simulate", str(out)]) == 0
     report = capsys.readouterr().out
     assert "round trip OK" in report
+
+
+def test_cli_pair_commands_print_their_own_lines(corpus, capsys):
+    pair = [corpus["pure"], corpus["mixed"]]
+    assert cli_main(["decompose", *pair]) == 0
+    assert capsys.readouterr().out == (
+        "shared state found (intersection dimension 1)\n"
+        "p0 = 1.000000e+00 with 0 extra term(s) for state A\n"
+        "q0 = 5.000000e-01 with 1 extra term(s) for state B\n"
+    )
+    assert cli_main(["witness", *pair]) == 0
+    assert capsys.readouterr().out == (
+        "witness dimensions (ancilla A, ancilla B, system) = (2, 1, 2)\n"
+        "normalization = 7.071068e-01\n"
+        "probability of both zero outcomes = 5.000000e-01\n"
+    )
+    apart = [corpus["pure"], corpus["one"]]
+    for command, missing in (
+        ("decompose", "no shared decomposition"),
+        ("witness", "no witness exists"),
+    ):
+        assert cli_main([command, *apart]) == 1
+        assert capsys.readouterr().out == (
+            f"incompatible: support intersection is trivial, {missing}\n"
+        )
+
+
+def test_cli_witness_simulate_with_cutoff_mass(tmp_path, capsys):
+    # a valid compatible pair whose dropped eigenvalues sum past WEIGHT_TOL
+    a, b, _ = cutoff_mass_pair(np.random.default_rng(131))
+    files = [write_state(tmp_path / f"{n}.json", s.matrix) for n, s in (("a", a), ("b", b))]
+    out = tmp_path / "wit.json"
+    assert cli_main(["witness", *files, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(["simulate", str(out)]) == 0
+    assert "round trip OK" in capsys.readouterr().out
 
 
 def test_cli_simulate_rejects_corrupt_witness(corpus, tmp_path, capsys):

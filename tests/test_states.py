@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from qcompat import (
+    DensityMatrix,
     DimensionMismatch,
     EmptyKeep,
     Ensemble,
     NotHermitian,
     NotPSD,
     PureState,
+    SharedDecomposition,
     TraceNotOne,
     ZeroProbabilityOutcome,
     basis_state,
@@ -24,7 +26,14 @@ from qcompat import (
     validate_density,
 )
 from qcompat.linalg import DEFAULT_TOLERANCES, _split_spectrum
-from conftest import product_rounding, random_density, random_pure
+from qcompat.states import WEIGHT_TOL
+from conftest import (
+    cutoff_mass_pair,
+    product_rounding,
+    random_density,
+    random_density_exact,
+    random_pure,
+)
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -105,6 +114,76 @@ def test_from_ensemble_matches_sum_of_projectors():
         e = Ensemble(tuple((w, random_pure(rng, dim)) for w in weights / weights.sum()))
         reference = sum(w * s.projector() for w, s in e.components)
         assert max_abs(from_ensemble(e).matrix - reference) <= product_rounding(k)
+
+
+def test_density_matrix_holds_its_hermitian_part():
+    rng = np.random.default_rng(113)
+    for dim in (1, 2, 5, 16, 40):
+        exact = random_density_exact(rng, dim).matrix
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        raw = exact + 2e-11 * noise  # not Hermitian, within hermiticity_tol
+        h = (raw + raw.conj().T) / 2
+        assert max_abs(raw - h) > 1e-12
+        # the spectrum is that of the Hermitian part, as the public solver gives it
+        values, vectors = hermitian_eigendecompose(raw)
+        for rho in (DensityMatrix(raw), validate_density(raw)):
+            assert rho.matrix.tobytes() == h.tobytes()
+            assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+            assert not rho.matrix.flags.writeable
+            assert not np.shares_memory(rho.matrix, raw)
+            assert rho.spectrum[0].tobytes() == values.tobytes()
+            assert rho.spectrum[1].tobytes() == vectors.tobytes()
+        # an exactly Hermitian input keeps its bits
+        for rho in (DensityMatrix(exact), validate_density(exact)):
+            assert rho.matrix.tobytes() == exact.tobytes()
+
+
+def test_not_hermitian_reports_the_raw_deviation():
+    raw = np.array([[0.5, 3e-6 + 1e-6j], [0.0, 0.5]])
+    with pytest.raises(NotHermitian) as exc:
+        validate_density(raw)
+    assert exc.value.violations[0] == ("hermiticity", max_abs(raw - raw.conj().T), 1e-9)
+
+
+def test_eigen_ensemble_gives_back_the_cutoff_mass():
+    # the eigenvalues at or below the zero cutoff sum to 2.06e-9 > WEIGHT_TOL;
+    # the kept ones, rescaled to sum to one, still make an ensemble
+    rho, _, dropped = cutoff_mass_pair(np.random.default_rng(131))
+    assert dropped > WEIGHT_TOL
+    e = eigen_ensemble(rho)
+    assert len(e.components) == 40
+    assert abs(sum(w for w, _ in e.components) - 1.0) <= 1e-15
+    assert max_abs(from_ensemble(e).matrix - rho.matrix) <= dropped
+
+
+@pytest.mark.parametrize(
+    "weights, ok",
+    [
+        ([0.5, 0.5], True),
+        ([1.0 + 0.5 * WEIGHT_TOL], True),
+        ([0.6, 0.4 - 0.5 * WEIGHT_TOL], True),
+        ([0.6, 0.4 - 2 * WEIGHT_TOL], False),
+        ([0.5, 0.4], False),
+        ([1.2, -0.2], False),
+        ([1.0, 0.0], False),
+        ([0.5, float("nan")], False),
+        ([float("nan")], False),
+    ],
+)
+def test_ensemble_and_decomposition_share_one_weight_rule(weights, ok):
+    def ensemble():
+        Ensemble(tuple((w, KET0) for w in weights))
+
+    def decomposition():
+        rest = tuple((w, KET1) for w in weights[1:])
+        SharedDecomposition(chi=KET0, p0=weights[0], q0=1.0, rest_a=rest, rest_b=())
+
+    for build in (ensemble, decomposition):
+        if ok:
+            build()
+        else:
+            with pytest.raises(ValueError):
+                build()
 
 
 def test_ensemble_rejects_bad_weights():

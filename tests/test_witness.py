@@ -25,7 +25,14 @@ from qcompat import (
     validate_density,
     verify_joint,
 )
-from conftest import compatible_pair, full_rank_pair, random_density_conditioned, random_pure
+from qcompat.states import WEIGHT_TOL
+from conftest import (
+    compatible_pair,
+    cutoff_mass_pair,
+    full_rank_pair,
+    random_density_conditioned,
+    random_pure,
+)
 
 KET0 = PureState(np.array([1, 0], dtype=complex))
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
@@ -500,3 +507,21 @@ def test_compatible_verdict_always_has_a_witness(theta):
     result = simulate_protocol(build_witness(d))
     assert max_abs(result.rho_alice.matrix - a.matrix) <= 1e-8
     assert max_abs(result.rho_bob.matrix - b.matrix) <= 1e-8
+
+
+def test_decomposition_gives_back_the_cutoff_mass():
+    # the kept eigenvalues sum to 1 - 2.06e-9, outside WEIGHT_TOL of one; the
+    # shared weight and the remainder read them rescaled to sum to one
+    a, b, dropped = cutoff_mass_pair(np.random.default_rng(131))
+    assert dropped > WEIGHT_TOL
+    kept = a.spectrum[0][:40]
+    assert max_common_weight(a, PureState(a.spectrum[1][:, 0])) == pytest.approx(
+        kept[0] / kept.sum(), rel=1e-12
+    )
+    d = build_shared_decomposition(a, b)
+    assert (len(d.rest_a), len(d.rest_b)) == (39, 0)
+    assert abs(d.p0 + sum(w for w, _ in d.rest_a) - 1.0) <= 1e-12
+    assert max_abs(d.rho_a().matrix - a.matrix) <= dropped
+    assert max_abs(d.rho_b().matrix - b.matrix) <= 1e-12
+    result = simulate_protocol(build_witness(d))
+    assert max_abs(result.rho_alice.matrix - d.rho_a().matrix) <= 1e-8
