@@ -45,10 +45,11 @@ __all__ = [
 class CompatReport:
     """Outcome of a support-intersection compatibility check.
 
-    ``verdict_bfm`` is the support-intersection verdict and always equals
-    ``intersection_dim > 0``.  For exactly two states the pairwise fields
-    describe that pair; for more states they are the conjunction over all
-    pairs (an extension beyond the two-observer criteria, flagged by
+    Only the evidence is stored; every verdict is derived from it, so no
+    stored field can contradict another.  ``verdict_bfm`` holds when the
+    intersection basis is nontrivial.  For exactly two states the pairwise
+    fields describe that pair; for more states they are the conjunction over
+    all pairs (an extension beyond the two-observer criteria, flagged by
     ``pairwise_conjunction``), with ``commutator_norm`` the worst pair and
     ``product_norm`` the weakest pair.  Both norms are max-entry norms taken
     from one product ``P = rho_a rho_b`` per pair: ``max |P|`` and
@@ -65,22 +66,31 @@ class CompatReport:
     pair is formed densely, bit for bit.
     """
 
-    verdict_bfm: bool
-    verdict_pi: bool
-    verdict_pii: bool
-    intersection_dim: int
     intersection_basis: Subspace
     commutator_norm: float
     product_norm: float
     tolerances_used: Tolerances
     n_states: int = 2
-    pairwise_conjunction: bool = False
 
-    def __post_init__(self):
-        if self.verdict_bfm != (self.intersection_dim > 0):
-            raise ValueError("verdict_bfm must equal (intersection_dim > 0)")
-        if self.intersection_dim != self.intersection_basis.dimension:
-            raise ValueError("intersection_dim must match the basis dimension")
+    @property
+    def intersection_dim(self) -> int:
+        return self.intersection_basis.dimension
+
+    @property
+    def verdict_bfm(self) -> bool:
+        return self.intersection_dim > 0
+
+    @property
+    def verdict_pi(self) -> bool:
+        return bool(self.commutator_norm <= self.tolerances_used.overlap_tol)
+
+    @property
+    def verdict_pii(self) -> bool:
+        return bool(self.product_norm > self.tolerances_used.overlap_tol)
+
+    @property
+    def pairwise_conjunction(self) -> bool:
+        return self.n_states > 2
 
 
 def _require_equal_dims(states: Sequence[DensityMatrix]) -> int:
@@ -88,6 +98,12 @@ def _require_equal_dims(states: Sequence[DensityMatrix]) -> int:
     if len(dims) != 1:
         raise DimensionMismatch(f"states have differing dimensions {sorted(dims)}")
     return dims.pop()
+
+
+def _common_support(states: Sequence[DensityMatrix], tol: Tolerances) -> Subspace:
+    """Intersection of the supports of ``states``, which must share one dimension."""
+    _require_equal_dims(states)
+    return intersect(*(_split_spectrum(*s.spectrum, tol)[0] for s in states), tol=tol)
 
 
 # Row/column block edge of the commutator pass: a stack of 64 x 64 complex
@@ -136,16 +152,13 @@ def _pairwise_norms(
     ``eigenvalue_zero_tol``) stands on the left.  When ``2 k < D`` and
     ``D >= 32``, its kept factor stands in for it, ``P = V (Lambda V^dag rho_j)``:
     that costs ``2 D^2 k`` instead of ``D^3`` and drops the other
-    eigenvalues.  The rank is read without a positivity check, so a state
-    built directly as :class:`DensityMatrix` with an eigenvalue below
-    ``-eigenvalue_zero_tol`` raises nothing here, at any D.  With ``delta``
-    the largest dropped eigenvalue in magnitude (0 when none is dropped) and
-    ``lambda_max`` the largest eigenvalue, each norm stays within
-    ``delta_i lambda_max_j + delta_j lambda_max_i + delta_i delta_j`` of the
-    dense norm, and the commutator norm within twice that, plus product
-    rounding.  Every other pair, among them every pair in which both ranks
-    are at least ``D / 2``, is formed densely as ``rho_i rho_j`` with ``i`` first
-    in the caller's order, and gets exactly those bits.
+    eigenvalues, within the ``delta`` bound of :class:`CompatReport`.  The
+    rank is read without a positivity check, so a state built directly as
+    :class:`DensityMatrix` with an eigenvalue below ``-eigenvalue_zero_tol``
+    raises nothing here, at any D.  Every other pair, among them every pair
+    in which both ranks are at least ``D / 2``, is formed densely as
+    ``rho_i rho_j`` with ``i`` first in the caller's order, and gets exactly
+    those bits.
     Each left state multiplies against the stack of its later partners in
     one batched product: transient memory is O(n D^2).
     """
@@ -189,12 +202,9 @@ def check_pi(
 
     Returns the verdict together with the commutator norm
     ``max |rho_a rho_b - rho_b rho_a|``, computed as ``max |P - P^dag|`` from
-    the one product ``P = rho_a rho_b``.  At ``D >= 32`` a state of
-    rank below ``D / 2`` (eigenvalues above ``tol.eigenvalue_zero_tol``, read
-    with no positivity check) enters through its kept spectrum, and the norm
-    stays within twice the ``delta`` bound of :class:`CompatReport` of the
-    dense norm; there each fresh state is eigendecomposed once and keeps its
-    spectrum.
+    the one product ``P = rho_a rho_b``.  At ``D >= 32`` a low-rank state
+    enters through its kept spectrum, under the ``delta`` bound of
+    :class:`CompatReport`, so each fresh state is eigendecomposed once there.
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])
@@ -208,11 +218,9 @@ def check_pii(
     """Non-orthogonality criterion: is the operator product nonzero?
 
     Returns the verdict together with the product norm ``max |rho_a rho_b|``.
-    At ``D >= 32`` a state of rank below ``D / 2`` (eigenvalues above
-    ``tol.eigenvalue_zero_tol``, read with no positivity check) enters through
-    its kept spectrum, and the norm stays within the ``delta`` bound of
-    :class:`CompatReport` of the dense norm; there each fresh state is
-    eigendecomposed once and keeps its spectrum.
+    At ``D >= 32`` a low-rank state enters through its kept spectrum, under
+    the ``delta`` bound of :class:`CompatReport`, so each fresh state is
+    eigendecomposed once there.
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])
@@ -235,24 +243,14 @@ def check_bfm(
         raise FewerThanTwoStates(
             f"compatibility needs at least two state assignments, got {len(states)}"
         )
-    _require_equal_dims(states)
-    common = intersect(*(_split_spectrum(*s.spectrum, tol)[0] for s in states), tol=tol)
-
+    common = _common_support(states, tol)
     product_norms, commutator_norms = _pairwise_norms(states, tol)
-    commutator_norm = float(commutator_norms.max())
-    product_norm = float(product_norms.min())
-
     return CompatReport(
-        verdict_bfm=common.dimension > 0,
-        verdict_pi=commutator_norm <= tol.overlap_tol,
-        verdict_pii=product_norm > tol.overlap_tol,
-        intersection_dim=common.dimension,
         intersection_basis=common,
-        commutator_norm=commutator_norm,
-        product_norm=product_norm,
+        commutator_norm=float(commutator_norms.max()),
+        product_norm=float(product_norms.min()),
         tolerances_used=tol,
         n_states=len(states),
-        pairwise_conjunction=len(states) > 2,
     )
 
 
@@ -321,8 +319,7 @@ def verify_joint(
     if not observers:
         raise ValueError("verify_joint needs at least one observer state")
     _require_equal_dims([joint, *observers])
-    splits = [_split_spectrum(*s.spectrum, tol) for s in observers]
-    common = intersect(*(support for support, _ in splits), tol=tol)
+    common = _common_support(observers, tol)
 
     # (I - P_c) P_j = P_j - B_c (B_c^dag P_j): no identity, no D x D x D product
     b_common = common.basis
@@ -330,19 +327,10 @@ def verify_joint(
     leakage = max_abs(p_joint - b_common @ (b_common.conj().T @ p_joint))
 
     leaks = []
-    for k, (obs, (_, null)) in enumerate(zip(observers, splits)):
-        null_basis = null.basis
-        if null_basis.shape[1] == 0:
-            restricted = 0.0
-        else:
-            restricted = max_abs(null_basis.conj().T @ joint.matrix @ null_basis)
-        leaks.append(
-            NullSpaceLeak(
-                observer_index=k,
-                label=obs.label,
-                null_dim=null_basis.shape[1],
-                leaked_norm=restricted,
-            )
-        )
+    for k, obs in enumerate(observers):
+        null = _split_spectrum(*obs.spectrum, tol)[1].basis
+        # a trivial null space restricts joint to a (0, 0) block, whose max_abs is 0.0
+        leaked = max_abs(null.conj().T @ joint.matrix @ null)
+        leaks.append(NullSpaceLeak(k, obs.label, null.shape[1], leaked))
     report = JointConstraintReport(leakage=leakage, per_observer=tuple(leaks))
     return leakage <= tol.overlap_tol, report

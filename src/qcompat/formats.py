@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import IO
@@ -283,15 +283,6 @@ def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 # report / witness files
 
-def _tolerances_doc(tol: Tolerances) -> dict:
-    return {
-        "hermiticity_tol": tol.hermiticity_tol,
-        "eigenvalue_zero_tol": tol.eigenvalue_zero_tol,
-        "trace_tol": tol.trace_tol,
-        "overlap_tol": tol.overlap_tol,
-    }
-
-
 def _decomposition_doc(d: SharedDecomposition) -> dict:
     return {
         "chi": _to_pairs(d.chi.amplitudes),
@@ -328,7 +319,7 @@ def report_document(
             "product_norm": report.product_norm,
             "pairwise_conjunction": report.pairwise_conjunction,
         },
-        "tolerances_used": _tolerances_doc(report.tolerances_used),
+        "tolerances_used": asdict(report.tolerances_used),
     }
     if decomposition is not None:
         doc["decomposition"] = _decomposition_doc(decomposition)
@@ -356,17 +347,28 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _number(doc: dict, key: str, where: str) -> float:
+    """The finite double that ``doc[key]`` holds as a JSON int or float; a bool,
+    a string, or a number no double can hold is malformed."""
+    value = _require(doc, key, where)
+    if type(value) not in (int, float):
+        raise MalformedFile(f"{where}: {key} must be a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise MalformedFile(f"{where}: {key} out of range for a double") from None
+    if not math.isfinite(x):
+        raise MalformedFile(f"{where}: non-finite {key} {x!r}")
+    return x
+
+
 def _parse_tolerances(doc, where: str) -> Tolerances:
     if not isinstance(doc, dict):
         raise MalformedFile(f"{where}: expected an object")
+    values = {f.name: _number(doc, f.name, where) for f in fields(Tolerances)}
     try:
-        return Tolerances(
-            hermiticity_tol=float(_require(doc, "hermiticity_tol", where)),
-            eigenvalue_zero_tol=float(_require(doc, "eigenvalue_zero_tol", where)),
-            trace_tol=float(_require(doc, "trace_tol", where)),
-            overlap_tol=float(_require(doc, "overlap_tol", where)),
-        )
-    except (TypeError, ValueError, OverflowError) as e:
+        return Tolerances(**values)
+    except ValueError as e:
         raise MalformedFile(f"{where}: {e}") from e
 
 
@@ -377,13 +379,11 @@ def _parse_components(items, where: str, dim: int) -> tuple:
     for k, item in enumerate(items):
         if not isinstance(item, dict):
             raise MalformedFile(f"{where}[{k}]: expected an object")
-        weight = _require(item, "weight", f"{where}[{k}]")
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise MalformedFile(f"{where}[{k}]: weight must be a number")
+        weight = _number(item, "weight", f"{where}[{k}]")
         vec = _pairs_to_vector(_require(item, "state", f"{where}[{k}]"), f"{where}[{k}].state")
         if vec.shape[0] != dim:
             raise ShapeMismatch(f"{where}[{k}].state: expected dimension {dim}")
-        out.append((float(weight), _pure(vec, f"{where}[{k}].state")))
+        out.append((weight, _pure(vec, f"{where}[{k}].state")))
     return tuple(out)
 
 
@@ -402,12 +402,12 @@ def _parse_decomposition(doc, where: str) -> SharedDecomposition:
     try:
         return SharedDecomposition(
             chi=_pure(chi_vec, f"{where}.chi"),
-            p0=float(_require(doc, "p0", where)),
-            q0=float(_require(doc, "q0", where)),
+            p0=_number(doc, "p0", where),
+            q0=_number(doc, "q0", where),
             rest_a=_parse_components(_require(doc, "rest_a", where), f"{where}.rest_a", dim),
             rest_b=_parse_components(_require(doc, "rest_b", where), f"{where}.rest_b", dim),
         )
-    except (TypeError, ValueError, OverflowError) as e:
+    except ValueError as e:
         raise MalformedFile(f"{where}: {e}") from e
 
 
@@ -415,7 +415,10 @@ def parse_report_document(doc: dict) -> ParsedReport:
     """Rebuild report, decomposition, and witness objects from a document.
 
     Re-validates every structural invariant on the way in, so a corrupted
-    file cannot round-trip into an inconsistent object.
+    file cannot round-trip into an inconsistent object: every number is a
+    finite JSON int or float (never a bool or a string), and each verdict
+    field the file stores must equal, value and JSON type, the one the
+    report derives from the stored evidence.
     """
     _check_schema(doc)
     inputs = doc.get("inputs", [])
@@ -450,27 +453,29 @@ def parse_report_document(doc: dict) -> ParsedReport:
         raise MalformedFile(
             f"report.n_states {n_states!r} differs from the 2 states of a decomposition"
         )
-    conjunction = _require(rep, "pairwise_conjunction", "report")
-    if conjunction != (n_states > 2):
-        raise MalformedFile(
-            f"report.pairwise_conjunction {conjunction!r} contradicts n_states {n_states}"
-        )
+    norms = {key: _number(rep, key, "report") for key in ("commutator_norm", "product_norm")}
+    for key, norm in norms.items():
+        if norm < 0:
+            raise MalformedFile(f"report: {key} {norm!r} is negative")
     tolerances = _parse_tolerances(_require(doc, "tolerances_used", "document"), "tolerances_used")
     try:
-        report = CompatReport(
-            verdict_bfm=bool(_require(rep, "verdict_bfm", "report")),
-            verdict_pi=bool(_require(rep, "verdict_pi", "report")),
-            verdict_pii=bool(_require(rep, "verdict_pii", "report")),
-            intersection_dim=int(_require(rep, "intersection_dim", "report")),
-            intersection_basis=Subspace(dim, basis),
-            commutator_norm=float(_require(rep, "commutator_norm", "report")),
-            product_norm=float(_require(rep, "product_norm", "report")),
-            tolerances_used=tolerances,
-            n_states=n_states,
-            pairwise_conjunction=bool(conjunction),
-        )
-    except (TypeError, ValueError, OverflowError) as e:
+        intersection = Subspace(dim, basis)
+    except ValueError as e:
         raise MalformedFile(f"report: {e}") from e
+    report = CompatReport(intersection, **norms, tolerances_used=tolerances, n_states=n_states)
+    basis_dim = f"the intersection basis of dimension {report.intersection_dim}"
+    at_tol = f"at overlap_tol {tolerances.overlap_tol!r}"
+    evidence = {
+        "verdict_bfm": basis_dim,
+        "verdict_pi": f"commutator_norm {report.commutator_norm!r} {at_tol}",
+        "verdict_pii": f"product_norm {report.product_norm!r} {at_tol}",
+        "intersection_dim": basis_dim,
+        "pairwise_conjunction": f"n_states {n_states}",
+    }
+    for key, source in evidence.items():  # True == 1, so the JSON type must match too
+        stored, derived = _require(rep, key, "report"), getattr(report, key)
+        if type(stored) is not type(derived) or stored != derived:
+            raise MalformedFile(f"report.{key} {stored!r} contradicts {source}")
 
     decomposition = None
     if "decomposition" in doc:

@@ -10,7 +10,7 @@ row-major.  All functions are pure; returned arrays are read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,7 +47,9 @@ class Tolerances:
     overlap_tol : float
         Intersection threshold (principal-angle cosines ``> 1 - 2 overlap_tol``,
         i.e. mean-projector eigenvalues ``> 1 - overlap_tol``) and threshold
-        for the commutator/product norms of the pairwise criteria.
+        for the commutator/product norms of the pairwise criteria.  Must be
+        below 0.5: at 0.5 and above the cosine threshold is at most 0, so
+        orthogonal supports would intersect.
     """
 
     hermiticity_tol: float = 1e-9
@@ -56,10 +58,12 @@ class Tolerances:
     overlap_tol: float = 1e-7
 
     def __post_init__(self):
-        for name in ("hermiticity_tol", "eigenvalue_zero_tol", "trace_tol", "overlap_tol"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+                raise ValueError(f"{field.name} must be finite and nonnegative, got {value!r}")
+        if self.overlap_tol >= 0.5:
+            raise ValueError(f"overlap_tol must be below 0.5, got {self.overlap_tol!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

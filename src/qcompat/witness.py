@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChiOutsideSupport, Incompatible, ZeroProbabilityOutcome
-from .linalg import DEFAULT_TOLERANCES, Tolerances, _lex_order, _split_spectrum, intersect
+from .linalg import DEFAULT_TOLERANCES, Tolerances, _lex_order
 from .states import DensityMatrix, PureState, _mixture, _support_weights, validate_density
 from .states import _check_weights
-from .compat import _require_equal_dims
+from .compat import _common_support
 
 __all__ = [
     "SharedDecomposition",
@@ -154,8 +154,7 @@ def choose_common_state(
         If the support intersection is trivial.
     """
     tol = tol or DEFAULT_TOLERANCES
-    _require_equal_dims([a, b])
-    basis = intersect(*(_split_spectrum(*s.spectrum, tol)[0] for s in (a, b)), tol=tol).basis
+    basis = _common_support([a, b], tol).basis
     if basis.shape[1] == 0:
         raise Incompatible("support intersection is trivial; no common state exists")
     quad = [np.einsum("ik,ik->k", basis.conj(), s.matrix @ basis).real for s in (a, b)]

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qcompat import (
+    CompatReport,
     DensityMatrix,
     DimensionMismatch,
     FewerThanTwoStates,
@@ -259,6 +262,29 @@ def test_bfm_golden_pair():
     assert report.verdict_pii
     assert report.n_states == 2
     assert not report.pairwise_conjunction
+
+
+def test_compat_report_stores_only_its_evidence():
+    fields = [f.name for f in dataclasses.fields(CompatReport)]
+    assert fields == [
+        "intersection_basis", "commutator_norm", "product_norm", "tolerances_used", "n_states"
+    ]
+    assert "__post_init__" not in vars(CompatReport)
+    a, b = golden_pair()
+    report = check_bfm([a, b, a])
+    assert list(vars(report)) == fields
+    # the verdicts follow the evidence, so a report cannot contradict itself
+    assert report.intersection_dim == report.intersection_basis.dimension == 1
+    assert report.verdict_bfm is True and report.pairwise_conjunction is True
+    tol = report.tolerances_used
+    assert report.verdict_pi is (report.commutator_norm <= tol.overlap_tol) is False
+    assert report.verdict_pii is (report.product_norm > tol.overlap_tol) is True
+    loose = dataclasses.replace(report, tolerances_used=Tolerances(overlap_tol=0.3), n_states=2)
+    assert loose.verdict_pi and not loose.pairwise_conjunction
+    with pytest.raises(TypeError):
+        CompatReport(report.intersection_basis, 0.0, 1.0, tol, verdict_bfm=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.verdict_pi = True
 
 
 def test_bfm_requires_two_states():

@@ -575,6 +575,124 @@ def test_report_parse_checks_n_states(change, message):
     assert str(exc.value) == message
 
 
+def golden_witness_document():
+    a, b = golden_states()
+    d = build_shared_decomposition(a, b)
+    return report_document(check_bfm([a, b]), ["A", "B"], d, build_witness(d))
+
+
+# golden pair: verdict_bfm, verdict_pii true, verdict_pi and the conjunction
+# false, intersection dimension 1, commutator norm 0.25, product norm 0.75
+CONTRADICTS = [
+    (key, value)
+    for key, values in (
+        ("verdict_bfm", [False, "true", 1, 1.7]),
+        ("verdict_pi", [True, "false", 0, 1.7]),
+        ("verdict_pii", [False, "true", 1, 1.7]),
+        ("intersection_dim", [0, 2, True, 1.0, "1", 1.7]),
+        ("pairwise_conjunction", [0, 1.7]),  # True and "no": test_report_parse_checks_n_states
+    )
+    for value in values
+]
+
+
+@pytest.mark.parametrize("key, value", CONTRADICTS)
+def test_report_parse_derives_each_verdict_from_its_evidence(key, value):
+    doc = golden_witness_document()
+    parse_report_document(doc)
+    doc["report"][key] = value
+    with pytest.raises(MalformedFile) as exc:
+        parse_report_document(doc)
+    assert str(exc.value).startswith(f"report.{key} {value!r} contradicts ")
+
+
+NUMBER_CASES = [
+    (("decomposition", "p0"), "1", "decomposition: p0 must be a number"),
+    (("decomposition", "q0"), "0.5", "decomposition: q0 must be a number"),
+    (("decomposition", "p0"), True, "decomposition: p0 must be a number"),
+    (("decomposition", "q0"), 1e400, "decomposition: non-finite q0 inf"),
+    (
+        ("decomposition", "rest_b", 0, "weight"), "0.5",
+        "decomposition.rest_b[0]: weight must be a number",
+    ),
+    (("tolerances_used", "trace_tol"), True, "tolerances_used: trace_tol must be a number"),
+    (
+        ("tolerances_used", "overlap_tol"), "1e-7",
+        "tolerances_used: overlap_tol must be a number",
+    ),
+    (
+        ("tolerances_used", "overlap_tol"), 0.5,
+        "tolerances_used: overlap_tol must be below 0.5, got 0.5",
+    ),
+    (
+        ("tolerances_used", "hermiticity_tol"), -1,
+        "tolerances_used: hermiticity_tol must be finite and nonnegative, got -1.0",
+    ),
+    (("report", "commutator_norm"), -0.25, "report: commutator_norm -0.25 is negative"),
+    (("report", "product_norm"), -1e-300, "report: product_norm -1e-300 is negative"),
+    (("report", "product_norm"), True, "report: product_norm must be a number"),
+    (("report", "commutator_norm"), "0.25", "report: commutator_norm must be a number"),
+    (
+        ("report", "commutator_norm"), 10**400,
+        "report: commutator_norm out of range for a double",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [pytest.param(*c, id=f"{c[0][-1]}-{type(c[1]).__name__}") for c in NUMBER_CASES],
+)
+def test_report_parse_reads_each_number_one_way(path, value, message):
+    doc = golden_witness_document()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(MalformedFile) as exc:
+        parse_report_document(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (
+            ("report", "verdict_pi"), True,
+            "report.verdict_pi True contradicts commutator_norm 0.25 at overlap_tol 1e-07",
+        ),
+        (
+            ("report", "verdict_pii"), "false",
+            "report.verdict_pii 'false' contradicts product_norm 0.75 at overlap_tol 1e-07",
+        ),
+        (("tolerances_used", "trace_tol"), True, "tolerances_used: trace_tol must be a number"),
+        (("decomposition", "p0"), "1", "decomposition: p0 must be a number"),
+    ],
+    ids=["verdict_pi", "verdict_pii", "trace_tol", "p0"],
+)
+def test_cli_simulate_rejects_tampered_witness(corpus, tmp_path, capsys, path, value, message):
+    out = tmp_path / "wit.json"
+    assert cli_main(["witness", corpus["pure"], corpus["mixed"], "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc[path[0]][path[1]] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["simulate", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "witness"])
+def test_cli_overlap_tol_from_one_half_is_a_usage_error(corpus, command, capsys):
+    # orthogonal states: at overlap_tol >= 0.5 the cosine threshold would let
+    # them intersect, beside a PII that fails with product norm 0
+    pair = [corpus["pure"], corpus["one"]]
+    assert cli_main([command, *pair]) == 1
+    capsys.readouterr()
+    for flag in ("0.5", "0.6"):
+        assert cli_main([command, *pair, "--tol-overlap", flag]) == 2
+        assert capsys.readouterr() == ("", f"error: overlap_tol must be below 0.5, got {flag}\n")
+
+
 def test_report_of_three_states_round_trips():
     a, b = golden_states()
     report = check_bfm([a, b, a])
@@ -609,7 +727,7 @@ def test_cli_overlap_flag_changes_verdict(corpus, tmp_path):
     # with an absurdly loose overlap threshold PI "holds" on the golden pair
     pair = [corpus["pure"], corpus["mixed"]]
     assert cli_main(["check", *pair, "--criterion", "pi"]) == 1
-    assert cli_main(["check", *pair, "--criterion", "pi", "--tol-overlap", "0.5"]) == 0
+    assert cli_main(["check", *pair, "--criterion", "pi", "--tol-overlap", "0.3"]) == 0
 
 
 def test_cli_deeply_nested_file_is_malformed(tmp_path, capsys):

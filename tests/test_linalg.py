@@ -302,3 +302,13 @@ def test_intersect_of_one_subspace_is_itself():
 def test_subspace_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("overlap_tol", [0.5, 0.6, 1.0])
+def test_tolerances_reject_overlap_tol_from_one_half(overlap_tol):
+    # the cosine threshold 1 - 2 overlap_tol would be at most 0, so
+    # orthogonal supports would count as intersecting
+    with pytest.raises(ValueError) as exc:
+        Tolerances(overlap_tol=overlap_tol)
+    assert str(exc.value) == f"overlap_tol must be below 0.5, got {overlap_tol!r}"
+    assert Tolerances(overlap_tol=0.4999).overlap_tol == 0.4999

@@ -11,11 +11,14 @@
   threshold angle ``theta*`` with ``cos theta* = 1 - 2 overlap_tol``.
 * The vectorized eigendecomposition convention orders exact ties like the
   original per-column implementation, kept here as the oracle.
+* A report file gives back every public attribute of the report it was
+  written from, derived verdicts included.
 * A shared decomposition splits each state of rank ``k`` into the shared
   state and ``k - 1`` remainder terms, each weighted at least the state's
   smallest kept eigenvalue, and rebuilds the state.
 """
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +37,7 @@ from qcompat import (
     validate_density,
 )
 from qcompat.compat import _pairwise_norms
+from qcompat.formats import dumps_canonical, parse_report_document, report_document
 from qcompat.states import WEIGHT_TOL
 from conftest import (
     delta_bound,
@@ -104,6 +108,42 @@ def test_pairwise_norms_ignore_observer_order(case):
     assert abs(permuted.product_norm - report.product_norm) <= bound
     assert permuted.verdict_pi == report.verdict_pi
     assert permuted.verdict_pii == report.verdict_pii
+
+
+@st.composite
+def small_reports(draw):
+    """2 to 4 states of D <= 8 and an overlap threshold on either side of
+    their norms.  In one set in two the states share an eigenbasis, so they
+    commute and their supports are sets of its columns."""
+    dim, n = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    tol = Tolerances(overlap_tol=draw(st.sampled_from([1e-7, 1e-3, 0.3])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = random_unitary(rng, dim) if rng.random() < 0.5 else None
+    states = []
+    for _ in range(n):
+        frame = random_unitary(rng, dim) if shared is None else shared[:, rng.permutation(dim)]
+        basis = frame[:, : rng.integers(1, dim + 1)]
+        m = (basis * rng.uniform(0.1, 1.1, size=basis.shape[1])) @ basis.conj().T
+        states.append(validate_density(m / np.trace(m).real))
+    return states, tol
+
+
+@PROPERTY
+@given(small_reports())
+def test_report_file_round_trips_every_public_attribute(case):
+    states, tol = case
+    report = check_bfm(states, tol)
+    doc = json.loads(dumps_canonical(report_document(report, [])))
+    back = parse_report_document(doc).report
+    names = [n for n in dir(report) if not n.startswith("_")]
+    assert len(names) == 10
+    for name in names:
+        if name == "intersection_basis":
+            assert back.intersection_basis.ambient_dim == report.intersection_basis.ambient_dim
+            assert np.array_equal(back.intersection_basis.basis, report.intersection_basis.basis)
+        else:
+            assert getattr(back, name) == getattr(report, name), name
+            assert type(getattr(back, name)) is type(getattr(report, name)), name
 
 
 @st.composite
