@@ -100,10 +100,20 @@ def _require_equal_dims(states: Sequence[DensityMatrix]) -> int:
     return dims.pop()
 
 
+def _support(state: DensityMatrix, name: str, tol: Tolerances) -> Subspace:
+    """Kept support of ``state``; a zero cutoff that empties it raises ValueError."""
+    support, _ = _split_spectrum(*state.spectrum, tol)
+    if support.dimension == 0:
+        top, cutoff = state.spectrum[0][0], tol.eigenvalue_zero_tol
+        raise ValueError(f"{name} (label {state.label!r}) has an empty support: its largest "
+                         f"eigenvalue {top:.6g} is at or below eigenvalue_zero_tol {cutoff!r}")
+    return support
+
+
 def _common_support(states: Sequence[DensityMatrix], tol: Tolerances) -> Subspace:
-    """Intersection of the supports of ``states``, which must share one dimension."""
+    """Intersection of the nonempty supports of ``states``, which share one dimension."""
     _require_equal_dims(states)
-    return intersect(*(_split_spectrum(*s.spectrum, tol)[0] for s in states), tol=tol)
+    return intersect(*(_support(s, f"state {k}", tol) for k, s in enumerate(states)), tol=tol)
 
 
 # Row/column block edge of the commutator pass: a stack of 64 x 64 complex
@@ -323,7 +333,7 @@ def verify_joint(
 
     # (I - P_c) P_j = P_j - B_c (B_c^dag P_j): no identity, no D x D x D product
     b_common = common.basis
-    p_joint = projector_from(_split_spectrum(*joint.spectrum, tol)[0])
+    p_joint = projector_from(_support(joint, "joint state", tol))
     leakage = max_abs(p_joint - b_common @ (b_common.conj().T @ p_joint))
 
     leaks = []

@@ -41,7 +41,8 @@ class Tolerances:
     hermiticity_tol : float
         Max allowed entry of ``m - m^dag``.
     eigenvalue_zero_tol : float
-        Eigenvalues at or below this count as zero (support membership).
+        Eigenvalues at or below this count as zero (support membership).  The
+        compatibility checks reject (``ValueError``) a state it leaves no support.
     trace_tol : float
         Max allowed deviation of a density-matrix trace from one.
     overlap_tol : float
@@ -49,7 +50,8 @@ class Tolerances:
         i.e. mean-projector eigenvalues ``> 1 - overlap_tol``) and threshold
         for the commutator/product norms of the pairwise criteria.  Must be
         below 0.5: at 0.5 and above the cosine threshold is at most 0, so
-        orthogonal supports would intersect.
+        orthogonal supports would intersect.  At least 1e-12, so the threshold
+        stays below the cosines of identical supports (1 minus a few 1e-15).
     """
 
     hermiticity_tol: float = 1e-9
@@ -62,8 +64,9 @@ class Tolerances:
             value = getattr(self, field.name)
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{field.name} must be finite and nonnegative, got {value!r}")
-        if self.overlap_tol >= 0.5:
-            raise ValueError(f"overlap_tol must be below 0.5, got {self.overlap_tol!r}")
+        if not 1e-12 <= self.overlap_tol < 0.5:
+            bound = "below 0.5" if self.overlap_tol >= 0.5 else "at least 1e-12"
+            raise ValueError(f"overlap_tol must be {bound}, got {self.overlap_tol!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -93,9 +96,7 @@ def as_complex_matrix(m) -> np.ndarray:
 
 def max_abs(m: np.ndarray) -> float:
     """Max-entry norm ``max_ij |m_ij|`` (0 for empty arrays)."""
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(m)))
+    return float(np.max(np.abs(m), initial=0.0))
 
 
 def _check_orthonormal(b: np.ndarray) -> None:
@@ -163,9 +164,10 @@ def _canonical(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.
         top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
         vectors = vectors * (top.conj() / np.abs(top))
     order = _lex_order(values, vectors)
-    out_values = values[order]
-    out_values.setflags(write=False)
-    return out_values, _frozen(vectors[:, order])
+    values, vectors = values[order], vectors[:, order]  # fresh gathers, frozen in place
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
 
 
 def _eigh_canonical(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,19 +253,18 @@ def null_of(m, tol: Tolerances | None = None) -> Subspace:
 
 def projector_from(s: Subspace) -> np.ndarray:
     """Orthogonal projector ``P = sum_k b_k b_k^dag`` onto the subspace."""
-    if s.dimension == 0:
-        return np.zeros((s.ambient_dim, s.ambient_dim), dtype=complex)
     return s.basis @ s.basis.conj().T
 
 
 def intersect(a: Subspace, *rest: Subspace, tol: Tolerances | None = None) -> Subspace:
     """Intersection of one or more subspaces (a single one is returned as it is).
 
-    Computed by principal angles (Björck and Golub 1973): the singular values
-    of ``B_a^dag B_b`` are their cosines, and ``B_a`` times the left singular
-    vectors with cosine above ``1 - 2 overlap_tol`` spans the result.  That is
-    the mean projector ``(P_a + P_b) / 2`` eigenvalue ``(1 + cos theta) / 2``
-    above ``1 - overlap_tol``.  Further subspaces fold in left to right.
+    One left fold of principal-angle steps (Björck and Golub 1973) over bare
+    bases: the singular values of ``B^dag B_next`` are the cosines between the
+    running basis ``B`` and the next subspace, and ``B`` times the left singular
+    vectors with cosine above ``1 - 2 overlap_tol`` (mean-projector eigenvalue
+    above ``1 - overlap_tol``) is the next ``B``, until it is empty.  Only the
+    result is made :func:`_canonical` (keyed by the last cosines) and checked.
 
     Raises
     ------
@@ -272,16 +273,15 @@ def intersect(a: Subspace, *rest: Subspace, tol: Tolerances | None = None) -> Su
     """
     tol = tol or DEFAULT_TOLERANCES
     for s in rest:
-        a = _intersect_pair(a, s, tol)
-    return a
-
-
-def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    u, cosines, _ = np.linalg.svd(a.basis.conj().T @ b.basis, full_matrices=False)
-    keep = cosines > 1.0 - 2.0 * tol.overlap_tol
-    _, basis = _canonical(cosines[keep], a.basis @ u[:, keep])
-    return Subspace(a.ambient_dim, basis)
+        if s.ambient_dim != a.ambient_dim:
+            raise AmbientMismatch(f"ambient dimensions differ: {a.ambient_dim} vs {s.ambient_dim}")
+    if not rest:
+        return a
+    basis = a.basis
+    for s in rest:
+        u, cosines, _ = np.linalg.svd(basis.conj().T @ s.basis, full_matrices=False)
+        keep = cosines > 1.0 - 2.0 * tol.overlap_tol
+        basis = basis @ u[:, keep]
+        if basis.shape[1] == 0:
+            break
+    return Subspace(a.ambient_dim, _canonical(cosines[keep], basis)[1])
