@@ -24,7 +24,6 @@ from .linalg import (
     _split_spectrum,
     intersect,
     max_abs,
-    projector_from,
     support_of,  # no longer called here; stays bound for code that reaches it via compat
 )
 from .states import DensityMatrix
@@ -122,6 +121,10 @@ def _common_support(states: Sequence[DensityMatrix], tol: Tolerances) -> Subspac
 # 0.21, 1.5 and 12.5 ms.  32 x 32 blocks take twice as long for one product
 # (D = 64 and 256) and save at most 15% on deep stacks.
 _BLOCK = 64
+# Bytes of products a left state forms before both max passes reduce them.
+# At (D, n) = (64, 32), one BLAS thread: 26.6 ms a call at 256 KiB (4 partners),
+# 27.8 at 512 KiB, 27.6 at 1 MiB, 29.6 unchunked; from D = 128 up a chunk is one partner.
+_CHUNK_BYTES = 256 * 1024
 # Smallest D at which a thin factor stands in for a low-rank state.  Below it
 # the thin factor's extra array calls cost more than the flops they save: for
 # 7 partners the dense product takes 1.7, 4.7 and 11 us at D = 8, 16 and 24,
@@ -134,16 +137,17 @@ def _hermitian_deviation(p: np.ndarray) -> np.ndarray:
 
     ``|P - P^dag|`` is symmetric, so only blocks on or above the diagonal are
     read, each against its mirror block: a whole-stack transposed read walks
-    rows ``16 D`` bytes apart and is the slow pass at D = 256.
+    rows ``16 D`` bytes apart and is the slow pass at D = 256.  Only a
+    transposed copy of each mirror block is written, never ``p``.
     """
     dim = p.shape[-1]
     out = None
     for r in range(0, dim, _BLOCK):
         for c in range(r, dim, _BLOCK):
-            block = np.abs(
-                p[:, r : r + _BLOCK, c : c + _BLOCK]
-                - p[:, c : c + _BLOCK, r : r + _BLOCK].conj().transpose(0, 2, 1)
-            ).max(axis=(1, 2))
+            q = p[:, c : c + _BLOCK, r : r + _BLOCK].transpose(0, 2, 1).copy()
+            np.conjugate(q, out=q)
+            np.subtract(p[:, r : r + _BLOCK, c : c + _BLOCK], q, out=q)
+            block = np.abs(q).max(axis=(1, 2))
             out = block if out is None else np.maximum(out, block, out=out)
     return out
 
@@ -169,8 +173,9 @@ def _pairwise_norms(
     in which both ranks are at least ``D / 2``, is formed densely as
     ``rho_i rho_j`` with ``i`` first in the caller's order, and gets exactly
     those bits.
-    Each left state multiplies against the stack of its later partners in
-    one batched product: transient memory is O(n D^2).
+    Each left state forms its products ``_CHUNK_BYTES`` (at least one partner)
+    at a time and reduces them while they are in cache: transient memory is
+    one chunk, not O(n D^2), and each product is still its own GEMM, bit for bit.
     """
     tol = tol or DEFAULT_TOLERANCES
     n, dim = len(states), states[0].dim
@@ -186,17 +191,18 @@ def _pairwise_norms(
     # the norms of pair (i, j) land at [:, i, j] or [:, j, i], as it is formed
     norms = np.zeros((2, n, n))
     caller = np.array(order)  # the caller's index of each stacked state
+    step = max(1, _CHUNK_BYTES // (16 * dim * dim))
     for pos, i in enumerate(order[:-1]):
         k = ranks[i]
-        if k == dim:
-            p = m[pos] @ m[pos + 1 :]
-        else:
-            values, vectors = states[i].spectrum
-            v = vectors[:, :k]
-            p = v @ ((values[:k, None] * v.conj().T) @ m[pos + 1 :])
-        partners = caller[pos + 1 :]
-        norms[0, i, partners] = np.abs(p).max(axis=(1, 2))
-        norms[1, i, partners] = _hermitian_deviation(p)
+        if k < dim:
+            v = states[i].spectrum[1][:, :k]
+            scaled = states[i].spectrum[0][:k, None] * v.conj().T  # Lambda V^dag
+        for lo in range(pos + 1, n, step):
+            chunk = m[lo : lo + step]
+            p = m[pos] @ chunk if k == dim else v @ (scaled @ chunk)
+            partners = caller[lo : lo + step]
+            norms[0, i, partners] = np.abs(p).max(axis=(1, 2))
+            norms[1, i, partners] = _hermitian_deviation(p)
     # the mirror entry of each pair is 0, so adding it is exact; the upper
     # triangle read row by row is combinations order
     products, commutators = norms + norms.transpose(0, 2, 1)
@@ -293,7 +299,9 @@ class NullSpaceLeak:
     ``leaked_norm`` is the max-entry norm of the joint state restricted to
     the observer's null space; any zero-probability outcome of the observer
     must stay at zero probability under the joint assignment, so this norm
-    must vanish for an admissible joint state.
+    must vanish for an admissible joint state.  It is read from the joint's
+    kept spectrum, so it lies within ``delta_J`` (the largest eigenvalue magnitude
+    at or below ``eigenvalue_zero_tol``, 0 if none) of the dense ``max |N^dag J N|``.
     """
 
     observer_index: int
@@ -307,7 +315,8 @@ class JointConstraintReport:
     """Diagnostics from :func:`verify_joint`.
 
     ``leakage`` is ``max |(I - P_common) P_joint|``: how far the joint
-    support sticks out of the common support intersection.
+    support sticks out of the common support intersection, and alone decides
+    the verdict; each ``leaked_norm`` is within ``delta_J`` of the dense one.
     """
 
     leakage: float
@@ -323,24 +332,26 @@ def verify_joint(
 
     Admissible iff the support of ``joint`` lies inside the intersection of
     the observers' supports.  The report also measures, per observer, the
-    joint state restricted to that observer's null space.
+    joint state restricted to that observer's null space.  Both read the
+    joint's kept spectrum ``W Lambda W^dag``: no D x D x D product is formed.
     """
     tol = tol or DEFAULT_TOLERANCES
     if not observers:
         raise ValueError("verify_joint needs at least one observer state")
     _require_equal_dims([joint, *observers])
-    common = _common_support(observers, tol)
+    b_common = _common_support(observers, tol).basis
 
-    # (I - P_c) P_j = P_j - B_c (B_c^dag P_j): no identity, no D x D x D product
-    b_common = common.basis
-    p_joint = projector_from(_support(joint, "joint state", tol))
-    leakage = max_abs(p_joint - b_common @ (b_common.conj().T @ p_joint))
+    # (I - P_c) P_j = (W - B_c (B_c^dag W)) W^dag, with P_j = W W^dag
+    w = _support(joint, "joint state", tol).basis
+    kept = joint.spectrum[0][: w.shape[1]]
+    leakage = max_abs((w - b_common @ (b_common.conj().T @ w)) @ w.conj().T)
 
     leaks = []
     for k, obs in enumerate(observers):
         null = _split_spectrum(*obs.spectrum, tol)[1].basis
-        # a trivial null space restricts joint to a (0, 0) block, whose max_abs is 0.0
-        leaked = max_abs(null.conj().T @ joint.matrix @ null)
+        # N^dag J N within delta_J; a trivial null space gives a (0, 0) block, max_abs 0.0
+        x = null.conj().T @ w
+        leaked = max_abs((x * kept) @ x.conj().T)
         leaks.append(NullSpaceLeak(k, obs.label, null.shape[1], leaked))
     report = JointConstraintReport(leakage=leakage, per_observer=tuple(leaks))
     return leakage <= tol.overlap_tol, report

@@ -151,10 +151,19 @@ class Subspace:
 def _lex_order(keys: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Column order by descending ``keys``; exact ties go to the column that is
     lexicographically smaller over its interleaved ``(re, im)`` entries."""
-    dim, k = vectors.shape
-    rows = np.stack([vectors.real, vectors.imag], axis=1).reshape(2 * dim, k)
-    # np.lexsort sorts by its last key first
-    return np.lexsort(np.vstack([rows[::-1], -keys]))
+    order = np.argsort(-keys, kind="stable")
+    ranked = keys[order]
+    same = ranked[1:] == ranked[:-1]
+    if not same.any():
+        return order
+    # one lexsort over the tied columns alone, by group first (np.lexsort sorts
+    # by its last key first); stability keeps equal columns in index order
+    tied = np.concatenate(([False], same)) | np.concatenate((same, [False]))
+    group = np.concatenate(([0], np.cumsum(~same)))[tied]
+    cols = order[tied]
+    rows = np.stack([vectors.real[:, cols], vectors.imag[:, cols]], axis=1)
+    order[tied] = cols[np.lexsort(np.vstack([rows.reshape(-1, cols.size)[::-1], group]))]
+    return order
 
 
 def _canonical(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
