@@ -43,6 +43,11 @@ class Tolerances:
     eigenvalue_zero_tol : float
         Eigenvalues at or below this count as zero (support membership).  The
         compatibility checks reject (``ValueError``) a state it leaves no support.
+        Validation rejects a state whose ``eigvalsh`` smallest eigenvalue lies
+        below ``-eigenvalue_zero_tol``; it proves the rest positive by a
+        Cholesky factorization shifted by just under this value, so at 0 (or
+        below about ``10 D`` unit roundoffs, 3e-13 at ``D = 256``) every state
+        pays ``eigvalsh`` instead.
     trace_tol : float
         Max allowed deviation of a density-matrix trace from one.
     overlap_tol : float

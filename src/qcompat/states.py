@@ -54,6 +54,19 @@ __all__ = [
 # bounds bookkeeping of weights, not a measured state, so it is no ``Tolerances`` field.
 WEIGHT_TOL = 1e-9
 
+# Structural, like ``linalg.ORTHONORMALITY_TOL``: the rounding allowances of the
+# Cholesky positivity certificate (:func:`_positivity_certified`).  They bound
+# LAPACK's rounding, not a measured state, so no user setting should move them.
+# The computed factor ``R`` of ``A = h + sI`` satisfies ``R^H R = A + dA`` with
+# ``||dA||_2 <= gamma_{D+1} ||R||_F^2`` (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., Thm 10.5, which needs no definiteness); the
+# factor 2 covers complex arithmetic, the rounded shift and the rounded trace
+# that bounds ``||R||_F^2``.  ``eigvalsh``'s eigenvalues are taken to lie within
+# ``8 D u ||h||_2`` of the exact ones.
+_CHOLESKY_ERROR_FACTOR = 2
+_EIGVALSH_ROUNDING_FACTOR = 8
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 
 def _check_weights(weights: Sequence[float], what: str) -> None:
     """The one rule for mixture weights: each strictly positive, and their sum
@@ -163,6 +176,33 @@ class Ensemble:
         return self.components[0][1].dim
 
 
+def _positivity_certified(h: np.ndarray, t: float) -> bool:
+    """Whether one Cholesky factorization proves ``eigvalsh(h)[0] >= -t``.
+
+    Factors ``h + sI`` with the shift ``s`` just below ``t``.  Once the factor
+    exists, ``h`` has no eigenvalue below ``-t``, and its largest lies below
+    ``scale = sum_i |h_ii| + D t`` (its eigenvalues sum to the trace), so
+    ``||h||_2 <= scale``.  ``s`` is chosen so that the Cholesky backward error
+    and ``eigvalsh``'s rounding together, both bounded through ``scale``, fit
+    in ``t - s``.  False means undecided (the factorization failed, or
+    ``t`` is too small for any shift), never that ``h`` fails.
+    """
+    d = h.shape[0]
+    gamma = (d + 1) * _UNIT_ROUNDOFF / (1 - (d + 1) * _UNIT_ROUNDOFF)
+    scale = float(np.abs(np.diagonal(h).real).sum()) + d * t
+    rounding = _CHOLESKY_ERROR_FACTOR * gamma + _EIGVALSH_ROUNDING_FACTOR * d * _UNIT_ROUNDOFF
+    shift = t - rounding * scale
+    if not shift > 0:
+        return False
+    shifted = h.copy()
+    shifted.reshape(-1)[:: d + 1] += shift  # the diagonal of the fresh C-ordered copy
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def validate_density(
     m, tol: Tolerances | None = None, label: str | None = None
 ) -> DensityMatrix:
@@ -172,8 +212,16 @@ def validate_density(
     Hermitian part the state holds, and rejects with the full violation list;
     the raised class corresponds to the first violated invariant in that order.
 
+    Positivity means ``eigvalsh``'s smallest eigenvalue is at least
+    ``-eigenvalue_zero_tol``.  One Cholesky factorization certifies that
+    under a stated rounding bound (:func:`_positivity_certified`); only
+    where it cannot decide does ``eigvalsh`` run, and a ``NotPSD`` reports
+    its ``lambda_min``.  Either way the same inputs pass.
+
     Raises
     ------
+    ValueError
+        Empty (0 x 0) input.
     NotSquare
         Non-square input.
     NotHermitian, NotPSD, TraceNotOne
@@ -184,6 +232,8 @@ def validate_density(
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"density matrix must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError(f"density matrix must be at least 1 x 1, got shape {a.shape}")
     rho = DensityMatrix(a, label=label)
 
     violations: list[tuple[str, float, float]] = []
@@ -191,10 +241,10 @@ def validate_density(
     if hermiticity > tol.hermiticity_tol:
         violations.append(("hermiticity", hermiticity, tol.hermiticity_tol))
 
-    lam = np.linalg.eigvalsh(rho.matrix)
-    lam_min = float(lam[0])
-    if lam_min < -tol.eigenvalue_zero_tol:
-        violations.append(("positivity lambda_min", lam_min, tol.eigenvalue_zero_tol))
+    if not _positivity_certified(rho.matrix, tol.eigenvalue_zero_tol):
+        lam_min = float(np.linalg.eigvalsh(rho.matrix)[0])
+        if lam_min < -tol.eigenvalue_zero_tol:
+            violations.append(("positivity lambda_min", lam_min, tol.eigenvalue_zero_tol))
 
     trace = complex(np.trace(a))
     if abs(trace - 1.0) > tol.trace_tol:

@@ -2,15 +2,17 @@
 
 Every ``DensityMatrix`` eigendecomposes once and keeps its spectrum, and
 supports intersect through an SVD of the small ``k_a x k_b`` overlap matrix,
-so the counts below are exact.  Counting wrappers around
-``numpy.linalg.eigh`` and ``numpy.linalg.eigvalsh`` record the shape of
-every operand.
+so the counts below are exact.  Validation certifies positivity with one
+Cholesky factorization and runs ``eigvalsh`` only where that cannot decide.
+Counting wrappers around ``numpy.linalg.eigh``, ``numpy.linalg.eigvalsh``
+and ``numpy.linalg.cholesky`` record the shape of every operand.
 """
 
 import numpy as np
 import pytest
 
 from qcompat import (
+    NotPSD,
     build_shared_decomposition,
     build_witness,
     check_bfm,
@@ -22,7 +24,12 @@ from qcompat import (
 )
 from qcompat.cli import cli_main
 from qcompat.formats import serialize_matrix
-from conftest import compatible_pair, random_density_conditioned, random_pure
+from conftest import (
+    compatible_pair,
+    random_density_conditioned,
+    random_pure,
+    random_unitary,
+)
 
 DIM = 6
 
@@ -58,6 +65,11 @@ def eigh_calls(monkeypatch):
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     return count_calls(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    return count_calls(monkeypatch, "cholesky")
 
 
 def planted_states(rng, n):
@@ -136,13 +148,57 @@ def test_cli_witness_path_budget(eigh_calls, tmp_path):
     assert eigh_calls.take() == 2
 
 
-def test_simulate_validates_two_system_states(eigh_calls, eigvalsh_calls):
+def test_simulate_validates_two_system_states(eigh_calls, eigvalsh_calls, cholesky_calls):
     a, b, _ = compatible_pair(np.random.default_rng(500), DIM)
     w = build_witness(build_shared_decomposition(a, b))
     assert w.dims[0] > 1 and w.dims[1] > 1
     eigh_calls.take()
     eigvalsh_calls.take()
+    cholesky_calls.take()
     simulate_protocol(w)
-    # one validation per reduced state; nothing on ancilla (x) system
-    assert eigvalsh_calls.shapes == [(DIM, DIM), (DIM, DIM)]
+    # one certificate per reduced state; nothing on ancilla (x) system
+    assert cholesky_calls.shapes == [(DIM, DIM), (DIM, DIM)]
+    assert eigvalsh_calls.shapes == []
     assert eigh_calls.shapes == []
+
+
+def test_valid_state_validates_without_eigendecomposition(
+    eigh_calls, eigvalsh_calls, cholesky_calls
+):
+    rng = np.random.default_rng(600)
+    matrices = [random_density_conditioned(rng, DIM, rank).matrix for rank in (1, DIM // 2, DIM)]
+    eigh_calls.take()
+    eigvalsh_calls.take()
+    cholesky_calls.take()
+    for m in matrices:
+        validate_density(m)
+    assert cholesky_calls.take() == 3
+    assert eigvalsh_calls.shapes == []
+    assert eigh_calls.shapes == []
+
+
+def test_cli_check_budget(eigh_calls, eigvalsh_calls, tmp_path):
+    states, _ = planted_states(np.random.default_rng(700), 3)
+    paths = []
+    for i, rho in enumerate(states):
+        path = tmp_path / f"s{i}.json"
+        path.write_text(serialize_matrix(rho.matrix, label=f"s{i}"))
+        paths.append(str(path))
+    eigh_calls.take()
+    eigvalsh_calls.take()
+    assert cli_main(["check", *paths]) == 0
+    # from file to verdict: one eigh per state, no eigvalsh
+    assert eigh_calls.take() == 3
+    assert eigvalsh_calls.shapes == []
+
+
+def test_not_psd_input_makes_one_eigvalsh(eigvalsh_calls):
+    rng = np.random.default_rng(800)
+    frame = random_unitary(rng, DIM)
+    weights = np.full(DIM, 1.0 / (DIM - 1))
+    weights[-1] = -1.0 / (DIM - 1)
+    weights /= weights.sum()
+    with pytest.raises(NotPSD) as info:
+        validate_density((frame * weights) @ frame.conj().T)
+    assert info.value.violations[0][0] == "positivity lambda_min"
+    assert eigvalsh_calls.shapes == [(DIM, DIM)]

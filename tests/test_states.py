@@ -79,6 +79,11 @@ def test_validate_reports_every_violation():
     assert names == ["positivity lambda_min", "trace"]
 
 
+def test_validate_rejects_empty_matrix():
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        validate_density(np.zeros((0, 0)))
+
+
 def test_pure_state_requires_unit_norm():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]))
