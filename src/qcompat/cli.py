@@ -25,7 +25,7 @@ from .errors import (
     StateValidationError,
     ZeroProbabilityOutcome,
 )
-from .linalg import Tolerances, _split_spectrum, max_abs
+from .linalg import Tolerances, max_abs, support_of
 from .states import DensityMatrix, validate_density
 from .witness import ROUND_TRIP_TOL, build_shared_decomposition, build_witness, simulate_protocol
 
@@ -166,7 +166,7 @@ def _cmd_validate(args: argparse.Namespace, tol: Tolerances) -> int:
 
 def _cmd_support(args: argparse.Namespace, tol: Tolerances) -> int:
     state = _load_state(args.file, tol)
-    supp, _ = _split_spectrum(*state.spectrum, tol)
+    supp = support_of(state.matrix, tol)
     print(f"support dimension {supp.dimension} of {supp.ambient_dim}")
     for k in range(supp.dimension):
         coeffs = ", ".join(

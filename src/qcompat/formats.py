@@ -271,8 +271,8 @@ def parse_matrix(source: str | Path | IO) -> tuple[np.ndarray, str | None]:
 def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
     """Canonical matrix-file text for a square complex matrix."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a square matrix of at least 1 x 1, got shape {m.shape}")
     doc: dict = {"schema_version": SCHEMA_VERSION, "dim": int(m.shape[0])}
     if label is not None:
         doc["label"] = label

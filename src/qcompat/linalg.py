@@ -67,6 +67,8 @@ class Tolerances:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
+            if isinstance(value, (bool, np.bool_)):  # a report would write true, not a number
+                raise ValueError(f"{field.name} must be a number, got {value!r}")
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{field.name} must be finite and nonnegative, got {value!r}")
         if not 1e-12 <= self.overlap_tol < 0.5:
@@ -90,10 +92,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a complex128 matrix, rejecting non-2D or non-finite input."""
+    """Coerce to a complex128 matrix under the one intake rule for matrix operands:
+    2-D, at least 1 x 1 and finite (else ``ValueError``), square (else ``NotSquare``)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
+    if a.shape[0] != a.shape[1]:
+        raise NotSquare(f"matrix must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError(f"matrix must be at least 1 x 1, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -216,8 +223,8 @@ def hermitian_eigendecompose(
 
     Raises
     ------
-    NotSquare
-        If ``m`` is not square.
+    ValueError, NotSquare
+        If ``m`` fails :func:`as_complex_matrix`.
     NotHermitian
         If ``max |m - m^dag|`` exceeds ``hermiticity_tol``.
     ValueError
@@ -226,8 +233,6 @@ def hermitian_eigendecompose(
     """
     tol = tol or DEFAULT_TOLERANCES
     a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"matrix has shape {a.shape}")
     deviation = max_abs(a - a.conj().T)
     if deviation > tol.hermiticity_tol:
         raise NotHermitian([("hermiticity", deviation, tol.hermiticity_tol)])

@@ -20,7 +20,6 @@ from .errors import (
     EmptyKeep,
     NotHermitian,
     NotPSD,
-    NotSquare,
     TraceNotOne,
     ZeroProbabilityOutcome,
 )
@@ -130,8 +129,6 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise NotSquare(f"density matrix has shape {m.shape}")
         h = (m + m.conj().T) / 2
         h.setflags(write=False)
         object.__setattr__(self, "matrix", h)
@@ -220,20 +217,14 @@ def validate_density(
 
     Raises
     ------
-    ValueError
-        Empty (0 x 0) input.
-    NotSquare
-        Non-square input.
+    ValueError, NotSquare
+        Input that fails :func:`~qcompat.linalg.as_complex_matrix`.
     NotHermitian, NotPSD, TraceNotOne
         Physicality violations; ``.violations`` carries every failed
         invariant with its measured magnitude.
     """
     tol = tol or DEFAULT_TOLERANCES
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"density matrix must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError(f"density matrix must be at least 1 x 1, got shape {a.shape}")
+    a = np.asarray(m, dtype=complex)  # the input as given; the state checks its shape
     rho = DensityMatrix(a, label=label)
 
     violations: list[tuple[str, float, float]] = []

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcompat import MalformedFile, ShapeMismatch, formats
@@ -85,6 +85,23 @@ def test_writer_rejects_non_finite_values_as_before():
         with pytest.raises(ValueError) as exc:
             serialize_matrix(m)
         assert str(exc.value) == f"cannot serialize non-finite number {text}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.lists(st.integers(0, 4), max_size=3), seed=st.integers(0, 2**32 - 1))
+@example(shape=[0, 0], seed=0)
+@example(shape=[1, 1], seed=1)
+def test_every_matrix_the_writer_accepts_reads_back(shape, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    try:
+        text = serialize_matrix(m)
+    except ValueError as exc:
+        assert str(exc) == f"expected a square matrix of at least 1 x 1, got shape {m.shape}"
+        assert len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0
+        return
+    back, label = parse_matrix(io.StringIO(text))
+    assert label is None and np.array_equal(back, m)
 
 
 # ---------------------------------------------------------------------------

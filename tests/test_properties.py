@@ -60,10 +60,11 @@ def planted_sets(draw):
 
     Each support is ``C (+) W_i`` with ``W_i`` random in the complement of
     ``C``; any two ``W_i`` fit together in that complement, so generically
-    they meet only at zero and the intersection is exactly ``C``.
+    they meet only at zero and the intersection is exactly ``C``.  ``D``
+    reaches 64, past the ``D = 32`` floor of the thin pairwise products.
     """
-    dim = draw(st.integers(2, 16))
-    n = draw(st.integers(2, 5))
+    dim = draw(st.integers(2, 64))
+    n = draw(st.integers(2, 8))
     common = draw(st.integers(0, dim // 2))
     free = dim - common
     extras = draw(

@@ -11,6 +11,7 @@
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -69,6 +70,33 @@ def test_report_file_below_the_floor_is_malformed():
     with pytest.raises(MalformedFile) as exc:
         parse_report_document(doc)
     assert str(exc.value) == "tolerances_used: overlap_tol must be at least 1e-12, got 1e-13"
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(Tolerances)])
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+def test_tolerances_reject_a_bool(field, value):
+    # a report would write it as true or false, which its reader rejects
+    with pytest.raises(ValueError) as exc:
+        Tolerances(**{field: value})
+    assert str(exc.value) == f"{field} must be a number, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [
+        Tolerances(hermiticity_tol=1, eigenvalue_zero_tol=0, trace_tol=1),
+        Tolerances(hermiticity_tol=1e-6, eigenvalue_zero_tol=1e-8, trace_tol=1e-6, overlap_tol=1e-3),
+    ],
+    ids=["int", "float"],
+)
+def test_report_with_number_tolerances_reads_back(tol):
+    pure = validate_density(np.diag([1.0, 0.0]))
+    mixed = validate_density(np.eye(2) / 2)
+    report = check_bfm([pure, mixed], tol)
+    doc = json.loads(dumps_canonical(report_document(report, ["a", "b"])))
+    back = parse_report_document(doc).report
+    assert back.tolerances_used == tol
+    assert back.verdict_bfm == report.verdict_bfm
 
 
 def write_state(path, matrix):
