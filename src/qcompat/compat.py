@@ -99,20 +99,11 @@ def _require_equal_dims(states: Sequence[DensityMatrix]) -> int:
     return dims.pop()
 
 
-def _support(state: DensityMatrix, name: str, tol: Tolerances) -> Subspace:
-    """Kept support of ``state``; a zero cutoff that empties it raises ValueError."""
-    support, _ = _split_spectrum(*state.spectrum, tol)
-    if support.dimension == 0:
-        top, cutoff = state.spectrum[0][0], tol.eigenvalue_zero_tol
-        raise ValueError(f"{name} (label {state.label!r}) has an empty support: its largest "
-                         f"eigenvalue {top:.6g} is at or below eigenvalue_zero_tol {cutoff!r}")
-    return support
-
-
 def _common_support(states: Sequence[DensityMatrix], tol: Tolerances) -> Subspace:
     """Intersection of the nonempty supports of ``states``, which share one dimension."""
     _require_equal_dims(states)
-    return intersect(*(_support(s, f"state {k}", tol) for k, s in enumerate(states)), tol=tol)
+    return intersect(*(_split_spectrum(s.spectrum, tol, f"state {k} (label {s.label!r})").support
+                       for k, s in enumerate(states)), tol=tol)
 
 
 # Row/column block edge of the commutator pass: a stack of 64 x 64 complex
@@ -179,11 +170,9 @@ def _pairwise_norms(
     """
     tol = tol or DEFAULT_TOLERANCES
     n, dim = len(states), states[0].dim
-    ranks = [dim] * n  # rank below D / 2: the kept factor stands in, else dim
-    if dim >= _THIN_MIN_DIM:
-        for i, s in enumerate(states):
-            k = int(np.count_nonzero(s.spectrum[0] > tol.eigenvalue_zero_tol))
-            ranks[i] = k if 2 * k < dim else dim
+    # from _THIN_MIN_DIM up, a rank below D / 2 lets the kept factor stand in, else it is dim
+    splits = [_split_spectrum(s.spectrum, tol, psd=False) for s in states if dim >= _THIN_MIN_DIM]
+    ranks = [split.rank if 2 * split.rank < dim else dim for split in splits] or [dim] * n
     # thin states by rank (stable), then the dense ones in the caller's
     # order: no partner after a left state has a smaller rank
     order = sorted(range(n), key=ranks.__getitem__)
@@ -195,8 +184,8 @@ def _pairwise_norms(
     for pos, i in enumerate(order[:-1]):
         k = ranks[i]
         if k < dim:
-            v = states[i].spectrum[1][:, :k]
-            scaled = states[i].spectrum[0][:k, None] * v.conj().T  # Lambda V^dag
+            v = splits[i].support.basis
+            scaled = splits[i].kept[:, None] * v.conj().T  # Lambda V^dag
         for lo in range(pos + 1, n, step):
             chunk = m[lo : lo + step]
             p = m[pos] @ chunk if k == dim else v @ (scaled @ chunk)
@@ -270,14 +259,6 @@ def check_bfm(
     )
 
 
-def _pure_support(rho: DensityMatrix, tol: Tolerances) -> Subspace:
-    """Support of a rank-1 state; raises NotPure otherwise."""
-    support, _ = _split_spectrum(*rho.spectrum, tol)
-    if support.dimension != 1:
-        raise NotPure(f"state has rank {support.dimension}, expected 1")
-    return support
-
-
 def check_pure_pair(
     a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = None
 ) -> bool:
@@ -289,7 +270,13 @@ def check_pure_pair(
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])
-    return intersect(_pure_support(a, tol), _pure_support(b, tol), tol=tol).dimension > 0
+    supports = []
+    for rho in (a, b):
+        split = _split_spectrum(rho.spectrum, tol)
+        if split.rank != 1:
+            raise NotPure(f"state has rank {split.rank}, expected 1")
+        supports.append(split.support)
+    return intersect(*supports, tol=tol).dimension > 0
 
 
 @dataclass(frozen=True)
@@ -342,13 +329,13 @@ def verify_joint(
     b_common = _common_support(observers, tol).basis
 
     # (I - P_c) P_j = (W - B_c (B_c^dag W)) W^dag, with P_j = W W^dag
-    w = _support(joint, "joint state", tol).basis
-    kept = joint.spectrum[0][: w.shape[1]]
+    split = _split_spectrum(joint.spectrum, tol, f"joint state (label {joint.label!r})")
+    w, kept = split.support.basis, split.kept
     leakage = max_abs((w - b_common @ (b_common.conj().T @ w)) @ w.conj().T)
 
     leaks = []
     for k, obs in enumerate(observers):
-        null = _split_spectrum(*obs.spectrum, tol)[1].basis
+        null = _split_spectrum(obs.spectrum, tol).null.basis
         # N^dag J N within delta_J; a trivial null space gives a (0, 0) block, max_abs 0.0
         x = null.conj().T @ w
         leaked = max_abs((x * kept) @ x.conj().T)

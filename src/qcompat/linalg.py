@@ -11,6 +11,7 @@ row-major.  All functions are pure; returned arrays are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,35 +240,51 @@ def hermitian_eigendecompose(
     return _eigh_canonical((a + a.conj().T) / 2)
 
 
-def _split_spectrum(values, vectors, tol: Tolerances) -> tuple[Subspace, Subspace]:
-    """(support, null space) of a spectrum from :func:`_eigh_canonical`, split
-    at ``eigenvalue_zero_tol``.
+class _Split(NamedTuple):
+    """:func:`_split_spectrum` of one spectrum.  Both bases are read-only views into
+    its eigenvector matrix: no copy and no second orthonormality check."""
 
-    Both bases are read-only views into ``vectors``: no copy and no second
-    orthonormality check.  Raises NegativeEigenvalue if an eigenvalue is below
-    ``-eigenvalue_zero_tol``.
+    rank: int  # the count of eigenvalues above eigenvalue_zero_tol
+    kept: np.ndarray  # those eigenvalues
+    support: Subspace
+    null: Subspace
+
+
+def _split_spectrum(spectrum, tol: Tolerances, name: str | None = None, *, psd=True) -> _Split:
+    """The one split of a spectrum from :func:`_eigh_canonical` at ``eigenvalue_zero_tol``.
+
+    The rank reads no sign.  Unless ``psd`` is False, an eigenvalue below
+    ``-eigenvalue_zero_tol`` raises NegativeEigenvalue; given a ``name``, a
+    cutoff that empties the support raises ValueError naming that state.
     """
-    lam_min = float(values[-1]) if values.size else 0.0
-    if lam_min < -tol.eigenvalue_zero_tol:
-        raise NegativeEigenvalue([("positivity", lam_min, tol.eigenvalue_zero_tol)])
+    values, vectors = spectrum
+    if psd and values[-1] < -tol.eigenvalue_zero_tol:
+        raise NegativeEigenvalue([("positivity", float(values[-1]), tol.eigenvalue_zero_tol)])
     rank = int(np.count_nonzero(values > tol.eigenvalue_zero_tol))
-    return Subspace._view(vectors[:, :rank]), Subspace._view(vectors[:, rank:])
+    if rank == 0 and name is not None:
+        raise ValueError(f"{name} has an empty support: its largest eigenvalue {values[0]:.6g} "
+                         f"is at or below eigenvalue_zero_tol {tol.eigenvalue_zero_tol!r}")
+    support, null = Subspace._view(vectors[:, :rank]), Subspace._view(vectors[:, rank:])
+    return _Split(rank, values[:rank], support, null)
 
 
 def support_of(m, tol: Tolerances | None = None) -> Subspace:
     """Span of the eigenvectors with eigenvalue above ``eigenvalue_zero_tol``.
 
-    Requires a Hermitian PSD input; the orthogonal complement of the result
-    is exactly :func:`null_of` of the same matrix.
+    Requires a Hermitian PSD input (else NegativeEigenvalue); the orthogonal
+    complement of the result is exactly :func:`null_of` of the same matrix.
     """
     tol = tol or DEFAULT_TOLERANCES
-    return _split_spectrum(*hermitian_eigendecompose(m, tol), tol)[0]
+    return _split_spectrum(hermitian_eigendecompose(m, tol), tol).support
 
 
 def null_of(m, tol: Tolerances | None = None) -> Subspace:
-    """Span of the eigenvectors with eigenvalue at or below the zero cutoff."""
+    """Span of the eigenvectors with eigenvalue at or below ``eigenvalue_zero_tol``.
+
+    Requires a Hermitian PSD input (else NegativeEigenvalue), as :func:`support_of` does.
+    """
     tol = tol or DEFAULT_TOLERANCES
-    return _split_spectrum(*hermitian_eigendecompose(m, tol), tol)[1]
+    return _split_spectrum(hermitian_eigendecompose(m, tol), tol).null
 
 
 def projector_from(s: Subspace) -> np.ndarray:

@@ -267,21 +267,14 @@ def from_ensemble(e: Ensemble, tol: Tolerances | None = None) -> DensityMatrix:
     return validate_density(_mixture(e.components), tol)
 
 
-def _support_weights(rho: DensityMatrix, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Support columns of ``rho``'s kept spectrum and their eigenvalues divided
-    by their sum, which gives back the mass the zero cutoff drops (up to ``D``
-    times ``eigenvalue_zero_tol``): weights read here sum to one in rounding."""
-    values, vectors = rho.spectrum
-    basis = _split_spectrum(values, vectors, tol)[0].basis
-    kept = values[: basis.shape[1]]
-    return basis, kept / kept.sum()
-
-
 def eigen_ensemble(rho: DensityMatrix, tol: Tolerances | None = None) -> Ensemble:
     """Canonical ensemble of the support eigenvectors, weighted by their
-    eigenvalues rescaled to sum to one (:func:`_support_weights`)."""
-    basis, weights = _support_weights(rho, tol or DEFAULT_TOLERANCES)
-    return Ensemble(tuple((float(w), PureState(v)) for w, v in zip(weights, basis.T)))
+    eigenvalues divided by their sum, which gives back the mass the zero cutoff
+    drops (up to ``D`` times ``eigenvalue_zero_tol``): the weights sum to one
+    in rounding.  A cutoff that empties the support raises ValueError."""
+    split = _split_spectrum(rho.spectrum, tol or DEFAULT_TOLERANCES, f"state (label {rho.label!r})")
+    weights = split.kept / split.kept.sum()
+    return Ensemble(tuple((float(w), PureState(v)) for w, v in zip(weights, split.support.basis.T)))
 
 
 def tensor(states: Sequence[DensityMatrix] | Sequence[PureState]):

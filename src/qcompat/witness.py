@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChiOutsideSupport, Incompatible, ZeroProbabilityOutcome
-from .linalg import DEFAULT_TOLERANCES, Tolerances, _lex_order
-from .states import DensityMatrix, PureState, _mixture, _support_weights, validate_density
+from .linalg import DEFAULT_TOLERANCES, Tolerances, _lex_order, _split_spectrum
+from .states import DensityMatrix, PureState, _mixture, validate_density
 from .states import _check_weights
 from .compat import _common_support
 
@@ -180,6 +180,8 @@ def max_common_weight(
     ChiOutsideSupport
         If ``chi`` leaves the support of ``rho`` by more than
         ``CHI_SUPPORT_RESIDUAL``.
+    ValueError
+        If the zero cutoff empties the support of ``rho``.
     """
     return _common_weight(rho, chi, tol or DEFAULT_TOLERANCES)[0]
 
@@ -189,14 +191,15 @@ def _common_weight(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The maximal weight ``p = 1/|u|^2`` of ``|chi><chi|`` in ``rho``, with
     ``u = L^(-1/2) V^dag chi`` for the support columns ``V`` of the kept
-    spectrum and their eigenvalues ``L`` rescaled to sum to one
-    (``states._support_weights``); returns ``p``, ``V``, ``L`` and
-    ``V^dag chi``.  Raises ``ChiOutsideSupport`` as :func:`max_common_weight`."""
+    spectrum and their eigenvalues ``L`` rescaled to sum to one, as
+    :func:`~qcompat.states.eigen_ensemble` weights them; returns ``p``, ``V``,
+    ``L`` and ``V^dag chi``.  Raises as :func:`max_common_weight`."""
     if rho.dim != chi.dim:
         raise ChiOutsideSupport(
             f"state dimension {chi.dim} does not match rho dimension {rho.dim}"
         )
-    basis, kept = _support_weights(rho, tol)
+    split = _split_spectrum(rho.spectrum, tol, f"state (label {rho.label!r})")
+    basis, kept = split.support.basis, split.kept / split.kept.sum()
     overlaps = basis.conj().T @ chi.amplitudes
     residual = float(np.linalg.norm(basis @ overlaps - chi.amplitudes))
     if residual > CHI_SUPPORT_RESIDUAL:

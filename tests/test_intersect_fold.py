@@ -88,7 +88,7 @@ def test_two_subspaces_match_the_oracle_step_bit_for_bit(dim):
                           Subspace(dim, random_subspace(rng, dim, kb))))
     # identical and nested supports, taken from kept spectra as the library does
     rho = random_density(rng, dim)
-    support = _split_spectrum(*rho.spectrum, tol)[0]
+    support = _split_spectrum(rho.spectrum, tol).support
     cases += [(support, support), (Subspace(dim, np.eye(dim, dtype=complex)), support)]
     for a, b in cases:
         got, want = intersect(a, b, tol=tol), oracle_step(a, b, tol)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcompat import Tolerances, max_abs, projector_from, validate_density, verify_joint
-from qcompat.compat import _common_support, _support
+from qcompat.compat import _common_support
 from qcompat.linalg import _split_spectrum
 from conftest import product_rounding, random_unitary
 
@@ -64,14 +64,14 @@ def assert_within_dense_rule(joint, observers):
     ok, report = verify_joint(joint, observers)
     dim = joint.dim
     b = _common_support(observers, TOL).basis
-    p_joint = projector_from(_support(joint, "joint", TOL))
+    p_joint = projector_from(_split_spectrum(joint.spectrum, TOL, "joint").support)
     dense = max_abs(p_joint - b @ (b.conj().T @ p_joint))
     assert abs(report.leakage - dense) <= product_rounding(dim)
     if abs(dense - TOL.overlap_tol) > product_rounding(dim):
         assert ok == (dense <= TOL.overlap_tol)
     slack = dropped(joint) + product_rounding(dim)
     for leak, obs in zip(report.per_observer, observers):
-        null = _split_spectrum(*obs.spectrum, TOL)[1].basis
+        null = _split_spectrum(obs.spectrum, TOL).null.basis
         assert leak.null_dim == null.shape[1]
         assert abs(leak.leaked_norm - max_abs(null.conj().T @ joint.matrix @ null)) <= slack
     return ok, report
@@ -110,7 +110,7 @@ def test_a_dropped_eigenvalue_in_a_null_space_is_not_reported():
     assert 0.0 < dropped(joint) <= 1.1e-10
     # N^dag J N holds 1e-10 x x^dag with x a unit vector in 12 dimensions,
     # so some |x_i|^2 is at least 1/12
-    null = _split_spectrum(*obs.spectrum, TOL)[1].basis
+    null = _split_spectrum(obs.spectrum, TOL).null.basis
     assert max_abs(null.conj().T @ joint.matrix @ null) > 0.9e-10 / 12
     assert report.per_observer[0].leaked_norm < 1e-15
 

@@ -275,7 +275,7 @@ def test_spectrum_first_use_is_safe_across_threads():
 def test_split_spectrum_returns_read_only_views_of_the_kept_spectrum():
     rho = random_density(np.random.default_rng(41), 6, rank=4)
     values, vectors = rho.spectrum
-    support, null = _split_spectrum(values, vectors, DEFAULT_TOLERANCES)
+    _, _, support, null = _split_spectrum((values, vectors), DEFAULT_TOLERANCES)
     assert (support.dimension, null.dimension) == (4, 2)
     for part in (support, null):
         assert np.shares_memory(part.basis, vectors)

@@ -7,7 +7,8 @@
 * An ``eigenvalue_zero_tol`` at or above a state's largest eigenvalue leaves
   it an empty support, and an intersection with an empty support is empty
   whatever the other states are.  The compatibility checks reject such a
-  state instead of reading the empty intersection as a verdict.
+  state instead of reading the empty intersection as a verdict, and so do
+  ``eigen_ensemble`` and ``max_common_weight``, with the same error.
 """
 
 import json
@@ -20,10 +21,13 @@ from hypothesis import strategies as st
 
 from qcompat import (
     MalformedFile,
+    PureState,
     Tolerances,
     build_shared_decomposition,
     check_bfm,
     choose_common_state,
+    eigen_ensemble,
+    max_common_weight,
     validate_density,
     verify_joint,
 )
@@ -129,6 +133,7 @@ def test_emptied_support_raises_in_every_check():
         lambda: check_bfm([m, m], tol),
         lambda: choose_common_state(m, m, tol),
         lambda: build_shared_decomposition(m, m, tol),
+        lambda: verify_joint(pure, [m], tol),
     ):
         with pytest.raises(ValueError) as exc:
             call()
@@ -139,6 +144,25 @@ def test_emptied_support_raises_in_every_check():
     with pytest.raises(ValueError) as exc:
         verify_joint(m, [pure], tol)
     assert str(exc.value) == f"joint state (label 'M') {EMPTIED}"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho, tol: eigen_ensemble(rho, tol),
+        lambda rho, tol: max_common_weight(rho, PureState(np.array([1.0, 0.0])), tol),
+    ],
+    ids=["eigen_ensemble", "max_common_weight"],
+)
+def test_emptied_support_raises_the_same_error_for_one_state(call):
+    # not "ensemble needs at least one component", nor ChiOutsideSupport
+    rho = validate_density(np.diag([0.6, 0.4]), label="R")
+    with pytest.raises(ValueError) as exc:
+        call(rho, Tolerances(eigenvalue_zero_tol=0.7))
+    assert str(exc.value) == (
+        "state (label 'R') has an empty support: its largest eigenvalue 0.6 "
+        "is at or below eigenvalue_zero_tol 0.7"
+    )
 
 
 @pytest.mark.parametrize("command", ["check", "witness"])
