@@ -52,7 +52,10 @@ class CompatReport:
     ``pairwise_conjunction``), with ``commutator_norm`` the worst pair and
     ``product_norm`` the weakest pair.  Both norms are max-entry norms taken
     from one product ``P = rho_a rho_b`` per pair: ``max |P|`` and
-    ``max |P - P^dag|``, since ``P^dag = rho_b rho_a``.
+    ``max |P - P^dag|``, since ``P^dag = rho_b rho_a``.  Only these two
+    extremes are computed in full: a commutator pass whose rounding bound,
+    just over ``2 max |P|``, cannot raise the maximum is skipped, which
+    changes no reported bit (see :func:`_fold_extremes`).
 
     At ``D >= 32`` a state of rank ``k < D / 2`` enters its pairs through its
     kept spectrum, ``rho = V Lambda V^dag`` without its eigenvalues at or below
@@ -114,13 +117,23 @@ def _common_support(states: Sequence[DensityMatrix], tol: Tolerances) -> Subspac
 _BLOCK = 64
 # Bytes of products a left state forms before both max passes reduce them.
 # At (D, n) = (64, 32), one BLAS thread: 26.6 ms a call at 256 KiB (4 partners),
-# 27.8 at 512 KiB, 27.6 at 1 MiB, 29.6 unchunked; from D = 128 up a chunk is one partner.
+# 27.8 at 512 KiB, 27.6 at 1 MiB, 29.6 unchunked; from D = 91 up a chunk is one partner.
 _CHUNK_BYTES = 256 * 1024
 # Smallest D at which a thin factor stands in for a low-rank state.  Below it
 # the thin factor's extra array calls cost more than the flops they save: for
 # 7 partners the dense product takes 1.7, 4.7 and 11 us at D = 8, 16 and 24,
 # the thin one 4.3, 6.3 and 11-15 us (one BLAS thread).
 _THIN_MIN_DIM = 32
+# Structural, like ``states._CHOLESKY_ERROR_FACTOR``: the skip rule of
+# :func:`_fold_extremes`.  With ``u = eps / 2`` and a faithful ``hypot``, each
+# computed ``|P_ab - conj(P_ba)|`` is at most ``(|P_ab| + |P_ba|)(1 + u)(1 + 2u)``
+# and each exact ``|P_ab|`` at most its computed value over ``1 - 2u``: about
+# ``2 (1 + 5u)`` times the computed ``max |P|``.  ``2 (1 + 16u)`` covers that
+# and its own rounding even for a ``hypot`` two ulps off.  Below the normal
+# range ``hypot`` errs by subnormal steps, not relatively; eight such steps
+# cover it.
+_COMMUTATOR_SLACK = 2 * (1 + 8 * np.finfo(float).eps)
+_COMMUTATOR_FLOOR = 8 * np.finfo(float).smallest_subnormal
 
 
 def _hermitian_deviation(p: np.ndarray) -> np.ndarray:
@@ -143,10 +156,26 @@ def _hermitian_deviation(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fold_extremes(p: np.ndarray, product, commutator):
+    """Fold the product stack ``p`` into the running ``(min max |P|, max max |P - P^dag|)``.
+
+    The commutator pass runs only when ``_COMMUTATOR_SLACK`` times the stack's
+    largest ``max |P|``, plus ``_COMMUTATOR_FLOOR``, exceeds ``commutator``,
+    since no computed ``|P - P^dag|`` entry exceeds that bound.  An all-zero
+    stack deviates by exactly 0; an infinite maximum bounds no NaN, and
+    ``np.minimum`` and ``np.maximum`` keep one, as a reduction over every pair does.
+    """
+    tops = np.abs(p).max(axis=(1, 2))
+    top = tops.max()
+    if not (top == 0 or _COMMUTATOR_SLACK * top + _COMMUTATOR_FLOOR <= commutator < np.inf):
+        commutator = np.maximum(commutator, _hermitian_deviation(p).max())
+    return np.minimum(product, tops.min()), commutator
+
+
 def _pairwise_norms(
     states: Sequence[DensityMatrix], tol: Tolerances | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(max |P|, max |P - P^dag|)`` per pair, in ``itertools.combinations`` order.
+) -> tuple[float, float]:
+    """``(min max |P|, max max |P - P^dag|)`` over the pairs of ``states``.
 
     ``P = rho_i rho_j``, so ``P^dag = rho_j rho_i`` and one product per pair
     gives both the PII product and the PI commutator.  Both norms are
@@ -167,6 +196,10 @@ def _pairwise_norms(
     Each left state forms its products ``_CHUNK_BYTES`` (at least one partner)
     at a time and reduces them while they are in cache: transient memory is
     one chunk, not O(n D^2), and each product is still its own GEMM, bit for bit.
+    A one-partner chunk reads that partner's own matrix; only a batch is stacked.
+    Only the two extremes are computed in full: every product gets its
+    ``max |P|`` pass, but :func:`_fold_extremes` skips each commutator pass
+    that cannot raise the maximum, so both are the floats a pass over every pair gives.
     """
     tol = tol or DEFAULT_TOLERANCES
     n, dim = len(states), states[0].dim
@@ -176,28 +209,20 @@ def _pairwise_norms(
     # thin states by rank (stable), then the dense ones in the caller's
     # order: no partner after a left state has a smaller rank
     order = sorted(range(n), key=ranks.__getitem__)
-    m = np.stack([states[i].matrix for i in order])
-    # the norms of pair (i, j) land at [:, i, j] or [:, j, i], as it is formed
-    norms = np.zeros((2, n, n))
-    caller = np.array(order)  # the caller's index of each stacked state
+    mats = [states[i].matrix for i in order]
     step = max(1, _CHUNK_BYTES // (16 * dim * dim))
+    stack = np.stack(mats) if step > 1 else None
+    product, commutator = np.inf, 0.0
     for pos, i in enumerate(order[:-1]):
         k = ranks[i]
         if k < dim:
             v = splits[i].support.basis
             scaled = splits[i].kept[:, None] * v.conj().T  # Lambda V^dag
         for lo in range(pos + 1, n, step):
-            chunk = m[lo : lo + step]
-            p = m[pos] @ chunk if k == dim else v @ (scaled @ chunk)
-            partners = caller[lo : lo + step]
-            norms[0, i, partners] = np.abs(p).max(axis=(1, 2))
-            norms[1, i, partners] = _hermitian_deviation(p)
-    # the mirror entry of each pair is 0, so adding it is exact; the upper
-    # triangle read row by row is combinations order
-    products, commutators = norms + norms.transpose(0, 2, 1)
-    r = np.arange(n)
-    upper = r[:, None] < r
-    return products[upper], commutators[upper]
+            chunk = mats[lo][None] if stack is None else stack[lo : lo + step]
+            p = mats[pos] @ chunk if k == dim else v @ (scaled @ chunk)
+            product, commutator = _fold_extremes(p, product, commutator)
+    return float(product), float(commutator)
 
 
 def check_pi(
@@ -213,7 +238,7 @@ def check_pi(
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])
-    norm = float(_pairwise_norms([a, b], tol)[1][0])
+    norm = _pairwise_norms([a, b], tol)[1]
     return norm <= tol.overlap_tol, norm
 
 
@@ -229,7 +254,7 @@ def check_pii(
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])
-    norm = float(_pairwise_norms([a, b], tol)[0][0])
+    norm = _pairwise_norms([a, b], tol)[0]
     return norm > tol.overlap_tol, norm
 
 
@@ -241,7 +266,9 @@ def check_bfm(
     The verdict is positive iff the supports of all states share at least
     one direction.  The returned basis spans the full intersection, so
     ``intersection_dim`` doubles as the dimension budget any pooled joint
-    state's support must fit inside.
+    state's support must fit inside.  Only the two pairwise extremes are
+    computed, each bit for bit the extreme of the per-pair :func:`check_pii`
+    and :func:`check_pi` norms.
     """
     tol = tol or DEFAULT_TOLERANCES
     if len(states) < 2:
@@ -249,11 +276,11 @@ def check_bfm(
             f"compatibility needs at least two state assignments, got {len(states)}"
         )
     common = _common_support(states, tol)
-    product_norms, commutator_norms = _pairwise_norms(states, tol)
+    product_norm, commutator_norm = _pairwise_norms(states, tol)
     return CompatReport(
         intersection_basis=common,
-        commutator_norm=float(commutator_norms.max()),
-        product_norm=float(product_norms.min()),
+        commutator_norm=commutator_norm,
+        product_norm=product_norm,
         tolerances_used=tol,
         n_states=len(states),
     )
@@ -266,13 +293,14 @@ def check_pure_pair(
 
     True iff the two supports intersect under the rule of :func:`intersect`,
     ``|<psi_a|psi_b>| > 1 - 2 overlap_tol`` (global phase is irrelevant), so
-    it agrees with :func:`check_bfm` on rank-1 pairs.
+    it agrees with :func:`check_bfm` on rank-1 pairs.  A cutoff that empties
+    a support raises ValueError naming the state, as :func:`check_bfm` does.
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_equal_dims([a, b])
     supports = []
-    for rho in (a, b):
-        split = _split_spectrum(rho.spectrum, tol)
+    for k, rho in enumerate((a, b)):
+        split = _split_spectrum(rho.spectrum, tol, f"state {k} (label {rho.label!r})")
         if split.rank != 1:
             raise NotPure(f"state has rank {split.rank}, expected 1")
         supports.append(split.support)

@@ -9,9 +9,19 @@ are reproducible from seeds.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
-from qcompat import DensityMatrix, PureState, Tolerances, validate_density
+from qcompat import (
+    DensityMatrix,
+    PureState,
+    Tolerances,
+    check_bfm,
+    check_pi,
+    check_pii,
+    validate_density,
+)
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> PureState:
@@ -126,6 +136,24 @@ def product_bound(a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = N
     if all(2 * np.count_nonzero(s.spectrum[0] > cutoff) >= s.dim for s in (a, b)):
         return 0.0
     return delta_bound(a, b, tol) + product_rounding(a.dim)
+
+
+def per_pair_norms(states, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(product norms, commutator norms)`` of every pair, in ``combinations``
+    order, from :func:`check_pii` and :func:`check_pi` on that pair alone.
+
+    Each call forms the pair as the n-state pass of :func:`check_bfm` does
+    (the smaller rank, then the earlier state, on the left), so these are the
+    bits that pass reduces.  Also asserts that :func:`check_bfm` reports their
+    minimum and maximum, bit for bit.
+    """
+    pairs = list(combinations(states, 2))
+    products = np.array([check_pii(a, b, tol)[1] for a, b in pairs])
+    commutators = np.array([check_pi(a, b, tol)[1] for a, b in pairs])
+    report = check_bfm(states, tol)
+    assert np.float64(report.product_norm).tobytes() == products.min().tobytes()
+    assert np.float64(report.commutator_norm).tobytes() == commutators.max().tobytes()
+    return products, commutators
 
 
 def full_rank_pair(rng: np.random.Generator, dim: int) -> tuple[DensityMatrix, DensityMatrix]:

@@ -21,10 +21,11 @@ from qcompat import (
     validate_density,
     verify_joint,
 )
-from qcompat.compat import _hermitian_deviation, _pairwise_norms
+from qcompat.compat import _hermitian_deviation
 from conftest import (
     compatible_pair,
     delta_bound,
+    per_pair_norms,
     product_bound,
     product_rounding,
     random_density,
@@ -132,7 +133,7 @@ def test_pairwise_norms_match_old_formulas(n):
             old_products = [max_abs(a @ b) for a, b in pairs]
             old_commutators = [max_abs(a @ b - b @ a) for a, b in pairs]
 
-            products, commutators = _pairwise_norms(states)
+            products, commutators = per_pair_norms(states)
             bounds = [product_bound(x, y) for i, x in enumerate(states) for y in states[i + 1 :]]
             assert np.all(np.abs(products - old_products) <= bounds)
             assert np.all(np.abs(commutators - old_commutators) <= product_rounding(dim))
@@ -161,7 +162,7 @@ def test_pairwise_norms_use_hermitian_parts():
         assert max_abs(raw[0] - hs[0]) > 1e-12
         assert states[0].matrix.tobytes() == hs[0].tobytes()
         pairs = [(hs[i], hs[j]) for i in range(3) for j in range(i + 1, 3)]
-        products, commutators = _pairwise_norms(states)
+        products, commutators = per_pair_norms(states)
         bounds = [product_bound(states[i], states[j]) for i in range(3) for j in range(i + 1, 3)]
         assert np.all(np.abs(products - [max_abs(a @ b) for a, b in pairs]) <= bounds)
         old_commutators = [max_abs(a @ b - b @ a) for a, b in pairs]
@@ -391,6 +392,23 @@ def test_pure_pair_rejects_mixed_input():
         check_pure_pair(
             validate_density(np.eye(2) / 2), validate_density(np.diag([1.0, 0.0]))
         )
+
+
+def test_pure_pair_names_a_state_whose_support_the_cutoff_empties():
+    # a ValueError naming the state, as check_bfm raises, not "state has rank 0"
+    r = validate_density(np.diag([1.0, 0.0]), label="R")
+    with pytest.raises(ValueError) as exc:
+        check_pure_pair(r, r, Tolerances(eigenvalue_zero_tol=2))
+    assert not isinstance(exc.value, NotPure)
+    assert str(exc.value) == (
+        "state 0 (label 'R') has an empty support: its largest eigenvalue 1 "
+        "is at or below eigenvalue_zero_tol 2"
+    )
+    mixed = validate_density(np.eye(2) / 2, label="M")
+    with pytest.raises(ValueError, match=r"^state 1 \(label 'M'\) has an empty support"):
+        check_pure_pair(r, mixed, Tolerances(eigenvalue_zero_tol=0.5))
+    with pytest.raises(NotPure, match="^state has rank 2, expected 1$"):
+        check_pure_pair(r, mixed)
 
 
 def test_pure_pair_matches_bfm_on_random_pairs():

@@ -1,9 +1,12 @@
-"""The pairwise pass reduces its products a cache-sized chunk at a time.
+"""The pairwise pass reduces its products a cache-sized chunk at a time, and
+skips every commutator pass that cannot raise the maximum.
 
 The oracle is the earlier implementation: each left state forms the whole
-stack of products against its later partners, and the commutator pass reads
-each mirror block through a conjugated, transposed view.  Every product is its
-own GEMM in either, so the chunked pass must give the same bytes.
+stack of products against its later partners, the commutator pass reads each
+mirror block through a conjugated, transposed view, and every pair's norms are
+kept.  Every product is its own GEMM in either, so the per-pair norms must
+have the same bytes, and the two extremes the n-state pass reports must be
+their minimum and maximum, bit for bit, however many passes it skipped.
 """
 
 import tracemalloc
@@ -11,9 +14,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcompat import Tolerances, check_bfm, validate_density
-from qcompat.compat import _BLOCK, _CHUNK_BYTES, _hermitian_deviation, _pairwise_norms
-from conftest import random_density_exact
+import qcompat.compat as compat
+from qcompat import DensityMatrix, Tolerances, check_bfm, validate_density
+from qcompat.compat import (
+    _BLOCK,
+    _CHUNK_BYTES,
+    _fold_extremes,
+    _hermitian_deviation,
+    _pairwise_norms,
+)
+from conftest import per_pair_norms, random_density_exact, random_unitary
 
 
 def whole_stack_deviation(p):
@@ -69,8 +79,11 @@ def mixed_ranks(rng, dim, n):
 
 
 def assert_same_bytes(states):
-    for got, want in zip(_pairwise_norms(states), whole_stack_norms(states)):
+    products, commutators = whole_stack_norms(states)
+    for got, want in zip(per_pair_norms(states), (products, commutators)):
         assert got.tobytes() == want.tobytes()
+    extremes = np.array(_pairwise_norms(states))
+    assert extremes.tobytes() == np.array([products.min(), commutators.max()]).tobytes()
 
 
 def partners_per_chunk(dim):
@@ -136,3 +149,126 @@ def test_mirror_pass_never_writes_its_input(dim, batch):
     p.setflags(write=False)
     assert _hermitian_deviation(p).tobytes() == whole.tobytes()
     assert p.tobytes() == before
+
+
+# ---------------------------------------------------------------------------
+# the commutator skip rule
+
+
+def counting_deviation(monkeypatch):
+    """Wrap the commutator pass; the returned list counts ``[calls, products]``."""
+    seen = [0, 0]
+    original = compat._hermitian_deviation
+
+    def counted(p):
+        seen[0] += 1
+        seen[1] += len(p)
+        return original(p)
+
+    monkeypatch.setattr(compat, "_hermitian_deviation", counted)
+    return seen
+
+
+@pytest.mark.parametrize("c", [1.0, 0.3, 2.0**-600, 5e-324])
+@pytest.mark.parametrize("unit", [[[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
+def test_skip_rule_runs_the_pass_at_its_edge(monkeypatch, c, unit):
+    # |P_01 - conj(P_10)| = 2c = 2 max |P| exactly: the pass must run while
+    # the running maximum lies below 2c, however close
+    p = c * np.array([unit], dtype=complex)
+    assert _hermitian_deviation(p)[0] == 2 * c
+    seen = counting_deviation(monkeypatch)
+    for below in (0.0, c, np.nextafter(2 * c, 0)):
+        product, commutator = _fold_extremes(p, np.inf, below)
+        assert (product, commutator) == (c, 2 * c)
+    assert seen[0] == 3
+    assert _fold_extremes(p, np.inf, 2 * c) == (c, 2 * c)
+
+
+def test_skip_rule_reaches_the_edge_through_the_pass():
+    # sigma_x sigma_z = [[0, -1], [1, 0]]: product norm 1, commutator norm 2
+    sx, sz = (DensityMatrix(np.array(m, dtype=complex))
+              for m in ([[0, 1], [1, 0]], [[1, 0], [0, -1]]))
+    assert _pairwise_norms([sx, sz]) == (1.0, 2.0)
+    assert _pairwise_norms([DensityMatrix(np.eye(2) / 2), sx, sz]) == (0.5, 2.0)
+
+
+def test_all_zero_products_skip_the_pass(monkeypatch):
+    seen = counting_deviation(monkeypatch)
+    assert _fold_extremes(np.zeros((3, 4, 4), dtype=complex), np.inf, 0.0) == (0.0, 0.0)
+    # disjoint basis projectors give exactly zero products: both norms are 0.0, no pass runs
+    states = [validate_density(np.diag(np.eye(6)[k])) for k in range(4)]
+    report = check_bfm(states)
+    assert (report.product_norm, report.commutator_norm) == (0.0, 0.0)
+    assert np.float64(report.commutator_norm).tobytes() == np.float64(0.0).tobytes()
+    assert seen == [0, 0]
+
+
+def test_non_finite_products_keep_the_full_reduction():
+    # inf - inf is NaN in the pass; neither a running inf nor a NaN may hide it
+    p = np.array([[[0, np.inf], [np.inf, 0]]], dtype=complex)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_hermitian_deviation(p)[0])
+        for running in (0.0, 1.0, np.inf):
+            product, commutator = _fold_extremes(p, np.inf, running)
+            assert product == np.inf and np.isnan(commutator)
+        product, commutator = _fold_extremes(np.full((1, 2, 2), np.nan + 0j), 1.0, 0.0)
+        assert np.isnan(product) and np.isnan(commutator)
+    product, commutator = _fold_extremes(np.ones((1, 2, 2), dtype=complex), np.nan, np.nan)
+    assert np.isnan(product) and np.isnan(commutator)
+
+
+def planted_set(rng, dim, n, common_dim):
+    """``n`` states of rank at most ``D / 2`` around a shared ``common_dim``
+    subspace, like the benchmark's compatible sets."""
+    states = []
+    common = random_unitary(rng, dim)[:, :common_dim]
+    for _ in range(n):
+        extra = random_unitary(rng, dim)[:, : int(rng.integers(1, dim // 2 - common_dim + 1))]
+        frame = np.linalg.qr(np.hstack([common, extra]))[0]
+        m = (frame * rng.uniform(0.1, 1.0, size=frame.shape[1])) @ frame.conj().T
+        states.append(validate_density((m + m.conj().T) / 2 / np.trace(m).real))
+    return states
+
+
+def test_bench_like_set_skips_most_commutator_passes(monkeypatch):
+    rng = np.random.default_rng(229)
+    states = planted_set(rng, 64, 32, 2)
+    products, commutators = whole_stack_norms(states)
+    seen = counting_deviation(monkeypatch)
+    got = np.array(_pairwise_norms(states))
+    assert got.tobytes() == np.array([products.min(), commutators.max()]).tobytes()
+    # 496 pairs in chunks of up to 4 partners: 136 chunks
+    assert 0 < seen[0] < 136
+    assert seen[1] < 496
+
+
+@pytest.mark.parametrize("dim", [8, 32, 33, 64, 65, 128, 256])
+def test_observer_orders_keep_the_report_norms(dim):
+    # each order forms some pairs the other way round, and skips other passes;
+    # the report still reads the extremes of every pair of that order
+    rng = np.random.default_rng(233 + dim)
+    n = 5 if dim >= 128 else 9
+    states = mixed_ranks(rng, dim, n)
+    for _ in range(3):
+        moved = [states[k] for k in rng.permutation(n)]
+        products, commutators = whole_stack_norms(moved)
+        report = check_bfm(moved)
+        assert np.float64(report.product_norm).tobytes() == products.min().tobytes()
+        assert np.float64(report.commutator_norm).tobytes() == commutators.max().tobytes()
+
+
+def test_one_partner_chunks_stack_nothing():
+    # from D = 91 up a chunk is one partner, read from its own matrix: the
+    # pass keeps about one product and its magnitudes alive, whatever n is
+    rng = np.random.default_rng(239)
+    states = [validate_density(random_density_exact(rng, 256, 256).matrix) for _ in range(8)]
+    for s in states:
+        s.spectrum
+    tracemalloc.start()
+    try:
+        _pairwise_norms(states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert partners_per_chunk(91) == 1 < partners_per_chunk(90)
+    assert peak < 3 * 256 * 256 * 16

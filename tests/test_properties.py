@@ -36,11 +36,11 @@ from qcompat import (
     projector_from,
     validate_density,
 )
-from qcompat.compat import _pairwise_norms
 from qcompat.formats import dumps_canonical, parse_report_document, report_document
 from qcompat.states import WEIGHT_TOL
 from conftest import (
     delta_bound,
+    per_pair_norms,
     product_bound,
     product_rounding,
     random_pure,
@@ -193,7 +193,7 @@ def test_pairwise_norms_stay_within_the_dropped_eigenvalue_bound(case):
     bound_p = [delta_bound(states[i], states[j]) + product_rounding(dim) for i, j in pairs]
     bound_c = [2 * delta_bound(states[i], states[j]) + product_rounding(dim) for i, j in pairs]
 
-    products, commutators = _pairwise_norms(states)
+    products, commutators = per_pair_norms(states)
     # exact where both ranks are at least D/2
     exact_or_bound = [product_bound(states[i], states[j]) for i, j in pairs]
     assert np.all(np.abs(products - dense_p) <= exact_or_bound)
@@ -208,7 +208,7 @@ def test_pairwise_norms_stay_within_the_dropped_eigenvalue_bound(case):
     # observer order: the same pair, possibly formed the other way round
     moved = [states[k] for k in order]
     where = {pair: slot for slot, pair in enumerate(pairs)}
-    p2, c2 = _pairwise_norms(moved)
+    p2, c2 = per_pair_norms(moved)
     for (a, b), x, y in zip(combinations(order, 2), p2, c2):
         slot = where[min(a, b), max(a, b)]
         assert abs(x - products[slot]) <= 2 * bound_p[slot]

@@ -25,6 +25,7 @@ from qcompat import (
     Tolerances,
     build_shared_decomposition,
     check_bfm,
+    check_pure_pair,
     choose_common_state,
     eigen_ensemble,
     max_common_weight,
@@ -131,6 +132,7 @@ def test_emptied_support_raises_in_every_check():
     state_0 = f"state 0 (label 'M') {EMPTIED}"
     for call in (
         lambda: check_bfm([m, m], tol),
+        lambda: check_pure_pair(m, m, tol),
         lambda: choose_common_state(m, m, tol),
         lambda: build_shared_decomposition(m, m, tol),
         lambda: verify_joint(pure, [m], tol),
