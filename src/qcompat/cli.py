@@ -27,7 +27,7 @@ from .errors import (
 )
 from .linalg import Tolerances, _split_spectrum, max_abs
 from .states import DensityMatrix, validate_density
-from .witness import ROUND_TRIP_TOL, build_shared_decomposition, build_witness, simulate_protocol
+from .witness import ROUND_TRIP_TOL, _decompose, build_witness, simulate_protocol
 
 ENV_TOL_EIG = "QCOMPAT_TOL_EIG"
 
@@ -204,7 +204,7 @@ def _cmd_pair(args: argparse.Namespace, tol: Tolerances) -> int:
         print(f"incompatible: support intersection is trivial, {missing}")
         _write_json(args, report, inputs)
         return 1
-    d = build_shared_decomposition(a, b, tol)
+    d = _decompose(a, b, report.intersection_basis, tol)
     if not witness:
         print(f"shared state found (intersection dimension {report.intersection_dim})")
         print(f"p0 = {_fmt(d.p0)} with {len(d.rest_a)} extra term(s) for state A")

@@ -24,7 +24,7 @@ from .linalg import (
     _split_spectrum,
     intersect,
     max_abs,
-    support_of,  # no longer called here; stays bound for code that reaches it via compat
+    support_of,  # not called here; bench/tests/test_qbench.py reads it via compat (ROADMAP 0)
 )
 from .states import DensityMatrix
 

@@ -204,13 +204,38 @@ def _load_json(source) -> dict:
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 doc = json.load(fh, parse_constant=_reject_constant)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise MalformedFile(f"invalid JSON: {e}") from e
     except RecursionError as e:
         raise MalformedFile("invalid JSON: nested too deeply") from e
     if not isinstance(doc, dict):
         raise MalformedFile(f"expected a JSON object at top level, got {type(doc).__name__}")
     return doc
+
+
+# The rules below are the readers' and the writers' alike: a reader raises
+# MalformedFile when one fails, a writer ValueError.
+
+def _check_label(label, error) -> None:
+    """A matrix file's label is a string or absent."""
+    if label is not None and not isinstance(label, str):
+        raise error(f"field 'label' must be a string, got {label!r}")
+
+
+def _check_sections(inputs, n_states, decomposed: bool, witnessed: bool, error) -> None:
+    """A report's inputs are strings; it covers at least two states, one per
+    input if any are named, and exactly two under a decomposition, which a
+    witness needs."""
+    if not isinstance(inputs, list) or any(not isinstance(s, str) for s in inputs):
+        raise error("field 'inputs' must be a list of strings")
+    if type(n_states) is not int or n_states < 2:
+        raise error(f"report.n_states {n_states!r} is not an integer of at least 2")
+    if inputs and n_states != len(inputs):
+        raise error(f"report.n_states {n_states!r} differs from the {len(inputs)} inputs")
+    if decomposed and n_states != 2:
+        raise error(f"report.n_states {n_states!r} differs from the 2 states of a decomposition")
+    if witnessed and not decomposed:
+        raise error("witness section requires a decomposition section")
 
 
 def _check_schema(doc: dict) -> None:
@@ -263,8 +288,7 @@ def parse_matrix(source: str | Path | IO) -> tuple[np.ndarray, str | None]:
     matrix = _pairs_to_array(entries, (dim, dim), per_entry)
 
     label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise MalformedFile(f"field 'label' must be a string, got {label!r}")
+    _check_label(label, MalformedFile)
     return matrix, label
 
 
@@ -273,6 +297,7 @@ def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"expected a square matrix of at least 1 x 1, got shape {m.shape}")
+    _check_label(label, ValueError)
     doc: dict = {"schema_version": SCHEMA_VERSION, "dim": int(m.shape[0])}
     if label is not None:
         doc["label"] = label
@@ -303,10 +328,20 @@ def report_document(
     decomposition: SharedDecomposition | None = None,
     witness: WitnessState | None = None,
 ) -> dict:
-    """Assemble the full report document (insertion order is the schema order)."""
+    """Assemble the full report document (insertion order is the schema order).
+
+    Raises ValueError where :func:`parse_report_document` would reject the
+    sections: an input that is not a string, a count of inputs neither 0 nor
+    ``n_states``, a decomposition of other than two states, or a witness
+    without its decomposition.
+    """
+    inputs = list(inputs)
+    _check_sections(
+        inputs, report.n_states, decomposition is not None, witness is not None, ValueError
+    )
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
-        "inputs": list(inputs),
+        "inputs": inputs,
         "report": {
             "dim": report.intersection_basis.ambient_dim,
             "n_states": report.n_states,
@@ -422,8 +457,6 @@ def parse_report_document(doc: dict) -> ParsedReport:
     """
     _check_schema(doc)
     inputs = doc.get("inputs", [])
-    if not isinstance(inputs, list) or any(not isinstance(s, str) for s in inputs):
-        raise MalformedFile("field 'inputs' must be a list of strings")
 
     rep = _require(doc, "report", "document")
     if not isinstance(rep, dict):
@@ -445,14 +478,7 @@ def parse_report_document(doc: dict) -> ParsedReport:
         np.column_stack(vectors) if vectors else np.zeros((dim, 0), dtype=complex)
     )
     n_states = _require(rep, "n_states", "report")
-    if type(n_states) is not int or n_states < 2:
-        raise MalformedFile(f"report.n_states {n_states!r} is not an integer of at least 2")
-    if inputs and n_states != len(inputs):
-        raise MalformedFile(f"report.n_states {n_states!r} differs from the {len(inputs)} inputs")
-    if "decomposition" in doc and n_states != 2:
-        raise MalformedFile(
-            f"report.n_states {n_states!r} differs from the 2 states of a decomposition"
-        )
+    _check_sections(inputs, n_states, "decomposition" in doc, "witness" in doc, MalformedFile)
     norms = {key: _number(rep, key, "report") for key in ("commutator_norm", "product_norm")}
     for key, norm in norms.items():
         if norm < 0:
@@ -488,8 +514,6 @@ def parse_report_document(doc: dict) -> ParsedReport:
         wdoc = doc["witness"]
         if not isinstance(wdoc, dict):
             raise MalformedFile("field 'witness' must be an object")
-        if decomposition is None:
-            raise MalformedFile("witness section requires a decomposition section")
         witness = WitnessState(decomposition)
         dims = _require(wdoc, "dims", "witness")
         if dims != list(witness.dims) or any(type(d) is not int for d in dims):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChiOutsideSupport, Incompatible, ZeroProbabilityOutcome
-from .linalg import DEFAULT_TOLERANCES, Tolerances, _lex_order, _split_spectrum
+from .linalg import DEFAULT_TOLERANCES, Subspace, Tolerances, _lex_order, _split_spectrum
 from .states import DensityMatrix, PureState, _mixture, validate_density
 from .states import _check_weights
 from .compat import _common_support
@@ -154,7 +154,12 @@ def choose_common_state(
         If the support intersection is trivial.
     """
     tol = tol or DEFAULT_TOLERANCES
-    basis = _common_support([a, b], tol).basis
+    return _common_state(a, b, _common_support([a, b], tol))
+
+
+def _common_state(a: DensityMatrix, b: DensityMatrix, common: Subspace) -> PureState:
+    """:func:`choose_common_state` from ``common``, the supports' intersection."""
+    basis = common.basis
     if basis.shape[1] == 0:
         raise Incompatible("support intersection is trivial; no common state exists")
     quad = [np.einsum("ik,ik->k", basis.conj(), s.matrix @ basis).real for s in (a, b)]
@@ -240,7 +245,12 @@ def build_shared_decomposition(
     eigendecomposition.  These terms are not orthogonal.
     """
     tol = tol or DEFAULT_TOLERANCES
-    chi = choose_common_state(a, b, tol)
+    return _decompose(a, b, _common_support([a, b], tol), tol)
+
+
+def _decompose(a: DensityMatrix, b: DensityMatrix, common: Subspace, tol: Tolerances):
+    """:func:`build_shared_decomposition` from ``common``, the supports' intersection."""
+    chi = _common_state(a, b, common)
     (p0, rest_a), (q0, rest_b) = _split_off(a, chi, tol), _split_off(b, chi, tol)
     return SharedDecomposition(chi=chi, p0=p0, q0=q0, rest_a=rest_a, rest_b=rest_b)
 

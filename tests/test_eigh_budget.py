@@ -4,8 +4,9 @@ Every ``DensityMatrix`` eigendecomposes once and keeps its spectrum, and
 supports intersect through an SVD of the small ``k_a x k_b`` overlap matrix,
 so the counts below are exact.  Validation certifies positivity with one
 Cholesky factorization and runs ``eigvalsh`` only where that cannot decide.
-Counting wrappers around ``numpy.linalg.eigh``, ``numpy.linalg.eigvalsh``
-and ``numpy.linalg.cholesky`` record the shape of every operand.
+Counting wrappers around ``numpy.linalg.eigh``, ``numpy.linalg.eigvalsh``,
+``numpy.linalg.cholesky`` and ``numpy.linalg.svd`` record the shape of
+every operand.
 """
 
 import numpy as np
@@ -70,6 +71,20 @@ def eigvalsh_calls(monkeypatch):
 @pytest.fixture
 def cholesky_calls(monkeypatch):
     return count_calls(monkeypatch, "cholesky")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    return count_calls(monkeypatch, "svd")
+
+
+def write_states(tmp_path, states) -> list[str]:
+    paths = []
+    for i, rho in enumerate(states):
+        path = tmp_path / f"s{i}.json"
+        path.write_text(serialize_matrix(rho.matrix, label=f"s{i}"))
+        paths.append(str(path))
+    return paths
 
 
 def planted_states(rng, n):
@@ -138,14 +153,45 @@ def test_decompose_reuses_spectra(eigh_calls):
 
 def test_cli_witness_path_budget(eigh_calls, tmp_path):
     a, b, _ = compatible_pair(np.random.default_rng(400), DIM)
-    paths = []
-    for name, rho in (("a", a), ("b", b)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(serialize_matrix(rho.matrix, label=name))
-        paths.append(str(path))
+    paths = write_states(tmp_path, [a, b])
     eigh_calls.take()
     assert cli_main(["witness", *paths, "--json", str(tmp_path / "w.json")]) == 0
     assert eigh_calls.take() == 2
+
+
+@pytest.mark.parametrize("command", ["decompose", "witness"])
+def test_cli_pair_command_intersects_the_supports_once(svd_calls, tmp_path, command):
+    # check_bfm's intersection is the one the decomposition reads
+    a, b, _ = compatible_pair(np.random.default_rng(450), DIM)
+    paths = write_states(tmp_path, [a, b])
+    svd_calls.take()
+    assert cli_main([command, *paths, "--json", str(tmp_path / "out.json")]) == 0
+    assert len(svd_calls.shapes) == 1
+
+
+def test_shared_decomposition_intersects_the_supports_once(svd_calls):
+    a, b, _ = compatible_pair(np.random.default_rng(460), DIM)
+    svd_calls.take()
+    build_shared_decomposition(a, b)
+    assert len(svd_calls.shapes) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cli_check_folds_n_supports_in_n_minus_one_svds(svd_calls, tmp_path, n):
+    states, _ = planted_states(np.random.default_rng(470 + n), n)
+    paths = write_states(tmp_path, states)
+    svd_calls.take()
+    assert cli_main(["check", *paths]) == 0
+    assert len(svd_calls.shapes) == n - 1
+
+
+def test_cli_simulate_intersects_nothing(svd_calls, tmp_path):
+    a, b, _ = compatible_pair(np.random.default_rng(480), DIM)
+    out = str(tmp_path / "w.json")
+    assert cli_main(["witness", *write_states(tmp_path, [a, b]), "--json", out]) == 0
+    svd_calls.take()
+    assert cli_main(["simulate", out]) == 0
+    assert svd_calls.shapes == []
 
 
 def test_simulate_validates_two_system_states(eigh_calls, eigvalsh_calls, cholesky_calls):
@@ -179,11 +225,7 @@ def test_valid_state_validates_without_eigendecomposition(
 
 def test_cli_check_budget(eigh_calls, eigvalsh_calls, tmp_path):
     states, _ = planted_states(np.random.default_rng(700), 3)
-    paths = []
-    for i, rho in enumerate(states):
-        path = tmp_path / f"s{i}.json"
-        path.write_text(serialize_matrix(rho.matrix, label=f"s{i}"))
-        paths.append(str(path))
+    paths = write_states(tmp_path, states)
     eigh_calls.take()
     eigvalsh_calls.take()
     assert cli_main(["check", *paths]) == 0

@@ -91,6 +91,31 @@ def test_parse_matrix_rejects_broken_json():
         parse_matrix(io.StringIO("{ nope"))
 
 
+@pytest.mark.parametrize("read", [parse_matrix, load_report])
+def test_file_that_is_not_utf8_is_malformed(read, tmp_path, capsys):
+    # a UTF-16 byte-order mark, then one byte: neither UTF-8 nor whole UTF-16
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe{")
+    utf8 = "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    for source, message in (
+        (str(path), utf8),
+        (io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8"), utf8),
+        (io.BytesIO(path.read_bytes()), "invalid JSON: 'utf-16-le' codec can't decode"),
+    ):
+        with pytest.raises(MalformedFile) as exc:
+            read(source)
+        assert str(exc.value).startswith(message)
+    assert cli_main(["check", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {utf8}\n"
+
+
+@pytest.mark.parametrize("label", [5, True, b"A", ["A"]], ids=["int", "bool", "bytes", "list"])
+def test_serialize_matrix_rejects_a_label_the_reader_rejects(label):
+    with pytest.raises(ValueError) as exc:
+        serialize_matrix(GOLDEN_A, label=label)
+    assert str(exc.value) == f"field 'label' must be a string, got {label!r}"
+
+
 def test_matrix_round_trip_is_exact():
     rng = np.random.default_rng(109)
     for _ in range(25):
@@ -575,6 +600,42 @@ def test_report_parse_checks_n_states(change, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "n_states, inputs, sections, message",
+    [
+        pytest.param(
+            2, ["A", 5], "", "field 'inputs' must be a list of strings", id="input-not-a-string"
+        ),
+        pytest.param(
+            2, [Path("a"), "B"], "", "field 'inputs' must be a list of strings", id="input-a-path"
+        ),
+        pytest.param(
+            3, ["A", "B"], "", "report.n_states 3 differs from the 2 inputs", id="inputs-count"
+        ),
+        pytest.param(
+            3, [], "d", "report.n_states 3 differs from the 2 states of a decomposition",
+            id="decomposition-of-three",
+        ),
+        pytest.param(
+            2, ["A", "B"], "w", "witness section requires a decomposition section",
+            id="witness-alone",
+        ),
+    ],
+)
+def test_report_document_rejects_what_the_reader_rejects(n_states, inputs, sections, message):
+    a, b = golden_states()
+    d = build_shared_decomposition(a, b)
+    report = check_bfm([a, b, a][:n_states])
+    with pytest.raises(ValueError) as exc:
+        report_document(
+            report,
+            inputs,
+            decomposition=d if "d" in sections else None,
+            witness=build_witness(d) if "w" in sections else None,
+        )
+    assert str(exc.value) == message
+
+
 def golden_witness_document():
     a, b = golden_states()
     d = build_shared_decomposition(a, b)
@@ -710,6 +771,24 @@ def test_cli_witness_simulate_full_rank_dim_256(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["simulate", str(out)]) == 0
     assert "round trip OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pair", ["tie", "full-rank-32"])
+def test_cli_witness_writes_the_library_document(pair, tmp_path):
+    # the CLI decomposes on check_bfm's intersection; the library intersects
+    # again, on the same objects, so the file must hold the same bytes
+    if pair == "tie":  # I/4 with itself: every intersection vector ties
+        paths = [write_state(tmp_path / "mixed.json", np.eye(4) / 4, label="I/4")] * 2
+    else:
+        states = full_rank_pair(np.random.default_rng(32), 32)
+        paths = [write_state(tmp_path / f"{n}.json", s.matrix, n) for n, s in zip("AB", states)]
+    out = tmp_path / "wit.json"
+    assert cli_main(["witness", *paths, "--json", str(out)]) == 0
+    (ma, name_a), (mb, name_b) = (parse_matrix(p) for p in paths)
+    a, b = validate_density(ma, label=name_a), validate_density(mb, label=name_b)
+    d = build_shared_decomposition(a, b)
+    doc = report_document(check_bfm([a, b]), [name_a, name_b], d, build_witness(d))
+    assert out.read_bytes() == dumps_canonical(doc).encode()
 
 
 def test_cli_tol_eig_env_and_flag(corpus, monkeypatch):
