@@ -7,128 +7,20 @@ non-orthogonality criteria, and constructs the shared-state decompositions
 and tripartite witness state that prove compatibility operationally.
 """
 
-from .errors import (
-    AmbientMismatch,
-    ChiOutsideSupport,
-    DimensionMismatch,
-    EmptyKeep,
-    FewerThanTwoStates,
-    Incompatible,
-    MalformedFile,
-    NegativeEigenvalue,
-    NotHermitian,
-    NotPSD,
-    NotPure,
-    NotSquare,
-    QcompatError,
-    SchemaVersionUnsupported,
-    ShapeMismatch,
-    StateValidationError,
-    TraceNotOne,
-    ZeroProbabilityOutcome,
-)
-from .linalg import (
-    Subspace,
-    Tolerances,
-    hermitian_eigendecompose,
-    intersect,
-    max_abs,
-    null_of,
-    projector_from,
-    support_of,
-)
-from .states import (
-    DensityMatrix,
-    Ensemble,
-    PureState,
-    basis_state,
-    eigen_ensemble,
-    from_ensemble,
-    partial_trace,
-    project_and_renormalize,
-    tensor,
-    validate_density,
-)
-from .compat import (
-    CompatReport,
-    JointConstraintReport,
-    NullSpaceLeak,
-    check_bfm,
-    check_pi,
-    check_pii,
-    check_pure_pair,
-    verify_joint,
-)
-from .witness import (
-    ProtocolResult,
-    SharedDecomposition,
-    WitnessState,
-    build_shared_decomposition,
-    build_witness,
-    choose_common_state,
-    max_common_weight,
-    simulate_protocol,
-)
+from . import errors, linalg, states, compat, witness
+from .errors import *
+from .linalg import *
+from .states import *
+from .compat import *
+from .witness import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "QcompatError",
-    "NotSquare",
-    "NotHermitian",
-    "NotPSD",
-    "TraceNotOne",
-    "NegativeEigenvalue",
-    "StateValidationError",
-    "AmbientMismatch",
-    "DimensionMismatch",
-    "EmptyKeep",
-    "ZeroProbabilityOutcome",
-    "NotPure",
-    "FewerThanTwoStates",
-    "Incompatible",
-    "ChiOutsideSupport",
-    "MalformedFile",
-    "SchemaVersionUnsupported",
-    "ShapeMismatch",
-    # linear algebra
-    "Tolerances",
-    "Subspace",
-    "max_abs",
-    "hermitian_eigendecompose",
-    "support_of",
-    "null_of",
-    "intersect",
-    "projector_from",
-    # states
-    "PureState",
-    "DensityMatrix",
-    "Ensemble",
-    "basis_state",
-    "validate_density",
-    "from_ensemble",
-    "eigen_ensemble",
-    "tensor",
-    "partial_trace",
-    "project_and_renormalize",
-    # compatibility
-    "CompatReport",
-    "NullSpaceLeak",
-    "JointConstraintReport",
-    "check_pi",
-    "check_pii",
-    "check_bfm",
-    "check_pure_pair",
-    "verify_joint",
-    # witness
-    "SharedDecomposition",
-    "WitnessState",
-    "ProtocolResult",
-    "choose_common_state",
-    "max_common_weight",
-    "build_shared_decomposition",
-    "build_witness",
-    "simulate_protocol",
+    *errors.__all__,
+    *linalg.__all__,
+    *states.__all__,
+    *compat.__all__,
+    *witness.__all__,
 ]

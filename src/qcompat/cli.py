@@ -18,13 +18,7 @@ import numpy as np
 
 from . import formats
 from .compat import CompatReport, check_bfm
-from .errors import (
-    Incompatible,
-    MalformedFile,
-    QcompatError,
-    StateValidationError,
-    ZeroProbabilityOutcome,
-)
+from .errors import Incompatible, MalformedFile, QcompatError, StateValidationError
 from .linalg import Tolerances, _split_spectrum, max_abs
 from .states import DensityMatrix, validate_density
 from .witness import ROUND_TRIP_TOL, _decompose, build_witness, simulate_protocol
@@ -264,7 +258,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         tol = _resolve_tolerances(args)
         return _COMMANDS[args.command](args, tol)
-    except (StateValidationError, Incompatible, ZeroProbabilityOutcome) as e:
+    except (StateValidationError, Incompatible) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (QcompatError, OSError, ValueError) as e:

@@ -8,6 +8,27 @@ problems.
 
 from __future__ import annotations
 
+__all__ = [
+    "QcompatError",
+    "NotSquare",
+    "NotHermitian",
+    "NotPSD",
+    "TraceNotOne",
+    "NegativeEigenvalue",
+    "StateValidationError",
+    "AmbientMismatch",
+    "DimensionMismatch",
+    "EmptyKeep",
+    "ZeroProbabilityOutcome",
+    "NotPure",
+    "FewerThanTwoStates",
+    "Incompatible",
+    "ChiOutsideSupport",
+    "MalformedFile",
+    "SchemaVersionUnsupported",
+    "ShapeMismatch",
+]
+
 
 class QcompatError(Exception):
     """Base class for all qcompat errors."""

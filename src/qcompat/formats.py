@@ -198,12 +198,15 @@ def _reject_constant(name: str):
 
 
 def _load_json(source) -> dict:
-    try:
+    try:  # UTF-8 only (RFC 8259 section 8.1), however the source was opened
         if hasattr(source, "read"):
-            doc = json.load(source, parse_constant=_reject_constant)
+            text = source.read()
         else:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh, parse_constant=_reject_constant)
+            with open(source, "rb") as fh:
+                text = fh.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        doc = json.loads(text, parse_constant=_reject_constant)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise MalformedFile(f"invalid JSON: {e}") from e
     except RecursionError as e:
@@ -236,6 +239,22 @@ def _check_sections(inputs, n_states, decomposed: bool, witnessed: bool, error) 
         raise error(f"report.n_states {n_states!r} differs from the 2 states of a decomposition")
     if witnessed and not decomposed:
         raise error("witness section requires a decomposition section")
+
+
+def _check_witness(dims, normalization, witness: WitnessState, error) -> None:
+    """A witness section's ``dims`` are the integers of ``witness``, its
+    decomposition's, and its normalization satisfies ``1/N^2 = 1/p0 + 1/q0 - 1``."""
+    if dims != list(witness.dims) or any(type(d) is not int for d in dims):
+        raise error(f"witness.dims {dims!r} differ from the decomposition's {list(witness.dims)}")
+    identity = witness.normalization**-2
+    try:  # relative: the rounding of 1/p0 + 1/q0 - 1 grows with its size
+        consistent = type(normalization) in (int, float) and normalization > 0 and (
+            abs(1 / normalization / normalization - identity) <= WEIGHT_TOL * identity
+        )
+    except OverflowError:  # an integer beyond the range of a double
+        consistent = False
+    if not consistent:
+        raise error(f"witness.normalization {normalization!r} violates 1/N^2 = {identity!r}")
 
 
 def _check_schema(doc: dict) -> None:
@@ -333,7 +352,7 @@ def report_document(
     Raises ValueError where :func:`parse_report_document` would reject the
     sections: an input that is not a string, a count of inputs neither 0 nor
     ``n_states``, a decomposition of other than two states, or a witness
-    without its decomposition.
+    without its decomposition or with dims or normalization not its own.
     """
     inputs = list(inputs)
     _check_sections(
@@ -359,6 +378,9 @@ def report_document(
     if decomposition is not None:
         doc["decomposition"] = _decomposition_doc(decomposition)
     if witness is not None:
+        _check_witness(
+            list(witness.dims), witness.normalization, WitnessState(decomposition), ValueError
+        )
         doc["witness"] = {
             "dims": list(witness.dims),
             "normalization": witness.normalization,
@@ -516,19 +538,7 @@ def parse_report_document(doc: dict) -> ParsedReport:
             raise MalformedFile("field 'witness' must be an object")
         witness = WitnessState(decomposition)
         dims = _require(wdoc, "dims", "witness")
-        if dims != list(witness.dims) or any(type(d) is not int for d in dims):
-            raise MalformedFile(
-                f"witness.dims {dims!r} differ from the decomposition's {list(witness.dims)}"
-            )
-        norm, identity = _require(wdoc, "normalization", "witness"), witness.normalization**-2
-        try:  # relative: the rounding of 1/p0 + 1/q0 - 1 grows with its size
-            consistent = type(norm) in (int, float) and norm > 0 and (
-                abs(1 / norm / norm - identity) <= WEIGHT_TOL * identity
-            )
-        except OverflowError:  # an integer beyond the range of a double
-            consistent = False
-        if not consistent:
-            raise MalformedFile(f"witness.normalization {norm!r} violates 1/N^2 = {identity!r}")
+        _check_witness(dims, _require(wdoc, "normalization", "witness"), witness, MalformedFile)
         if "amplitudes" in wdoc:  # written before the witness was stored as its decomposition
             stored = _pairs_to_vector(wdoc["amplitudes"], "witness.amplitudes")
             if stored.size != np.prod(dims):

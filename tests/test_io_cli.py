@@ -42,6 +42,8 @@ DATA = Path(__file__).parent / "data"
 
 GOLDEN_A = np.array([[1, 0], [0, 0]], dtype=complex)
 GOLDEN_B = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
+# diagonals of a compatible qutrit pair whose supports share |0>
+QUTRIT_DIAGONALS = ([0.5, 0.5, 0], [0.5, 0, 0.5])
 
 
 def write_state(path, matrix, label=None):
@@ -100,13 +102,30 @@ def test_file_that_is_not_utf8_is_malformed(read, tmp_path, capsys):
     for source, message in (
         (str(path), utf8),
         (io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8"), utf8),
-        (io.BytesIO(path.read_bytes()), "invalid JSON: 'utf-16-le' codec can't decode"),
+        (io.BytesIO(path.read_bytes()), utf8),
     ):
         with pytest.raises(MalformedFile) as exc:
             read(source)
         assert str(exc.value).startswith(message)
     assert cli_main(["check", str(path), str(path)]) == 2
     assert capsys.readouterr().err == f"error: {utf8}\n"
+
+
+def test_every_source_is_read_as_utf8(tmp_path):
+    text = serialize_matrix(GOLDEN_A, label="A")
+    path = tmp_path / "a.json"
+    for data in (b"\xff\xfe" + text.encode("utf-16-le"), b"\xef\xbb\xbf" + text.encode()):
+        path.write_bytes(data)
+        messages = []
+        for source in (str(path), io.BytesIO(data)):
+            with pytest.raises(MalformedFile) as exc:
+                parse_matrix(source)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+    path.write_bytes(text.encode())
+    for source in (str(path), io.StringIO(text), io.BytesIO(text.encode())):
+        matrix, label = parse_matrix(source)
+        assert label == "A" and np.array_equal(matrix, GOLDEN_A)
 
 
 @pytest.mark.parametrize("label", [5, True, b"A", ["A"]], ids=["int", "bool", "bytes", "list"])
@@ -353,6 +372,23 @@ def test_cli_witness_simulate_with_cutoff_mass(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["simulate", str(out)]) == 0
     assert "round trip OK" in capsys.readouterr().out
+
+
+def test_cli_simulate_cutoff_above_an_outcome_probability_is_an_input_error(tmp_path, capsys):
+    # both outcome-0 blocks come from a validated decomposition, so only the
+    # cutoff can zero an outcome: a meaningless question (2), not a verdict (1)
+    files = [
+        write_state(tmp_path / f"{name}.json", np.diag(w))
+        for name, w in zip("ab", QUTRIT_DIAGONALS)
+    ]
+    out = tmp_path / "wit.json"
+    assert cli_main(["witness", *files, "--json", str(out)]) == 0
+    assert cli_main(["simulate", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(["simulate", str(out), "--tol-eig", "0.7"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: outcome probability 6.667e-01 is at the numerical floor"
+    )
 
 
 def test_cli_simulate_rejects_corrupt_witness(corpus, tmp_path, capsys):
@@ -634,6 +670,34 @@ def test_report_document_rejects_what_the_reader_rejects(n_states, inputs, secti
             witness=build_witness(d) if "w" in sections else None,
         )
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        pytest.param(
+            ([0.5, 0.5, 0], np.ones(3) / 3),
+            "witness.dims [3, 2, 3] differ from the decomposition's [2, 2, 3]",
+            id="dims",
+        ),
+        pytest.param(
+            ([0.7, 0.3, 0], [0.6, 0, 0.4]), "witness.normalization 0.69", id="normalization"
+        ),
+    ],
+)
+def test_report_document_rejects_another_decompositions_witness(other, message):
+    a, b = (validate_density(np.diag(w)) for w in QUTRIT_DIAGONALS)
+    d = build_shared_decomposition(a, b)
+    w = build_witness(build_shared_decomposition(*(validate_density(np.diag(x)) for x in other)))
+    with pytest.raises(ValueError) as exc:
+        report_document(check_bfm([a, b]), ["a", "b"], d, w)
+    assert str(exc.value).startswith(message)
+    # the reader rejects the same sections with the same message
+    doc = report_document(check_bfm([a, b]), ["a", "b"], d, build_witness(d))
+    doc["witness"] = {"dims": list(w.dims), "normalization": w.normalization}
+    with pytest.raises(MalformedFile) as read:
+        parse_report_document(doc)
+    assert str(read.value) == str(exc.value)
 
 
 def golden_witness_document():
