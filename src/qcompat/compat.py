@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Subspace,
     Tolerances,
+    _Split,
     _split_spectrum,
     intersect,
     max_abs,
@@ -55,7 +56,10 @@ class CompatReport:
     ``max |P - P^dag|``, since ``P^dag = rho_b rho_a``.  Only these two
     extremes are computed in full: a commutator pass whose rounding bound,
     just over ``2 max |P|``, cannot raise the maximum is skipped, which
-    changes no reported bit (see :func:`_fold_extremes`).
+    changes no reported bit (see :func:`_fold_extremes`).  From six states
+    at ``D >= 64`` every pair is first formed in complex64, and only the
+    pairs whose proven error interval can reach an extreme are formed in
+    double (see :func:`_screen`): the reported floats keep their bits.
 
     At ``D >= 32`` a state of rank ``k < D / 2`` enters its pairs through its
     kept spectrum, ``rho = V Lambda V^dag`` without its eigenvalues at or below
@@ -102,11 +106,18 @@ def _require_equal_dims(states: Sequence[DensityMatrix]) -> int:
     return dims.pop()
 
 
-def _common_support(states: Sequence[DensityMatrix], tol: Tolerances) -> Subspace:
-    """Intersection of the nonempty supports of ``states``, which share one dimension."""
+def _named_splits(states: Sequence[DensityMatrix], tol: Tolerances) -> list[_Split]:
+    """One positivity-checked :func:`_split_spectrum` per state, each named for its
+    error; the states share one dimension.  Every later reader takes these."""
     _require_equal_dims(states)
-    return intersect(*(_split_spectrum(s.spectrum, tol, f"state {k} (label {s.label!r})").support
-                       for k, s in enumerate(states)), tol=tol)
+    return [_split_spectrum(s.spectrum, tol, f"state {k} (label {s.label!r})")
+            for k, s in enumerate(states)]
+
+
+def _common_support(states: Sequence[DensityMatrix], tol: Tolerances, splits=None) -> Subspace:
+    """Intersection of the nonempty supports of ``states``, or of their ``splits``."""
+    splits = splits or _named_splits(states, tol)
+    return intersect(*(split.support for split in splits), tol=tol)
 
 
 # Row/column block edge of the commutator pass: a stack of 64 x 64 complex
@@ -134,6 +145,37 @@ _THIN_MIN_DIM = 32
 # cover it.
 _COMMUTATOR_SLACK = 2 * (1 + 8 * np.finfo(float).eps)
 _COMMUTATOR_FLOOR = 8 * np.finfo(float).smallest_subnormal
+# The screen of :func:`_screen` runs from _SCREEN_MIN_STATES states at
+# _SCREEN_MIN_DIM up.  In process on sets drawn as the benchmark draws them
+# (one BLAS thread, best of 15), the pass took, before -> after: at n = 3 it
+# loses at every D ((256, 3) 2.6-4.9 -> 3.4-7.9 ms: two of three pairs are
+# formed twice); at D = 64, n = 6 it breaks even (0.61-1.09 -> 0.69-1.05 ms)
+# and n = 8 wins (1.12-1.61 -> 1.08-1.32 ms); at D = 48, n = 8 it loses
+# (0.66-0.88 -> 0.71-0.88 ms), and D = 32, n = 8 by half again.
+_SCREEN_MIN_STATES = 6
+_SCREEN_MIN_DIM = 64
+# Structural, like ``_COMMUTATOR_SLACK``: the bound of :func:`_screen_error`,
+# ``e = (D + k + 4)(4 u L R + (D + k + 4) 4 t (1 + L + R))`` on how far a
+# complex64 ``|P_rc|`` lies from the double one.  ``u`` is float32's unit
+# roundoff and ``t`` its smallest normal; ``R`` is the partner's spectral
+# norm, ``L`` the left state's (dense, ``k = 0``) or ``||Lambda||_2`` (thin,
+# ``k`` its rank).  By Cauchy-Schwarz over a row of ``rho_i`` (or of ``V`` and
+# of ``Lambda V^dag``) and a column of ``rho_j``, the magnitudes of the
+# summands of each ``P_rc`` add up to at most ``L R``.  Each cast errs by
+# ``u``, a product of inner length ``m`` by ``sqrt(2) gamma_2m`` in any
+# summation order (each real part is a real dot product of ``2 m`` terms;
+# Higham 2002, sections 3.5-3.6), and the float32 ``hypot`` by about ``u``:
+# ``(2 sqrt(2)(D + k) + 5) u L R`` in all.  ``4 (D + k + 4) u L R`` covers
+# that 1.4 times over, with room for the double product's own rounding and
+# for the spectrum's, about ``D eps`` relative.  A commutator entry reads
+# two product entries and rounds once more, so it stays within ``2 e``.
+# Below the normal range each float32 operation errs by up to ``t`` instead,
+# whether it underflows gradually or flushes to zero: ``sqrt(2 D)`` such
+# errors times a norm per cast, ``2 (D + k)`` per product, and ``sqrt(k)``
+# times those of a thin state's first product in its second.  The second
+# term covers them.
+_SCREEN_SLACK = 4 * np.finfo(np.float32).eps / 2
+_SCREEN_FLOOR = 4 * np.finfo(np.float32).tiny
 
 
 def _hermitian_deviation(p: np.ndarray) -> np.ndarray:
@@ -172,8 +214,86 @@ def _fold_extremes(p: np.ndarray, product, commutator):
     return np.minimum(product, tops.min()), commutator
 
 
+def _factor(left):
+    """A left state's factor: ``rho_i`` itself, or ``(V, Lambda V^dag)`` from a thin
+    state's split, formed for one left state at a time."""
+    if isinstance(left, np.ndarray):
+        return left
+    v = left.support.basis
+    return v, left.kept[:, None] * v.conj().T
+
+
+def _product(factor, chunk: np.ndarray) -> np.ndarray:
+    """``P = rho_i chunk`` from a :func:`_factor`."""
+    return factor @ chunk if isinstance(factor, np.ndarray) else factor[0] @ (factor[1] @ chunk)
+
+
+def _screen_error(dim: int, k, left, right):
+    """``e``: how far a complex64 ``|P_rc|`` may lie from the double one, for a left
+    state's ``L`` and a partner's ``R`` (see ``_SCREEN_SLACK``)."""
+    width = dim + k + 4
+    return width * (_SCREEN_SLACK * left * right + width * _SCREEN_FLOOR * (1 + left + right))
+
+
+def _screen(lefts, mats, sizes: np.ndarray) -> np.ndarray | None:
+    """The pairs that can set an extreme: ``keep[pos, j]`` for ``lefts[pos] mats[j]``,
+    each left a matrix or a thin state's split, as :func:`_factor` reads it.
+
+    ``sizes`` holds, per position, ``(k, L, R)`` of :func:`_screen_error`.
+    Each pair is formed once in complex64, in its double orientation, and
+    its screened ``max |P|`` and ``max |P - P^dag|`` bound the double norms
+    to ``[s - e, s + e]`` and ``[c - 2 e, c + 2 e]``.  A pair is kept when its
+    product interval reaches the smallest upper end, or its commutator
+    interval the largest lower end; no other pair can hold an extreme.  A
+    commutator pass whose cap, ``_COMMUTATOR_SLACK`` times the largest
+    ``s + e`` of the chunk (plus ``_COMMUTATOR_FLOOR``), lies below the
+    largest lower end so far is skipped, and that cap stands as the upper end.
+    A chunk holds ``_CHUNK_BYTES`` of complex64 products.  Where that is
+    several partners, every state is cast once into one complex64 stack;
+    else each partner is cast for its chunk, so no complex64 copy of every
+    state is held.  None when a norm reaches float32's range, so that an
+    entry might not cast, or when a screened value or bound is not finite.
+    """
+    n, dim = len(mats), mats[0].shape[0]
+    k, left_norms, norms = sizes.T
+    if not norms.max() < np.finfo(np.float32).max:
+        return None
+    bound = _screen_error(dim, k[:, None], left_norms[:, None], norms)
+    low, high = np.zeros((2, 2, n, n))  # [product, commutator] per pair
+    best = -np.inf  # the largest commutator lower end so far
+    step = max(1, _CHUNK_BYTES // (8 * dim * dim))
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
+        stack = np.array(mats, dtype=np.complex64) if step > 1 else None
+        for pos, left in enumerate(lefts):
+            factor = _factor(left)
+            factor = (factor.astype(np.complex64) if isinstance(factor, np.ndarray)
+                      else tuple(f.astype(np.complex64) for f in factor))
+            for lo in range(pos + 1, n, step):
+                chunk = (mats[lo].astype(np.complex64)[None] if stack is None
+                         else stack[lo : lo + step])
+                p = _product(factor, chunk)
+                pairs = (pos, slice(lo, lo + len(p)))
+                e = bound[pairs]
+                tops = np.abs(p).max(axis=(1, 2))
+                low[0][pairs], high[0][pairs] = tops - e, tops + e
+                cap = _COMMUTATOR_SLACK * (tops + e) + _COMMUTATOR_FLOOR
+                if tops.max() > 0 and not cap.max() < best:
+                    dev = _hermitian_deviation(p)
+                    low[1][pairs], high[1][pairs] = dev - 2 * e, dev + 2 * e
+                    best = max(best, low[1][pairs].max())
+                else:  # the lower end stays 0, below every double norm
+                    high[1][pairs] = cap
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    low, high = low[:, upper], high[:, upper]
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
+        return None
+    keep = np.zeros((n, n), dtype=bool)
+    keep[upper] = (low[0] <= high[0].min()) | (high[1] >= low[1].max())
+    return keep
+
+
 def _pairwise_norms(
-    states: Sequence[DensityMatrix], tol: Tolerances | None = None
+    states: Sequence[DensityMatrix], tol: Tolerances | None = None, splits=None
 ) -> tuple[float, float]:
     """``(min max |P|, max max |P - P^dag|)`` over the pairs of ``states``.
 
@@ -192,7 +312,8 @@ def _pairwise_norms(
     raises nothing here, at any D.  Every other pair, among them every pair
     in which both ranks are at least ``D / 2``, is formed densely as
     ``rho_i rho_j`` with ``i`` first in the caller's order, and gets exactly
-    those bits.
+    those bits.  ``splits``, one :func:`_split_spectrum` per state, saves
+    splitting them again.
     Each left state forms its products ``_CHUNK_BYTES`` (at least one partner)
     at a time and reduces them while they are in cache: transient memory is
     one chunk, not O(n D^2), and each product is still its own GEMM, bit for bit.
@@ -200,28 +321,53 @@ def _pairwise_norms(
     Only the two extremes are computed in full: every product gets its
     ``max |P|`` pass, but :func:`_fold_extremes` skips each commutator pass
     that cannot raise the maximum, so both are the floats a pass over every pair gives.
+
+    From ``_SCREEN_MIN_STATES`` states at ``_SCREEN_MIN_DIM`` up, :func:`_screen`
+    first forms every pair in complex64, in the orientation above, and bounds
+    each double norm within ``e`` of its screened value (``2 e`` for the
+    commutator; ``e`` from ``_SCREEN_SLACK``).  Only the pairs that can hold
+    the smallest product or the largest commutator are then formed in double,
+    one partner at a time, each as its own GEMM: the two floats keep their
+    bits.  Where a norm reaches float32's range, or a screened value or
+    bound is not finite, every pair is formed in double as without the screen.
     """
     tol = tol or DEFAULT_TOLERANCES
     n, dim = len(states), states[0].dim
-    # from _THIN_MIN_DIM up, a rank below D / 2 lets the kept factor stand in, else it is dim
-    splits = [_split_spectrum(s.spectrum, tol, psd=False) for s in states if dim >= _THIN_MIN_DIM]
-    ranks = [split.rank if 2 * split.rank < dim else dim for split in splits] or [dim] * n
+    ranks = [dim] * n
+    if dim >= _THIN_MIN_DIM:  # from here a rank below D / 2 lets the kept factor stand in
+        splits = splits or [_split_spectrum(s.spectrum, tol, psd=False) for s in states]
+        ranks = [split.rank if 2 * split.rank < dim else dim for split in splits]
     # thin states by rank (stable), then the dense ones in the caller's
     # order: no partner after a left state has a smaller rank
     order = sorted(range(n), key=ranks.__getitem__)
     mats = [states[i].matrix for i in order]
+    lefts = [mats[pos] if ranks[i] == dim else splits[i] for pos, i in enumerate(order[:-1])]
+    product, commutator = np.inf, 0.0
+    keep = None
+    if n >= _SCREEN_MIN_STATES and dim >= _SCREEN_MIN_DIM:
+        sizes = []  # (k, L, R) of _screen_error per position
+        for i in order:
+            values = states[i].spectrum[0]
+            norm = max(values[0], -values[-1])
+            thin = ranks[i] < dim
+            sizes.append((ranks[i], np.linalg.norm(splits[i].kept), norm) if thin
+                         else (0, norm, norm))
+        keep = _screen(lefts, mats, np.array(sizes))
+    if keep is not None:
+        for pos, left in enumerate(lefts):
+            partners = np.flatnonzero(keep[pos])
+            factor = _factor(left) if partners.size else None
+            for j in partners:
+                p = _product(factor, mats[j][None])
+                product, commutator = _fold_extremes(p, product, commutator)
+        return float(product), float(commutator)
     step = max(1, _CHUNK_BYTES // (16 * dim * dim))
     stack = np.stack(mats) if step > 1 else None
-    product, commutator = np.inf, 0.0
-    for pos, i in enumerate(order[:-1]):
-        k = ranks[i]
-        if k < dim:
-            v = splits[i].support.basis
-            scaled = splits[i].kept[:, None] * v.conj().T  # Lambda V^dag
+    for pos, left in enumerate(lefts):
+        factor = _factor(left)
         for lo in range(pos + 1, n, step):
             chunk = mats[lo][None] if stack is None else stack[lo : lo + step]
-            p = mats[pos] @ chunk if k == dim else v @ (scaled @ chunk)
-            product, commutator = _fold_extremes(p, product, commutator)
+            product, commutator = _fold_extremes(_product(factor, chunk), product, commutator)
     return float(product), float(commutator)
 
 
@@ -268,15 +414,19 @@ def check_bfm(
     ``intersection_dim`` doubles as the dimension budget any pooled joint
     state's support must fit inside.  Only the two pairwise extremes are
     computed, each bit for bit the extreme of the per-pair :func:`check_pii`
-    and :func:`check_pi` norms.
+    and :func:`check_pi` norms; from six states at ``D >= 64`` a complex64
+    screen leaves only the pairs that can set one to be formed in double.
+    Each state's spectrum is split once, named and positivity-checked, and
+    both the intersection and the pairwise pass read that split.
     """
     tol = tol or DEFAULT_TOLERANCES
     if len(states) < 2:
         raise FewerThanTwoStates(
             f"compatibility needs at least two state assignments, got {len(states)}"
         )
-    common = _common_support(states, tol)
-    product_norm, commutator_norm = _pairwise_norms(states, tol)
+    splits = _named_splits(states, tol)
+    common = _common_support(states, tol, splits)
+    product_norm, commutator_norm = _pairwise_norms(states, tol, splits)
     return CompatReport(
         intersection_basis=common,
         commutator_norm=commutator_norm,
@@ -354,7 +504,8 @@ def verify_joint(
     if not observers:
         raise ValueError("verify_joint needs at least one observer state")
     _require_equal_dims([joint, *observers])
-    b_common = _common_support(observers, tol).basis
+    splits = _named_splits(observers, tol)
+    b_common = _common_support(observers, tol, splits).basis
 
     # (I - P_c) P_j = (W - B_c (B_c^dag W)) W^dag, with P_j = W W^dag
     split = _split_spectrum(joint.spectrum, tol, f"joint state (label {joint.label!r})")
@@ -362,8 +513,8 @@ def verify_joint(
     leakage = max_abs((w - b_common @ (b_common.conj().T @ w)) @ w.conj().T)
 
     leaks = []
-    for k, obs in enumerate(observers):
-        null = _split_spectrum(obs.spectrum, tol).null.basis
+    for k, (obs, obs_split) in enumerate(zip(observers, splits)):
+        null = obs_split.null.basis
         # N^dag J N within delta_J; a trivial null space gives a (0, 0) block, max_abs 0.0
         x = null.conj().T @ w
         leaked = max_abs((x * kept) @ x.conj().T)

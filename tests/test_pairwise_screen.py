@@ -1,0 +1,225 @@
+"""The pairwise pass screens every pair in complex64 and forms in double only
+the pairs that can set an extreme.
+
+The oracle is ``whole_stack_norms`` of ``test_pairwise_chunks``: every pair
+formed in double and its norms kept.  The screened pass must report that
+oracle's smallest product norm and largest commutator norm bit for bit, on
+any set, in any observer order and at any scale, however few pairs it forms.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qcompat.compat as compat
+from qcompat import DensityMatrix, Tolerances, check_bfm, validate_density
+from qcompat.compat import (
+    _SCREEN_SLACK,
+    _hermitian_deviation,
+    _pairwise_norms,
+    _screen,
+    _screen_error,
+)
+from conftest import random_density_exact
+from test_pairwise_chunks import counting_deviation, mixed_ranks, planted_set, whole_stack_norms
+
+U32 = np.finfo(np.float32).eps / 2
+TINY32 = np.finfo(np.float32).tiny
+
+
+def assert_oracle_extremes(states, tol=None):
+    products, commutators = whole_stack_norms(states, tol)
+    got = np.array(_pairwise_norms(states, tol))
+    assert got.tobytes() == np.array([products.min(), commutators.max()]).tobytes()
+
+
+def recording_screen(monkeypatch):
+    """Wrap the screen; the returned list collects each call's ``keep`` (or None)."""
+    seen = []
+    original = compat._screen
+
+    def recorded(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(compat, "_screen", recorded)
+    return seen
+
+
+def counting_double_products(monkeypatch):
+    """Wrap the double fold; the returned list counts the products it reduces."""
+    seen = [0]
+    original = compat._fold_extremes
+
+    def counted(p, product, commutator):
+        seen[0] += len(p)
+        return original(p, product, commutator)
+
+    monkeypatch.setattr(compat, "_fold_extremes", counted)
+    return seen
+
+
+@contextlib.contextmanager
+def screen_from(n_states, dim):
+    """Screen from ``n_states`` states and dimension ``dim`` up, below the measured gate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compat, "_SCREEN_MIN_STATES", n_states)
+        mp.setattr(compat, "_SCREEN_MIN_DIM", dim)
+        yield recording_screen(mp)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(32, 128),
+    n=st.integers(3, 9),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.floats(-30, 0), min_size=9, max_size=9),
+    data=st.data(),
+)
+def test_screened_extremes_are_the_oracles_bit_for_bit(dim, n, seed, exponents, data):
+    # mixed ranks, any order, each state scaled by 10^-30 to 1: entries from
+    # O(1) down to where float32 products underflow
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** np.array(exponents[:n])
+    drawn = [DensityMatrix(s * rho.matrix) for s, rho in zip(scales, mixed_ranks(rng, dim, n))]
+    states = [drawn[k] for k in data.draw(st.permutations(range(n)))]
+    tol = Tolerances(eigenvalue_zero_tol=1e-9 * scales.min())
+    with screen_from(3, 32) as seen:
+        assert_oracle_extremes(states, tol)
+    assert len(seen) == 1 and seen[0] is not None
+
+
+def test_entries_beyond_float32_fall_back_without_a_warning(monkeypatch):
+    # entries near 1e39 are finite in double and inf in float32; pytest turns
+    # an overflow warning into an error
+    rng = np.random.default_rng(401)
+    states = [DensityMatrix(64e39 * rho.matrix) for rho in mixed_ranks(rng, 64, 6)]
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(states[0].matrix.astype(np.complex64)).all()
+    seen = recording_screen(monkeypatch)
+    assert_oracle_extremes(states)
+    assert len(seen) == 1 and seen[0] is None
+
+
+def test_products_beyond_float32_fall_back(monkeypatch):
+    # every entry fits float32, but the pair of the two large states
+    # overflows there: its screened norms are not finite, and it holds the
+    # largest commutator
+    rng = np.random.default_rng(409)
+    states = mixed_ranks(rng, 64, 6)
+    states[:2] = [DensityMatrix(1e22 * s.matrix) for s in states[:2]]
+    assert max(np.abs(s.matrix).max() for s in states) < np.finfo(np.float32).max
+    seen = recording_screen(monkeypatch)
+    assert_oracle_extremes(states)
+    assert len(seen) == 1 and seen[0] is None
+
+
+def test_disjoint_projectors_read_exact_zeros_with_no_commutator_pass(monkeypatch):
+    eye = np.eye(64)
+    states = [validate_density(np.diag(eye[8 * k : 8 * k + 8].sum(axis=0)) / 8) for k in range(8)]
+    passes = counting_deviation(monkeypatch)
+    seen = recording_screen(monkeypatch)
+    report = check_bfm(states)
+    assert np.float64(report.product_norm).tobytes() == np.float64(0.0).tobytes()
+    assert np.float64(report.commutator_norm).tobytes() == np.float64(0.0).tobytes()
+    assert passes == [0, 0]  # neither in the screen nor in double
+    assert seen[0][np.triu_indices(8, 1)].all()  # all-zero screens decide nothing
+
+
+@pytest.mark.parametrize(
+    "pattern", [[0] * 6, [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2, 0], [2, 2, 1, 1, 0, 0]]
+)
+def test_repeated_states_tie_and_keep_their_bits(pattern):
+    rng = np.random.default_rng(419)
+    base = [random_density_exact(rng, 64, rank) for rank in (20, 64, 40)]
+    assert_oracle_extremes([base[k] for k in pattern])
+
+
+def test_near_tie_that_float32_orders_the_other_way(monkeypatch):
+    # a2 is a within 2e-11 per entry: [a, b] and [a2, b] differ in double by
+    # less than float32 resolves, and the four I/D states commute exactly
+    rng = np.random.default_rng(431)
+    dim = 64
+    a, b = (random_density_exact(rng, dim, dim) for _ in range(2))
+
+    def deviation(x, y, dtype):
+        return float(_hermitian_deviation(x.astype(dtype) @ y.astype(dtype)[None])[0])
+
+    for _ in range(200):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a2 = DensityMatrix(a.matrix + 1e-11 * (g + g.conj().T))
+        double = deviation(a.matrix, b.matrix, complex) - deviation(a2.matrix, b.matrix, complex)
+        single = (deviation(a.matrix, b.matrix, np.complex64)
+                  - deviation(a2.matrix, b.matrix, np.complex64))
+        if double * single < 0:
+            break
+    else:
+        pytest.fail("no near-tie that float32 orders the other way")
+    states = [a, a2, b] + [validate_density(np.eye(dim) / dim)] * 4
+    seen = recording_screen(monkeypatch)
+    assert_oracle_extremes(states)
+    assert seen[0][0, 2] and seen[0][1, 2]  # both tied pairs go on to double
+
+
+def test_underflow_floor_keeps_the_pair_float32_reads_high():
+    # float32 reads the pair (0, 1) as 0 (three products of 0.45 times its
+    # smallest subnormal each round to 0) and the pair (0, 2) as exactly that
+    # subnormal, though (0, 2) holds the smaller product; the pair (1, 2)
+    # holds the largest commutator, 2^-140.  The relative term alone is far
+    # below one subnormal here, so only the floor keeps (0, 2).
+    dim, eta = 64, float(np.finfo(np.float32).smallest_subnormal)
+    c, g = np.sqrt(0.45 * eta), 2.0**-70
+    mats = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
+    mats[0][0, :3] = c
+    mats[1][:3, 0] = c
+    mats[1][6, 7] = g
+    mats[2][0, 0] = eta / c
+    mats[2][7, 7] = g
+    products = {(i, j): mats[i] @ mats[j] for i, j in ((0, 1), (0, 2), (1, 2))}
+    norms = {pair: np.abs(p).max() for pair, p in products.items()}
+    assert min(norms, key=norms.get) == (0, 2)
+    spectral = [np.linalg.norm(m, 2) for m in mats]
+    assert (dim + 4) * _SCREEN_SLACK * spectral[0] * spectral[1] < eta / 1000
+    keep = _screen(mats[:2], mats, np.array([(0, s, s) for s in spectral]))
+    assert keep[0, 2] and keep[1, 2]
+
+
+@pytest.mark.parametrize("dim", [64, 100, 256, 1024])
+def test_bound_covers_the_worst_case_rounding(dim):
+    # the derivation of _SCREEN_SLACK: casts (two for a dense pair, three for
+    # a thin one), one product of inner length D (and k), the float32 hypot,
+    # and the double product's own rounding; then the absolute underflow terms
+    def gamma(m, u=U32):
+        return m * u / (1 - m * u)
+
+    for k in (0, 1, dim // 4, dim // 2 - 1):
+        for left, right in ((1.0, 1.0), (0.5, 3e-3), (0.0, 0.0), (2e-30, 1e-25)):
+            rel = (3 if k else 2) * U32 + np.sqrt(2) * (gamma(2 * dim) + gamma(2 * k)) + U32
+            rel += np.sqrt(2) * (gamma(2 * dim, 2**-53) + gamma(2 * k, 2**-53))
+            per_op = np.sqrt(2) * TINY32 * (1 + np.sqrt(k))
+            absolute = per_op * (np.sqrt(dim) * (left + right) + 2 * (dim + k) + 1)
+            worst = rel * (1 + gamma(4)) * left * right + absolute
+            assert _screen_error(dim, k, left, right) >= worst
+
+
+def test_bench_like_set_forms_few_pairs_in_double(monkeypatch):
+    rng = np.random.default_rng(443)
+    formed = counting_double_products(monkeypatch)
+    for _ in range(2):
+        states = planted_set(rng, 256, 8, 2)
+        formed[0] = 0
+        assert_oracle_extremes(states)
+        assert 0 < formed[0] <= 4  # of 28 pairs
+
+
+@pytest.mark.parametrize("dim, n, screened", [(64, 6, True), (63, 6, False), (64, 5, False),
+                                              (256, 3, False), (32, 32, False)])
+def test_screen_runs_from_its_measured_gate(monkeypatch, dim, n, screened):
+    rng = np.random.default_rng(449 + dim + n)
+    states = mixed_ranks(rng, dim, n)
+    seen = recording_screen(monkeypatch)
+    assert_oracle_extremes(states)
+    assert len(seen) == int(screened)
