@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import formats
-from .compat import CompatReport, check_bfm
+from .compat import CompatReport, _named_splits, check_bfm
 from .errors import Incompatible, MalformedFile, QcompatError, StateValidationError
 from .linalg import Tolerances, _split_spectrum, max_abs
 from .states import DensityMatrix, validate_density
@@ -198,7 +198,7 @@ def _cmd_pair(args: argparse.Namespace, tol: Tolerances) -> int:
         print(f"incompatible: support intersection is trivial, {missing}")
         _write_json(args, report, inputs)
         return 1
-    d = _decompose(a, b, report.intersection_basis, tol)
+    d = _decompose(a, b, _named_splits([a, b], tol), report.intersection_basis)
     if not witness:
         print(f"shared state found (intersection dimension {report.intersection_dim})")
         print(f"p0 = {_fmt(d.p0)} with {len(d.rest_a)} extra term(s) for state A")

@@ -114,9 +114,8 @@ def _named_splits(states: Sequence[DensityMatrix], tol: Tolerances) -> list[_Spl
             for k, s in enumerate(states)]
 
 
-def _common_support(states: Sequence[DensityMatrix], tol: Tolerances, splits=None) -> Subspace:
-    """Intersection of the nonempty supports of ``states``, or of their ``splits``."""
-    splits = splits or _named_splits(states, tol)
+def _common_support(splits: Sequence[_Split], tol: Tolerances) -> Subspace:
+    """Intersection of the supports of the :func:`_named_splits` ``splits``."""
     return intersect(*(split.support for split in splits), tol=tol)
 
 
@@ -126,9 +125,10 @@ def _common_support(states: Sequence[DensityMatrix], tol: Tolerances, splits=Non
 # 0.21, 1.5 and 12.5 ms.  32 x 32 blocks take twice as long for one product
 # (D = 64 and 256) and save at most 15% on deep stacks.
 _BLOCK = 64
-# Bytes of products a left state forms before both max passes reduce them.
-# At (D, n) = (64, 32), one BLAS thread: 26.6 ms a call at 256 KiB (4 partners),
-# 27.8 at 512 KiB, 27.6 at 1 MiB, 29.6 unchunked; from D = 91 up a chunk is one partner.
+# Bytes of products :func:`_walk` yields at a time.  A chunk is one partner
+# from D = 91 up in double and from D = 129 up in complex64.  At (D, n) =
+# (64, 32), one BLAS thread: 26.6 ms a call at 256 KiB (4 partners), 27.8 at
+# 512 KiB, 27.6 at 1 MiB, 29.6 unchunked.
 _CHUNK_BYTES = 256 * 1024
 # Smallest D at which a thin factor stands in for a low-rank state.  Below it
 # the thin factor's extra array calls cost more than the flops they save: for
@@ -214,18 +214,41 @@ def _fold_extremes(p: np.ndarray, product, commutator):
     return np.minimum(product, tops.min()), commutator
 
 
-def _factor(left):
-    """A left state's factor: ``rho_i`` itself, or ``(V, Lambda V^dag)`` from a thin
-    state's split, formed for one left state at a time."""
+def _factor(left, dtype):
+    """A left state's factor in ``dtype``: ``rho_i`` itself, or ``(V, Lambda V^dag)``
+    from a thin state's split."""
     if isinstance(left, np.ndarray):
-        return left
+        return np.asarray(left, dtype)
     v = left.support.basis
-    return v, left.kept[:, None] * v.conj().T
+    return np.asarray(v, dtype), np.asarray(left.kept[:, None] * v.conj().T, dtype)
 
 
-def _product(factor, chunk: np.ndarray) -> np.ndarray:
-    """``P = rho_i chunk`` from a :func:`_factor`."""
-    return factor @ chunk if isinstance(factor, np.ndarray) else factor[0] @ (factor[1] @ chunk)
+def _walk(lefts, mats, dtype, keep=None):
+    """Yield ``(pos, cols, P)``: the products ``lefts[pos] mats[cols]`` in ``dtype``,
+    each left a matrix or a thin state's split, each its own GEMM.
+
+    With ``keep`` None every pair ``pos < j`` is formed, ``_CHUNK_BYTES`` of
+    products (at least one partner) at a time, so a caller reduces them while
+    they are in cache and holds one chunk, not O(n D^2).  Where a chunk holds
+    several partners every state is cast once into one ``dtype`` stack; else
+    each partner's own matrix is read, so no copy of every state is held.
+    With ``keep`` only the pairs ``keep[pos, j]`` are formed, one partner at a
+    time.  A factor is formed for one left state at a time, and only for a
+    left state with a partner.
+    """
+    n, dim = len(mats), mats[0].shape[0]
+    step = max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * dim * dim))
+    stack = np.array(mats, dtype=dtype) if keep is None and step > 1 else None
+    for pos, left in enumerate(lefts):
+        if keep is None:
+            chunks = [slice(lo, min(lo + step, n)) for lo in range(pos + 1, n, step)]
+        else:
+            chunks = [slice(j, j + 1) for j in np.flatnonzero(keep[pos])]
+        factor = _factor(left, dtype) if chunks else None
+        for cols in chunks:
+            chunk = np.asarray(mats[cols.start], dtype)[None] if stack is None else stack[cols]
+            yield pos, cols, (factor @ chunk if isinstance(factor, np.ndarray)
+                              else factor[0] @ (factor[1] @ chunk))
 
 
 def _screen_error(dim: int, k, left, right):
@@ -248,11 +271,8 @@ def _screen(lefts, mats, sizes: np.ndarray) -> np.ndarray | None:
     commutator pass whose cap, ``_COMMUTATOR_SLACK`` times the largest
     ``s + e`` of the chunk (plus ``_COMMUTATOR_FLOOR``), lies below the
     largest lower end so far is skipped, and that cap stands as the upper end.
-    A chunk holds ``_CHUNK_BYTES`` of complex64 products.  Where that is
-    several partners, every state is cast once into one complex64 stack;
-    else each partner is cast for its chunk, so no complex64 copy of every
-    state is held.  None when a norm reaches float32's range, so that an
-    entry might not cast, or when a screened value or bound is not finite.
+    None when a norm reaches float32's range, so that an entry might not
+    cast, or when a screened value or bound is not finite.
     """
     n, dim = len(mats), mats[0].shape[0]
     k, left_norms, norms = sizes.T
@@ -261,28 +281,19 @@ def _screen(lefts, mats, sizes: np.ndarray) -> np.ndarray | None:
     bound = _screen_error(dim, k[:, None], left_norms[:, None], norms)
     low, high = np.zeros((2, 2, n, n))  # [product, commutator] per pair
     best = -np.inf  # the largest commutator lower end so far
-    step = max(1, _CHUNK_BYTES // (8 * dim * dim))
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
-        stack = np.array(mats, dtype=np.complex64) if step > 1 else None
-        for pos, left in enumerate(lefts):
-            factor = _factor(left)
-            factor = (factor.astype(np.complex64) if isinstance(factor, np.ndarray)
-                      else tuple(f.astype(np.complex64) for f in factor))
-            for lo in range(pos + 1, n, step):
-                chunk = (mats[lo].astype(np.complex64)[None] if stack is None
-                         else stack[lo : lo + step])
-                p = _product(factor, chunk)
-                pairs = (pos, slice(lo, lo + len(p)))
-                e = bound[pairs]
-                tops = np.abs(p).max(axis=(1, 2))
-                low[0][pairs], high[0][pairs] = tops - e, tops + e
-                cap = _COMMUTATOR_SLACK * (tops + e) + _COMMUTATOR_FLOOR
-                if tops.max() > 0 and not cap.max() < best:
-                    dev = _hermitian_deviation(p)
-                    low[1][pairs], high[1][pairs] = dev - 2 * e, dev + 2 * e
-                    best = max(best, low[1][pairs].max())
-                else:  # the lower end stays 0, below every double norm
-                    high[1][pairs] = cap
+        for pos, cols, p in _walk(lefts, mats, np.complex64):
+            pairs = (pos, cols)
+            e = bound[pairs]
+            tops = np.abs(p).max(axis=(1, 2))
+            low[0][pairs], high[0][pairs] = tops - e, tops + e
+            cap = _COMMUTATOR_SLACK * (tops + e) + _COMMUTATOR_FLOOR
+            if tops.max() > 0 and not cap.max() < best:
+                dev = _hermitian_deviation(p)
+                low[1][pairs], high[1][pairs] = dev - 2 * e, dev + 2 * e
+                best = max(best, low[1][pairs].max())
+            else:  # the lower end stays 0, below every double norm
+                high[1][pairs] = cap
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     low, high = low[:, upper], high[:, upper]
     if not (np.isfinite(low).all() and np.isfinite(high).all()):
@@ -313,12 +324,8 @@ def _pairwise_norms(
     in which both ranks are at least ``D / 2``, is formed densely as
     ``rho_i rho_j`` with ``i`` first in the caller's order, and gets exactly
     those bits.  ``splits``, one :func:`_split_spectrum` per state, saves
-    splitting them again.
-    Each left state forms its products ``_CHUNK_BYTES`` (at least one partner)
-    at a time and reduces them while they are in cache: transient memory is
-    one chunk, not O(n D^2), and each product is still its own GEMM, bit for bit.
-    A one-partner chunk reads that partner's own matrix; only a batch is stacked.
-    Only the two extremes are computed in full: every product gets its
+    splitting them again.  The products come from :func:`_walk`, and only
+    the two extremes are computed in full: every product gets its
     ``max |P|`` pass, but :func:`_fold_extremes` skips each commutator pass
     that cannot raise the maximum, so both are the floats a pass over every pair gives.
 
@@ -327,9 +334,9 @@ def _pairwise_norms(
     each double norm within ``e`` of its screened value (``2 e`` for the
     commutator; ``e`` from ``_SCREEN_SLACK``).  Only the pairs that can hold
     the smallest product or the largest commutator are then formed in double,
-    one partner at a time, each as its own GEMM: the two floats keep their
-    bits.  Where a norm reaches float32's range, or a screened value or
-    bound is not finite, every pair is formed in double as without the screen.
+    each as its own GEMM: the two floats keep their bits.  Where a norm
+    reaches float32's range, or a screened value or bound is not finite,
+    every pair is formed in double as without the screen.
     """
     tol = tol or DEFAULT_TOLERANCES
     n, dim = len(states), states[0].dim
@@ -342,8 +349,7 @@ def _pairwise_norms(
     order = sorted(range(n), key=ranks.__getitem__)
     mats = [states[i].matrix for i in order]
     lefts = [mats[pos] if ranks[i] == dim else splits[i] for pos, i in enumerate(order[:-1])]
-    product, commutator = np.inf, 0.0
-    keep = None
+    keep = None  # every pair
     if n >= _SCREEN_MIN_STATES and dim >= _SCREEN_MIN_DIM:
         sizes = []  # (k, L, R) of _screen_error per position
         for i in order:
@@ -353,21 +359,9 @@ def _pairwise_norms(
             sizes.append((ranks[i], np.linalg.norm(splits[i].kept), norm) if thin
                          else (0, norm, norm))
         keep = _screen(lefts, mats, np.array(sizes))
-    if keep is not None:
-        for pos, left in enumerate(lefts):
-            partners = np.flatnonzero(keep[pos])
-            factor = _factor(left) if partners.size else None
-            for j in partners:
-                p = _product(factor, mats[j][None])
-                product, commutator = _fold_extremes(p, product, commutator)
-        return float(product), float(commutator)
-    step = max(1, _CHUNK_BYTES // (16 * dim * dim))
-    stack = np.stack(mats) if step > 1 else None
-    for pos, left in enumerate(lefts):
-        factor = _factor(left)
-        for lo in range(pos + 1, n, step):
-            chunk = mats[lo][None] if stack is None else stack[lo : lo + step]
-            product, commutator = _fold_extremes(_product(factor, chunk), product, commutator)
+    product, commutator = np.inf, 0.0
+    for _, _, p in _walk(lefts, mats, complex, keep):
+        product, commutator = _fold_extremes(p, product, commutator)
     return float(product), float(commutator)
 
 
@@ -425,7 +419,7 @@ def check_bfm(
             f"compatibility needs at least two state assignments, got {len(states)}"
         )
     splits = _named_splits(states, tol)
-    common = _common_support(states, tol, splits)
+    common = _common_support(splits, tol)
     product_norm, commutator_norm = _pairwise_norms(states, tol, splits)
     return CompatReport(
         intersection_basis=common,
@@ -505,7 +499,7 @@ def verify_joint(
         raise ValueError("verify_joint needs at least one observer state")
     _require_equal_dims([joint, *observers])
     splits = _named_splits(observers, tol)
-    b_common = _common_support(observers, tol, splits).basis
+    b_common = _common_support(splits, tol).basis
 
     # (I - P_c) P_j = (W - B_c (B_c^dag W)) W^dag, with P_j = W W^dag
     split = _split_spectrum(joint.spectrum, tol, f"joint state (label {joint.label!r})")

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChiOutsideSupport, Incompatible, ZeroProbabilityOutcome
-from .linalg import DEFAULT_TOLERANCES, Subspace, Tolerances, _lex_order, _split_spectrum
+from .linalg import DEFAULT_TOLERANCES, Subspace, Tolerances, _Split, _lex_order, _split_spectrum
 from .states import DensityMatrix, PureState, _mixture, validate_density
 from .states import _check_weights
-from .compat import _common_support
+from .compat import _common_support, _named_splits
 
 __all__ = [
     "SharedDecomposition",
@@ -154,7 +154,7 @@ def choose_common_state(
         If the support intersection is trivial.
     """
     tol = tol or DEFAULT_TOLERANCES
-    return _common_state(a, b, _common_support([a, b], tol))
+    return _common_state(a, b, _common_support(_named_splits([a, b], tol), tol))
 
 
 def _common_state(a: DensityMatrix, b: DensityMatrix, common: Subspace) -> PureState:
@@ -188,36 +188,33 @@ def max_common_weight(
     ValueError
         If the zero cutoff empties the support of ``rho``.
     """
-    return _common_weight(rho, chi, tol or DEFAULT_TOLERANCES)[0]
-
-
-def _common_weight(
-    rho: DensityMatrix, chi: PureState, tol: Tolerances
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The maximal weight ``p = 1/|u|^2`` of ``|chi><chi|`` in ``rho``, with
-    ``u = L^(-1/2) V^dag chi`` for the support columns ``V`` of the kept
-    spectrum and their eigenvalues ``L`` rescaled to sum to one, as
-    :func:`~qcompat.states.eigen_ensemble` weights them; returns ``p``, ``V``,
-    ``L`` and ``V^dag chi``.  Raises as :func:`max_common_weight`."""
     if rho.dim != chi.dim:
         raise ChiOutsideSupport(
             f"state dimension {chi.dim} does not match rho dimension {rho.dim}"
         )
-    split = _split_spectrum(rho.spectrum, tol, f"state (label {rho.label!r})")
+    split = _split_spectrum(rho.spectrum, tol or DEFAULT_TOLERANCES, f"state (label {rho.label!r})")
+    return _common_weight(split, chi)[0]
+
+
+def _common_weight(split: _Split, chi: PureState) -> tuple[float, np.ndarray, np.ndarray]:
+    """The maximal weight ``p = 1/|u|^2`` of ``|chi><chi|`` in the state of ``split``,
+    with ``u = L^(-1/2) V^dag chi`` for the support columns ``V`` of its kept
+    spectrum and their eigenvalues ``L`` rescaled to sum to one, as
+    :func:`~qcompat.states.eigen_ensemble` weights them; returns ``p``, ``L``
+    and ``V^dag chi``.  Raises :class:`ChiOutsideSupport` as
+    :func:`max_common_weight` does."""
     basis, kept = split.support.basis, split.kept / split.kept.sum()
     overlaps = basis.conj().T @ chi.amplitudes
     residual = float(np.linalg.norm(basis @ overlaps - chi.amplitudes))
     if residual > CHI_SUPPORT_RESIDUAL:
         raise ChiOutsideSupport(f"chi leaves the support by {residual:.3e}")
     weight = min(1.0 / float(np.sum(np.abs(overlaps) ** 2 / kept)), 1.0)
-    return weight, basis, kept, overlaps
+    return weight, kept, overlaps
 
 
-def _split_off(
-    rho: DensityMatrix, chi: PureState, tol: Tolerances
-) -> tuple[float, tuple[Component, ...]]:
-    """The maximal weight ``p`` of ``|chi><chi|`` in ``rho`` and the remainder
-    ``rho - p |chi><chi|`` as terms, both read from the kept spectrum.
+def _split_off(split: _Split, chi: PureState) -> tuple[float, tuple[Component, ...]]:
+    """The maximal weight ``p`` of ``|chi><chi|`` in the state ``rho`` of ``split``
+    and the remainder ``rho - p |chi><chi|`` as terms, both read from its kept spectrum.
 
     With ``V``, ``L`` and ``u`` as in :func:`_common_weight` and
     ``F = V L^(1/2)``, the remainder is ``F (I - u u^dag/|u|^2) F^dag``.  So
@@ -226,9 +223,9 @@ def _split_off(
     Hughston-Jozsa-Wootters), each weighted by its squared norm, which is at
     least the smallest kept eigenvalue.  They are not orthogonal.
     """
-    weight, basis, kept, overlaps = _common_weight(rho, chi, tol)
+    weight, kept, overlaps = _common_weight(split, chi)
     complement = np.linalg.qr((overlaps / np.sqrt(kept))[:, None], mode="complete")[0][:, 1:]
-    terms = (basis * np.sqrt(kept)) @ complement
+    terms = (split.support.basis * np.sqrt(kept)) @ complement
     norms = np.linalg.norm(terms, axis=0)
     return weight, tuple((float(n) ** 2, PureState(t / n)) for n, t in zip(norms, terms.T))
 
@@ -245,13 +242,15 @@ def build_shared_decomposition(
     eigendecomposition.  These terms are not orthogonal.
     """
     tol = tol or DEFAULT_TOLERANCES
-    return _decompose(a, b, _common_support([a, b], tol), tol)
+    splits = _named_splits([a, b], tol)
+    return _decompose(a, b, splits, _common_support(splits, tol))
 
 
-def _decompose(a: DensityMatrix, b: DensityMatrix, common: Subspace, tol: Tolerances):
-    """:func:`build_shared_decomposition` from ``common``, the supports' intersection."""
+def _decompose(a: DensityMatrix, b: DensityMatrix, splits: list[_Split], common: Subspace):
+    """:func:`build_shared_decomposition` from the states' :func:`_named_splits`
+    ``splits`` and ``common``, the intersection of their supports."""
     chi = _common_state(a, b, common)
-    (p0, rest_a), (q0, rest_b) = _split_off(a, chi, tol), _split_off(b, chi, tol)
+    (p0, rest_a), (q0, rest_b) = (_split_off(split, chi) for split in splits)
     return SharedDecomposition(chi=chi, p0=p0, q0=q0, rest_a=rest_a, rest_b=rest_b)
 
 

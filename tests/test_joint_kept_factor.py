@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcompat import Tolerances, max_abs, projector_from, validate_density, verify_joint
-from qcompat.compat import _common_support
+from qcompat.compat import _common_support, _named_splits
 from qcompat.linalg import _split_spectrum
 from conftest import product_rounding, random_unitary
 
@@ -63,7 +63,7 @@ def dropped(state):
 def assert_within_dense_rule(joint, observers):
     ok, report = verify_joint(joint, observers)
     dim = joint.dim
-    b = _common_support(observers, TOL).basis
+    b = _common_support(_named_splits(observers, TOL), TOL).basis
     p_joint = projector_from(_split_spectrum(joint.spectrum, TOL, "joint").support)
     dense = max_abs(p_joint - b @ (b.conj().T @ p_joint))
     assert abs(report.leakage - dense) <= product_rounding(dim)

@@ -169,6 +169,44 @@ def counting_deviation(monkeypatch):
     return seen
 
 
+def recording_walk(monkeypatch):
+    """Wrap the product walker; the returned list collects ``(dtype, pos, partners)``
+    per chunk it yields, ``partners`` the positions its products pair ``pos`` with."""
+    seen = []
+    original = compat._walk
+
+    def recorded(lefts, mats, dtype, keep=None):
+        for pos, cols, p in original(lefts, mats, dtype, keep):
+            partners = list(range(len(mats))[cols])
+            assert p.dtype == dtype and p.shape == (len(partners),) + mats[0].shape
+            seen.append((np.dtype(dtype), pos, partners))
+            yield pos, cols, p
+
+    monkeypatch.setattr(compat, "_walk", recorded)
+    return seen
+
+
+def walked_pairs(seen, dtype):
+    """The ``(pos, j)`` pairs the walker formed in ``dtype``, in the order formed."""
+    return [(pos, j) for kind, pos, partners in seen if kind == dtype for j in partners]
+
+
+@pytest.mark.parametrize("dim, n", [(64, 9), (100, 6)])
+def test_unscreened_walk_forms_each_pair_once(monkeypatch, dim, n):
+    # (64, 9): chunks of 4 partners, with 8, 7, ..., 1 partners per left
+    # state, end on and straddle chunk edges; (100, 6): one-partner chunks
+    monkeypatch.setattr(compat, "_SCREEN_MIN_STATES", n + 1)
+    rng = np.random.default_rng(241 + dim)
+    states = mixed_ranks(rng, dim, n)
+    seen = recording_walk(monkeypatch)
+    products, commutators = whole_stack_norms(states)
+    got = np.array(_pairwise_norms(states))
+    assert got.tobytes() == np.array([products.min(), commutators.max()]).tobytes()
+    assert walked_pairs(seen, np.dtype(complex)) == [(i, j) for i in range(n - 1)
+                                                     for j in range(i + 1, n)]
+    assert len(seen) == sum(-(-(n - 1 - i) // partners_per_chunk(dim)) for i in range(n - 1))
+
+
 @pytest.mark.parametrize("c", [1.0, 0.3, 2.0**-600, 5e-324])
 @pytest.mark.parametrize("unit", [[[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
 def test_skip_rule_runs_the_pass_at_its_edge(monkeypatch, c, unit):

@@ -24,7 +24,14 @@ from qcompat.compat import (
     _screen_error,
 )
 from conftest import random_density_exact
-from test_pairwise_chunks import counting_deviation, mixed_ranks, planted_set, whole_stack_norms
+from test_pairwise_chunks import (
+    counting_deviation,
+    mixed_ranks,
+    planted_set,
+    recording_walk,
+    walked_pairs,
+    whole_stack_norms,
+)
 
 U32 = np.finfo(np.float32).eps / 2
 TINY32 = np.finfo(np.float32).tiny
@@ -213,6 +220,23 @@ def test_bench_like_set_forms_few_pairs_in_double(monkeypatch):
         formed[0] = 0
         assert_oracle_extremes(states)
         assert 0 < formed[0] <= 4  # of 28 pairs
+
+
+def test_screened_walk_forms_each_pair_once_per_pass(monkeypatch):
+    # every pair once in complex64, then exactly the kept pairs in double
+    rng = np.random.default_rng(457)
+    n = 8
+    states = planted_set(rng, 64, n, 2)
+    seen = recording_walk(monkeypatch)
+    keeps = recording_screen(monkeypatch)
+    assert_oracle_extremes(states)
+    assert len(keeps) == 1 and keeps[0] is not None
+    every = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    assert walked_pairs(seen, np.dtype(np.complex64)) == every
+    kept = [(int(i), int(j)) for i, j in zip(*np.nonzero(keeps[0]))]
+    assert walked_pairs(seen, np.dtype(complex)) == kept
+    assert 0 < len(kept) < len(every)
+    assert all(len(partners) == 1 for kind, _, partners in seen if kind == np.dtype(complex))
 
 
 @pytest.mark.parametrize("dim, n, screened", [(64, 6, True), (63, 6, False), (64, 5, False),
