@@ -221,8 +221,10 @@ def _cmd_simulate(args: argparse.Namespace, tol: Tolerances) -> int:
     w = parsed.witness
     result = simulate_protocol(w, tol)
 
-    rho_a = w.decomposition.rho_a()
-    rho_b = w.decomposition.rho_b()
+    try:  # weights and vectors each within bounds can still sum past trace_tol
+        rho_a, rho_b = w.decomposition.rho_a(), w.decomposition.rho_b()
+    except StateValidationError as e:
+        raise MalformedFile(f"{args.witness_file}: the decomposition rebuilds no valid state: {e}")
     dev_a = max_abs(result.rho_alice.matrix - rho_a.matrix)
     dev_b = max_abs(result.rho_bob.matrix - rho_b.matrix)
     overlap = float(

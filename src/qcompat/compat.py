@@ -438,17 +438,15 @@ def check_pure_pair(
     True iff the two supports intersect under the rule of :func:`intersect`,
     ``|<psi_a|psi_b>| > 1 - 2 overlap_tol`` (global phase is irrelevant), so
     it agrees with :func:`check_bfm` on rank-1 pairs.  A cutoff that empties
-    a support raises ValueError naming the state, as :func:`check_bfm` does.
+    a support raises ValueError naming the state, as :func:`check_bfm` does;
+    both states are split before either rank is checked.
     """
     tol = tol or DEFAULT_TOLERANCES
-    _require_equal_dims([a, b])
-    supports = []
-    for k, rho in enumerate((a, b)):
-        split = _split_spectrum(rho.spectrum, tol, f"state {k} (label {rho.label!r})")
+    splits = _named_splits([a, b], tol)
+    for split in splits:
         if split.rank != 1:
             raise NotPure(f"state has rank {split.rank}, expected 1")
-        supports.append(split.support)
-    return intersect(*supports, tol=tol).dimension > 0
+    return _common_support(splits, tol).dimension > 0
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,11 @@ def _is_scalar(x) -> bool:
 
 
 def _is_flat(x) -> bool:
-    """Lists up to two levels deep with scalar leaves stay on one line."""
-    if _is_scalar(x):
-        return True
-    if isinstance(x, (list, tuple)):
-        return all(
-            _is_scalar(e) or (isinstance(e, (list, tuple)) and all(_is_scalar(f) for f in e))
-            for e in x
-        )
-    return False
+    """A list up to two levels deep with scalar leaves stays on one line."""
+    return all(
+        _is_scalar(e) or (isinstance(e, (list, tuple)) and all(_is_scalar(f) for f in e))
+        for e in x
+    )
 
 
 _PAIR = "[%.17g, %.17g]"  # "%.17g" and format(x, ".17g") convert alike
@@ -180,16 +176,28 @@ def _pairs_to_array(nested, shape: tuple[int, ...], per_entry) -> np.ndarray:
     return per_entry()
 
 
-def _pairs_to_vector(pairs, where: str) -> np.ndarray:
+def _pairs_to_vector(pairs, where: str, dim: int | None = None) -> np.ndarray:
+    """The complex vector a nonempty list of ``[re, im]`` pairs holds; given
+    ``dim``, the one place a payload's dimension is checked, after its entries."""
     if not isinstance(pairs, list) or not pairs:
         raise MalformedFile(f"{where}: expected a nonempty list of [re, im] pairs")
-    return _pairs_to_array(
+    vec = _pairs_to_array(
         pairs,
         (len(pairs),),
         lambda: np.array(
             [_pair_to_complex(e, f"{where}[{k}]") for k, e in enumerate(pairs)], dtype=complex
         ),
     )
+    if dim is not None and len(pairs) != dim:
+        raise ShapeMismatch(f"{where}: expected dimension {dim}")
+    return vec
+
+
+def _positive_int(value, what: str) -> int:
+    """A ``dim`` field: a JSON integer of at least 1, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise MalformedFile(f"{what} must be a positive integer, got {value!r}")
+    return value
 
 
 def _reject_constant(name: str):
@@ -225,10 +233,10 @@ def _check_label(label, error) -> None:
         raise error(f"field 'label' must be a string, got {label!r}")
 
 
-def _check_sections(inputs, n_states, decomposed: bool, witnessed: bool, error) -> None:
+def _check_sections(inputs, n_states, intersection_dim, decomposed, witnessed, error) -> None:
     """A report's inputs are strings; it covers at least two states, one per
-    input if any are named, and exactly two under a decomposition, which a
-    witness needs."""
+    input if any are named, and exactly two, whose supports meet (intersection
+    dimension above 0), under a decomposition, which a witness needs."""
     if not isinstance(inputs, list) or any(not isinstance(s, str) for s in inputs):
         raise error("field 'inputs' must be a list of strings")
     if type(n_states) is not int or n_states < 2:
@@ -237,6 +245,8 @@ def _check_sections(inputs, n_states, decomposed: bool, witnessed: bool, error) 
         raise error(f"report.n_states {n_states!r} differs from the {len(inputs)} inputs")
     if decomposed and n_states != 2:
         raise error(f"report.n_states {n_states!r} differs from the 2 states of a decomposition")
+    if decomposed and intersection_dim == 0:
+        raise error("decomposition section requires report.intersection_dim above 0")
     if witnessed and not decomposed:
         raise error("witness section requires a decomposition section")
 
@@ -283,10 +293,7 @@ def parse_matrix(source: str | Path | IO) -> tuple[np.ndarray, str | None]:
     doc = _load_json(source)
     _check_schema(doc)
 
-    dim = doc.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise MalformedFile(f"field 'dim' must be a positive integer, got {dim!r}")
-
+    dim = _positive_int(doc.get("dim"), "field 'dim'")
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise MalformedFile("field 'entries' must be a list of rows")
@@ -327,17 +334,17 @@ def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 # report / witness files
 
+def _components_doc(rest) -> list:
+    return [{"weight": w, "state": _to_pairs(s.amplitudes)} for w, s in rest]
+
+
 def _decomposition_doc(d: SharedDecomposition) -> dict:
     return {
         "chi": _to_pairs(d.chi.amplitudes),
         "p0": d.p0,
         "q0": d.q0,
-        "rest_a": [
-            {"weight": w, "state": _to_pairs(s.amplitudes)} for w, s in d.rest_a
-        ],
-        "rest_b": [
-            {"weight": w, "state": _to_pairs(s.amplitudes)} for w, s in d.rest_b
-        ],
+        "rest_a": _components_doc(d.rest_a),
+        "rest_b": _components_doc(d.rest_b),
     }
 
 
@@ -351,12 +358,14 @@ def report_document(
 
     Raises ValueError where :func:`parse_report_document` would reject the
     sections: an input that is not a string, a count of inputs neither 0 nor
-    ``n_states``, a decomposition of other than two states, or a witness
-    without its decomposition or with dims or normalization not its own.
+    ``n_states``, a decomposition of other than two states or beside an
+    intersection of dimension 0, or a witness without its decomposition or
+    with dims or normalization not its own.
     """
     inputs = list(inputs)
     _check_sections(
-        inputs, report.n_states, decomposition is not None, witness is not None, ValueError
+        inputs, report.n_states, report.intersection_dim,
+        decomposition is not None, witness is not None, ValueError,
     )
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -429,36 +438,33 @@ def _parse_tolerances(doc, where: str) -> Tolerances:
         raise MalformedFile(f"{where}: {e}") from e
 
 
-def _parse_components(items, where: str, dim: int) -> tuple:
-    if not isinstance(items, list):
-        raise MalformedFile(f"{where}: expected a list")
-    out = []
-    for k, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise MalformedFile(f"{where}[{k}]: expected an object")
-        weight = _number(item, "weight", f"{where}[{k}]")
-        vec = _pairs_to_vector(_require(item, "state", f"{where}[{k}]"), f"{where}[{k}].state")
-        if vec.shape[0] != dim:
-            raise ShapeMismatch(f"{where}[{k}].state: expected dimension {dim}")
-        out.append((weight, _pure(vec, f"{where}[{k}].state")))
-    return tuple(out)
-
-
-def _pure(vec: np.ndarray, where: str) -> PureState:
+def _pure(pairs, where: str, dim: int) -> PureState:
+    vec = _pairs_to_vector(pairs, where, dim)
     try:
         return PureState(vec)
     except ValueError as e:
         raise MalformedFile(f"{where}: {e}") from e
 
 
-def _parse_decomposition(doc, where: str) -> SharedDecomposition:
+def _component(item, where: str, dim: int) -> tuple[float, PureState]:
+    if not isinstance(item, dict):
+        raise MalformedFile(f"{where}: expected an object")
+    weight = _number(item, "weight", where)
+    return weight, _pure(_require(item, "state", where), f"{where}.state", dim)
+
+
+def _parse_components(items, where: str, dim: int) -> tuple:
+    if not isinstance(items, list):
+        raise MalformedFile(f"{where}: expected a list")
+    return tuple(_component(item, f"{where}[{k}]", dim) for k, item in enumerate(items))
+
+
+def _parse_decomposition(doc, where: str, dim: int) -> SharedDecomposition:
     if not isinstance(doc, dict):
         raise MalformedFile(f"{where}: expected an object")
-    chi_vec = _pairs_to_vector(_require(doc, "chi", where), f"{where}.chi")
-    dim = chi_vec.shape[0]
     try:
         return SharedDecomposition(
-            chi=_pure(chi_vec, f"{where}.chi"),
+            chi=_pure(_require(doc, "chi", where), f"{where}.chi", dim),
             p0=_number(doc, "p0", where),
             q0=_number(doc, "q0", where),
             rest_a=_parse_components(_require(doc, "rest_a", where), f"{where}.rest_a", dim),
@@ -475,7 +481,10 @@ def parse_report_document(doc: dict) -> ParsedReport:
     file cannot round-trip into an inconsistent object: every number is a
     finite JSON int or float (never a bool or a string), and each verdict
     field the file stores must equal, value and JSON type, the one the
-    report derives from the stored evidence.
+    report derives from the stored evidence.  Each vector (every
+    intersection-basis vector, then chi, then each remainder term) must have
+    the report's ``dim`` entries, checked as it is read, and a decomposition
+    section needs an intersection basis of at least one vector.
     """
     _check_schema(doc)
     inputs = doc.get("inputs", [])
@@ -483,24 +492,21 @@ def parse_report_document(doc: dict) -> ParsedReport:
     rep = _require(doc, "report", "document")
     if not isinstance(rep, dict):
         raise MalformedFile("field 'report' must be an object")
-    dim = _require(rep, "dim", "report")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise MalformedFile(f"report.dim must be a positive integer, got {dim!r}")
+    dim = _positive_int(_require(rep, "dim", "report"), "report.dim")
     basis_pairs = _require(rep, "intersection_basis", "report")
     if not isinstance(basis_pairs, list):
         raise MalformedFile("report.intersection_basis must be a list of vectors")
     vectors = [
-        _pairs_to_vector(v, f"report.intersection_basis[{k}]")
+        _pairs_to_vector(v, f"report.intersection_basis[{k}]", dim)
         for k, v in enumerate(basis_pairs)
     ]
-    for k, v in enumerate(vectors):
-        if v.shape[0] != dim:
-            raise ShapeMismatch(f"report.intersection_basis[{k}]: expected dimension {dim}")
     basis = (
         np.column_stack(vectors) if vectors else np.zeros((dim, 0), dtype=complex)
     )
     n_states = _require(rep, "n_states", "report")
-    _check_sections(inputs, n_states, "decomposition" in doc, "witness" in doc, MalformedFile)
+    _check_sections(
+        inputs, n_states, len(vectors), "decomposition" in doc, "witness" in doc, MalformedFile
+    )
     norms = {key: _number(rep, key, "report") for key in ("commutator_norm", "product_norm")}
     for key, norm in norms.items():
         if norm < 0:
@@ -527,9 +533,7 @@ def parse_report_document(doc: dict) -> ParsedReport:
 
     decomposition = None
     if "decomposition" in doc:
-        decomposition = _parse_decomposition(doc["decomposition"], "decomposition")
-        if decomposition.dim != dim:
-            raise ShapeMismatch(f"decomposition.chi: expected dimension {dim}")
+        decomposition = _parse_decomposition(doc["decomposition"], "decomposition", dim)
 
     witness = None
     if "witness" in doc:

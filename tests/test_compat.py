@@ -525,3 +525,16 @@ def test_verify_joint_requires_observers():
     joint = validate_density(np.eye(2) / 2)
     with pytest.raises(ValueError):
         verify_joint(joint, [])
+
+
+def test_pure_pair_splits_both_states_before_the_rank_check():
+    # a mixed first state beside a second whose support the cutoff empties:
+    # the second state's ValueError, as check_bfm raises, not NotPure
+    mixed = validate_density(np.diag([0.45, 0.45, 0.05, 0.05]), label="M")
+    flat = validate_density(np.eye(4) / 4, label="E")
+    with pytest.raises(ValueError) as exc:
+        check_pure_pair(mixed, flat, Tolerances(eigenvalue_zero_tol=0.3))
+    assert not isinstance(exc.value, NotPure)
+    assert str(exc.value).startswith("state 1 (label 'E') has an empty support")
+    with pytest.raises(ValueError, match=r"^state 1 \(label 'E'\) has an empty support"):
+        check_bfm([mixed, flat], Tolerances(eigenvalue_zero_tol=0.3))
