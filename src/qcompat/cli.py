@@ -90,24 +90,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tolerances(args: argparse.Namespace) -> Tolerances:
-    eig = None
-    env = os.environ.get(ENV_TOL_EIG)
+    """The flags' tolerances; without ``--tol-eig``, ``QCOMPAT_TOL_EIG`` sets the cutoff."""
+    eig = args.tol_eig
+    env = os.environ.get(ENV_TOL_EIG) if eig is None else None
     if env is not None:
         try:
             eig = float(env)
         except ValueError:
             raise QcompatError(f"{ENV_TOL_EIG} is not a number: {env!r}")
-    if getattr(args, "tol_eig", None) is not None:
-        eig = args.tol_eig
-    kwargs = {}
-    if eig is not None:
-        kwargs["eigenvalue_zero_tol"] = eig
-    if getattr(args, "tol_overlap", None) is not None:
-        kwargs["overlap_tol"] = args.tol_overlap
-    try:
-        return Tolerances(**kwargs)
-    except ValueError as e:
-        raise QcompatError(str(e))
+    given = {"eigenvalue_zero_tol": eig, "overlap_tol": args.tol_overlap}
+    return Tolerances(**{name: value for name, value in given.items() if value is not None})
 
 
 def _load_state(path: str, tol: Tolerances) -> DensityMatrix:
@@ -145,9 +137,8 @@ def _print_report(report: CompatReport) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace, tol: Tolerances) -> int:
-    matrix, label = formats.parse_matrix(args.file)
     try:
-        state = validate_density(matrix, tol, label=label)
+        state = _load_state(args.file, tol)
     except StateValidationError as e:
         print(f"invalid density matrix ({args.file}):")
         for name, measured, allowed in e.violations:
@@ -193,25 +184,25 @@ def _cmd_pair(args: argparse.Namespace, tol: Tolerances) -> int:
     report = check_bfm([a, b], tol)
     inputs = [_input_name(args.file_a, a), _input_name(args.file_b, b)]
     witness = args.command == "witness"
+    sections = {}
     if not report.verdict_bfm:
         missing = "no witness exists" if witness else "no shared decomposition"
         print(f"incompatible: support intersection is trivial, {missing}")
-        _write_json(args, report, inputs)
-        return 1
-    d = _decompose(a, b, _named_splits([a, b], tol), report.intersection_basis)
-    if not witness:
-        print(f"shared state found (intersection dimension {report.intersection_dim})")
-        print(f"p0 = {_fmt(d.p0)} with {len(d.rest_a)} extra term(s) for state A")
-        print(f"q0 = {_fmt(d.q0)} with {len(d.rest_b)} extra term(s) for state B")
-        _write_json(args, report, inputs, decomposition=d)
-        return 0
-    w = build_witness(d)
-    print(f"witness dimensions (ancilla A, ancilla B, system) = {w.dims}")
-    print(f"normalization = {_fmt(w.normalization)}")
-    # both outcomes 0 leave the amplitudes N chi, so the probability is N^2
-    print(f"probability of both zero outcomes = {_fmt(w.normalization**2)}")
-    _write_json(args, report, inputs, decomposition=d, witness=w)
-    return 0
+    else:
+        splits = _named_splits([a, b], tol)
+        d = sections["decomposition"] = _decompose(a, b, splits, report.intersection_basis)
+        if witness:
+            w = sections["witness"] = build_witness(d)
+            print(f"witness dimensions (ancilla A, ancilla B, system) = {w.dims}")
+            print(f"normalization = {_fmt(w.normalization)}")
+            # both outcomes 0 leave the amplitudes N chi, so the probability is N^2
+            print(f"probability of both zero outcomes = {_fmt(w.normalization**2)}")
+        else:
+            print(f"shared state found (intersection dimension {report.intersection_dim})")
+            print(f"p0 = {_fmt(d.p0)} with {len(d.rest_a)} extra term(s) for state A")
+            print(f"q0 = {_fmt(d.q0)} with {len(d.rest_b)} extra term(s) for state B")
+    _write_json(args, report, inputs, **sections)
+    return 0 if report.verdict_bfm else 1
 
 
 def _cmd_simulate(args: argparse.Namespace, tol: Tolerances) -> int:

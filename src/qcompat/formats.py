@@ -251,6 +251,16 @@ def _check_sections(inputs, n_states, intersection_dim, decomposed, witnessed, e
         raise error("witness section requires a decomposition section")
 
 
+def _check_chi(report: CompatReport, chi: PureState, error) -> None:
+    """A decomposition's chi lies in the report's intersection: the cosine
+    ``|B^dag chi|`` with its basis ``B`` exceeds ``1 - 2 overlap_tol`` at the
+    report's own tolerances, the rule by which :func:`~qcompat.linalg.intersect`
+    keeps a direction."""
+    cosine = float(np.linalg.norm(report.intersection_basis.basis.conj().T @ chi.amplitudes))
+    if not cosine > 1.0 - 2.0 * report.tolerances_used.overlap_tol:
+        raise error(f"decomposition.chi leaves the report's intersection: cosine {cosine!r}")
+
+
 def _check_witness(dims, normalization, witness: WitnessState, error) -> None:
     """A witness section's ``dims`` are the integers of ``witness``, its
     decomposition's, and its normalization satisfies ``1/N^2 = 1/p0 + 1/q0 - 1``."""
@@ -358,9 +368,10 @@ def report_document(
 
     Raises ValueError where :func:`parse_report_document` would reject the
     sections: an input that is not a string, a count of inputs neither 0 nor
-    ``n_states``, a decomposition of other than two states or beside an
-    intersection of dimension 0, or a witness without its decomposition or
-    with dims or normalization not its own.
+    ``n_states``, a decomposition of other than two states, beside an
+    intersection of dimension 0 or with a chi outside the intersection
+    (:func:`_check_chi`), or a witness without its decomposition or with dims
+    or normalization not its own.
     """
     inputs = list(inputs)
     _check_sections(
@@ -385,6 +396,7 @@ def report_document(
         "tolerances_used": asdict(report.tolerances_used),
     }
     if decomposition is not None:
+        _check_chi(report, decomposition.chi, ValueError)
         doc["decomposition"] = _decomposition_doc(decomposition)
     if witness is not None:
         _check_witness(
@@ -484,7 +496,8 @@ def parse_report_document(doc: dict) -> ParsedReport:
     report derives from the stored evidence.  Each vector (every
     intersection-basis vector, then chi, then each remainder term) must have
     the report's ``dim`` entries, checked as it is read, and a decomposition
-    section needs an intersection basis of at least one vector.
+    section needs an intersection basis of at least one vector, in which its
+    chi lies (:func:`_check_chi`).
     """
     _check_schema(doc)
     inputs = doc.get("inputs", [])
@@ -534,6 +547,7 @@ def parse_report_document(doc: dict) -> ParsedReport:
     decomposition = None
     if "decomposition" in doc:
         decomposition = _parse_decomposition(doc["decomposition"], "decomposition", dim)
+        _check_chi(report, decomposition.chi, MalformedFile)
 
     witness = None
     if "witness" in doc:

@@ -249,6 +249,12 @@ class _Split(NamedTuple):
     support: Subspace
     null: Subspace
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The kept eigenvalues rescaled to sum to one, which gives back the mass
+        the zero cutoff drops (up to ``D`` times ``eigenvalue_zero_tol``)."""
+        return self.kept / self.kept.sum()
+
 
 def _split_spectrum(spectrum, tol: Tolerances, name: str | None = None, *, psd=True) -> _Split:
     """The one split of a spectrum from :func:`_eigh_canonical` at ``eigenvalue_zero_tol``.

@@ -246,12 +246,8 @@ def validate_density(
             violations.append(("trace imaginary part", trace.imag, tol.trace_tol))
 
     if violations:
-        first = violations[0][0]
-        if first == "hermiticity":
-            raise NotHermitian(violations)
-        if first.startswith("positivity"):
-            raise NotPSD(violations)
-        raise TraceNotOne(violations)
+        classes = {"hermiticity": NotHermitian, "positivity lambda_min": NotPSD}
+        raise classes.get(violations[0][0], TraceNotOne)(violations)
     return rho
 
 
@@ -269,12 +265,11 @@ def from_ensemble(e: Ensemble, tol: Tolerances | None = None) -> DensityMatrix:
 
 def eigen_ensemble(rho: DensityMatrix, tol: Tolerances | None = None) -> Ensemble:
     """Canonical ensemble of the support eigenvectors, weighted by their
-    eigenvalues divided by their sum, which gives back the mass the zero cutoff
-    drops (up to ``D`` times ``eigenvalue_zero_tol``): the weights sum to one
-    in rounding.  A cutoff that empties the support raises ValueError."""
+    eigenvalues rescaled to sum to one (``_Split.weights``), which gives back
+    the mass the zero cutoff drops: the weights sum to one in rounding.  A
+    cutoff that empties the support raises ValueError."""
     split = _split_spectrum(rho.spectrum, tol or DEFAULT_TOLERANCES, f"state (label {rho.label!r})")
-    weights = split.kept / split.kept.sum()
-    return Ensemble(tuple((float(w), PureState(v)) for w, v in zip(weights, split.support.basis.T)))
+    return Ensemble(tuple(zip(split.weights, map(PureState, split.support.basis.T))))
 
 
 def tensor(states: Sequence[DensityMatrix] | Sequence[PureState]):

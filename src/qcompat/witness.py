@@ -64,10 +64,15 @@ class SharedDecomposition:
         object.__setattr__(self, "q0", float(self.q0))
         object.__setattr__(self, "rest_a", tuple((float(w), s) for w, s in self.rest_a))
         object.__setattr__(self, "rest_b", tuple((float(w), s) for w, s in self.rest_b))
-        for name, head, rest in (("a", self.p0, self.rest_a), ("b", self.q0, self.rest_b)):
-            _check_weights([head, *(w for w, _ in rest)], f"weights of decomposition {name}")
-            if any(s.dim != self.chi.dim for _, s in rest):
+        for name, terms in zip("ab", self._terms()):
+            _check_weights([w for w, _ in terms], f"weights of decomposition {name}")
+            if any(s.dim != self.chi.dim for _, s in terms):
                 raise ValueError(f"rest_{name} states must match the shared-state dimension")
+
+    def _terms(self) -> tuple[tuple[Component, ...], tuple[Component, ...]]:
+        """Each state's terms, the shared one first: ``((p0, chi), *rest_a)``
+        for the first state and ``((q0, chi), *rest_b)`` for the second."""
+        return ((self.p0, self.chi), *self.rest_a), ((self.q0, self.chi), *self.rest_b)
 
     @property
     def dim(self) -> int:
@@ -75,14 +80,11 @@ class SharedDecomposition:
 
     def rho_a(self) -> DensityMatrix:
         """Reconstruct the first state from its decomposition."""
-        return self._reconstruct(self.p0, self.rest_a, "A")
+        return validate_density(_mixture(self._terms()[0]), label="A")
 
     def rho_b(self) -> DensityMatrix:
         """Reconstruct the second state from its decomposition."""
-        return self._reconstruct(self.q0, self.rest_b, "B")
-
-    def _reconstruct(self, head: float, rest: tuple[Component, ...], label: str) -> DensityMatrix:
-        return validate_density(_mixture(((head, self.chi),) + rest), label=label)
+        return validate_density(_mixture(self._terms()[1]), label="B")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +116,7 @@ class WitnessState:
         on every read (unit-scaled, absorbing the ``WEIGHT_TOL`` slack of the
         weights).  In the library only the check of an older file reads it."""
         t = np.zeros(self.dims, dtype=complex)
-        t[0], t[:, 0] = _zero_block(self, "A"), _zero_block(self, "B")
+        t[0], t[:, 0] = _zero_blocks(self)
         t /= np.linalg.norm(t)
         return PureState(t)
 
@@ -199,11 +201,10 @@ def max_common_weight(
 def _common_weight(split: _Split, chi: PureState) -> tuple[float, np.ndarray, np.ndarray]:
     """The maximal weight ``p = 1/|u|^2`` of ``|chi><chi|`` in the state of ``split``,
     with ``u = L^(-1/2) V^dag chi`` for the support columns ``V`` of its kept
-    spectrum and their eigenvalues ``L`` rescaled to sum to one, as
-    :func:`~qcompat.states.eigen_ensemble` weights them; returns ``p``, ``L``
-    and ``V^dag chi``.  Raises :class:`ChiOutsideSupport` as
+    spectrum and their eigenvalues ``L`` rescaled to sum to one (``split.weights``);
+    returns ``p``, ``L`` and ``V^dag chi``.  Raises :class:`ChiOutsideSupport` as
     :func:`max_common_weight` does."""
-    basis, kept = split.support.basis, split.kept / split.kept.sum()
+    basis, kept = split.support.basis, split.weights
     overlaps = basis.conj().T @ chi.amplitudes
     residual = float(np.linalg.norm(basis @ overlaps - chi.amplitudes))
     if residual > CHI_SUPPORT_RESIDUAL:
@@ -265,14 +266,12 @@ def build_witness(d: SharedDecomposition) -> WitnessState:
     return WitnessState(d)
 
 
-def _zero_block(w: WitnessState, side: str) -> np.ndarray:
-    """The amplitudes one observer's outcome 0 leaves, a row per label of the
-    other ancilla: ``N [chi; sqrt(p_i/p0) psi_i]`` for Alice ("A") and
-    ``N [chi; sqrt(q_j/q0) phi_j]`` for Bob ("B")."""
-    d = w.decomposition
-    head, rest = (d.p0, d.rest_a) if side == "A" else (d.q0, d.rest_b)
-    terms = ((head, d.chi),) + rest
-    return w.normalization * np.array([np.sqrt(p / head) * s.amplitudes for p, s in terms])
+def _zero_blocks(w: WitnessState) -> list[np.ndarray]:
+    """The amplitudes each observer's outcome 0 leaves, a row per label of the
+    other ancilla: ``N [chi; sqrt(p_i/p0) psi_i]`` for Alice, then
+    ``N [chi; sqrt(q_j/q0) phi_j]`` for Bob."""
+    return [w.normalization * np.array([np.sqrt(p / side[0][0]) * s.amplitudes for p, s in side])
+            for side in w.decomposition._terms()]
 
 
 def _outcome_zero(block: np.ndarray, label: str, tol: Tolerances) -> tuple[float, DensityMatrix]:
@@ -306,7 +305,7 @@ def simulate_protocol(
         leading weight ``p0`` or ``q0`` near ``eigenvalue_zero_tol``.
     """
     tol = tol or DEFAULT_TOLERANCES
-    alice, bob = _zero_block(w, "A"), _zero_block(w, "B")
+    alice, bob = _zero_blocks(w)
     p_alice, rho_alice = _outcome_zero(alice, "A", tol)
     p_bob, rho_bob = _outcome_zero(bob, "B", tol)
     p_both = float(np.vdot(alice[0], alice[0]).real)

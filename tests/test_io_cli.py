@@ -866,6 +866,14 @@ def test_cli_tol_eig_env_and_flag(corpus, monkeypatch):
     assert cli_main(["validate", corpus["negative"]]) == 2
 
 
+def test_cli_tol_eig_flag_wins_over_a_malformed_env(corpus, monkeypatch, capsys):
+    # the environment is not read when the flag is given
+    monkeypatch.setenv("QCOMPAT_TOL_EIG", "not-a-number")
+    assert cli_main(["validate", corpus["negative"], "--tol-eig", "0.3"]) == 0
+    assert cli_main(["validate", corpus["negative"], "--tol-eig", "1e-9"]) == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_overlap_flag_changes_verdict(corpus, tmp_path):
     # with an absurdly loose overlap threshold PI "holds" on the golden pair
     pair = [corpus["pure"], corpus["mixed"]]

@@ -33,6 +33,7 @@ DATA = Path(__file__).parent / "data"
 A = validate_density(np.diag([1.0, 0.0]), label="A")
 B = validate_density(np.array([[0.75, 0.25], [0.25, 0.25]]), label="B")
 ONE = validate_density(np.diag([0.0, 1.0]), label="one")
+HALF = validate_density(np.eye(2) / 2, label="half")
 
 
 def golden_matrix_document() -> dict:
@@ -222,6 +223,53 @@ def test_a_decomposition_needs_a_nonempty_intersection(witnessed, tmp_path, caps
     capsys.readouterr()
     assert cli_main(["simulate", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {NO_SHARED_STATE}\n")
+
+
+CHI_OUTSIDE = "decomposition.chi leaves the report's intersection: cosine 0.0"
+
+
+@pytest.mark.parametrize("witnessed", [False, True], ids=["decomposition", "witness"])
+def test_a_decomposition_chi_lies_in_the_report_intersection(witnessed, tmp_path, capsys):
+    # the golden pair's decomposition (chi = |0>) beside the report of |1><1|
+    # and 1/2, whose intersection is spanned by |1>
+    d = build_shared_decomposition(A, B)
+    w = build_witness(d) if witnessed else None
+    report = check_bfm([ONE, HALF])
+    assert report.intersection_dim == 1
+    with pytest.raises(ValueError) as written:
+        report_document(report, ["one", "half"], d, w)
+    assert type(written.value) is ValueError
+    assert str(written.value) == CHI_OUTSIDE
+
+    doc = golden_witness_document()
+    doc["inputs"] = ["one", "half"]
+    doc["report"] = json.loads(dumps_canonical(report_document(report, ["one", "half"])))["report"]
+    if not witnessed:
+        del doc["witness"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedFile) as read:
+        load_report(str(path))
+    assert type(read.value) is MalformedFile
+    assert str(read.value) == CHI_OUTSIDE
+    capsys.readouterr()
+    assert cli_main(["simulate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {CHI_OUTSIDE}\n")
+
+
+@pytest.mark.parametrize("gap, kept", [(1e-7, True), (3e-7, False)], ids=["inside", "outside"])
+def test_chi_rule_is_the_intersection_cosine_rule(gap, kept):
+    # the intersection of |1><1| and 1/2 is spanned by |1>; chi's cosine with it
+    # is 1 - gap, against the threshold 1 - 2 overlap_tol = 1 - 2e-7
+    cosine = 1.0 - gap
+    chi = PureState(np.array([np.sqrt(1.0 - cosine**2), cosine]))
+    d = SharedDecomposition(chi, 1.0, 1.0, (), ())
+    report = check_bfm([ONE, HALF])
+    if kept:
+        load_report(io.StringIO(dumps_canonical(report_document(report, [], d))))
+        return
+    with pytest.raises(ValueError, match="^decomposition.chi leaves the report's intersection"):
+        report_document(report, [], d)
 
 
 def test_cli_simulate_file_whose_states_do_not_rebuild_is_malformed(tmp_path, capsys):
