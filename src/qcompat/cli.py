@@ -24,6 +24,8 @@ from .states import DensityMatrix, validate_density
 from .witness import ROUND_TRIP_TOL, _decompose, build_witness, simulate_protocol
 
 ENV_TOL_EIG = "QCOMPAT_TOL_EIG"
+# each --criterion and the CompatReport verdict that sets check's exit code
+_CRITERIA = {"bfm": "verdict_bfm", "pi": "verdict_pi", "pii": "verdict_pii", "all": "verdict_bfm"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,56 +38,32 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, json_out: bool = False) -> None:
+    for name, _, help_text, positionals, json_out in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for dest in positionals:
+            p.add_argument(dest)
+        if name == "check":
+            p.add_argument("files", nargs="+", metavar="FILE")
+            p.add_argument(
+                "--criterion",
+                choices=list(_CRITERIA),
+                default="all",
+                help="which verdict drives the exit code (default: all = support intersection)",
+            )
         p.add_argument(
             "--tol-eig",
             type=float,
-            default=None,
             metavar="X",
-            help="eigenvalue zero cutoff (default 1e-9; env QCOMPAT_TOL_EIG, flag wins)",
+            help=f"eigenvalue zero cutoff (default 1e-9; env {ENV_TOL_EIG}, flag wins)",
         )
         p.add_argument(
             "--tol-overlap",
             type=float,
-            default=None,
             metavar="Y",
             help="overlap / intersection threshold (default 1e-7)",
         )
         if json_out:
             p.add_argument("--json", metavar="PATH", help="write the full report file here")
-
-    p = sub.add_parser("validate", help="check a matrix file is a physical density matrix")
-    p.add_argument("file")
-    add_common(p)
-
-    p = sub.add_parser("support", help="print the support of a density matrix")
-    p.add_argument("file")
-    add_common(p)
-
-    p = sub.add_parser("check", help="compatibility verdicts for two or more states")
-    p.add_argument("files", nargs="+", metavar="FILE")
-    p.add_argument(
-        "--criterion",
-        choices=["bfm", "pi", "pii", "all"],
-        default="all",
-        help="which verdict drives the exit code (default: all = support intersection)",
-    )
-    add_common(p, json_out=True)
-
-    for name, help_text in (
-        ("decompose", "decompositions of a compatible pair sharing a pure state"),
-        ("witness", "build the tripartite witness state for a compatible pair"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file_a")
-        p.add_argument("file_b")
-        add_common(p, json_out=True)
-
-    p = sub.add_parser("simulate", help="run the measurement protocol on a witness file")
-    p.add_argument("witness_file")
-    add_common(p)
-
     return parser
 
 
@@ -167,13 +145,7 @@ def _cmd_check(args: argparse.Namespace, tol: Tolerances) -> int:
     _print_report(report)
     inputs = [_input_name(p, s) for p, s in zip(args.files, states)]
     _write_json(args, report, inputs)
-    verdict = {
-        "bfm": report.verdict_bfm,
-        "all": report.verdict_bfm,
-        "pi": report.verdict_pi,
-        "pii": report.verdict_pii,
-    }[args.criterion]
-    return 0 if verdict else 1
+    return 0 if getattr(report, _CRITERIA[args.criterion]) else 1
 
 
 def _cmd_pair(args: argparse.Namespace, tol: Tolerances) -> int:
@@ -231,14 +203,22 @@ def _cmd_simulate(args: argparse.Namespace, tol: Tolerances) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "support": _cmd_support,
-    "check": _cmd_check,
-    "decompose": _cmd_pair,
-    "witness": _cmd_pair,
-    "simulate": _cmd_simulate,
-}
+# one row per subcommand: name, handler, help, positional arguments, and whether
+# it writes --json; check's FILE list and --criterion are added by _build_parser
+_SUBCOMMANDS = (
+    ("validate", _cmd_validate, "check a matrix file is a physical density matrix",
+     ("file",), False),
+    ("support", _cmd_support, "print the support of a density matrix", ("file",), False),
+    ("check", _cmd_check, "compatibility verdicts for two or more states", (), True),
+    ("decompose", _cmd_pair, "decompositions of a compatible pair sharing a pure state",
+     ("file_a", "file_b"), True),
+    ("witness", _cmd_pair, "build the tripartite witness state for a compatible pair",
+     ("file_a", "file_b"), True),
+    ("simulate", _cmd_simulate, "run the measurement protocol on a witness file",
+     ("witness_file",), False),
+)
+# looked up by cli_main at call time, so a tracer may replace an entry
+_COMMANDS = {name: handler for name, handler, *_ in _SUBCOMMANDS}
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:

@@ -108,8 +108,6 @@ def _emit(x, indent: int) -> str:
     if isinstance(x, str):
         return json.dumps(x)
     if isinstance(x, (list, tuple)):
-        if len(x) == 0:
-            return "[]"
         row = _pair_row(x)
         if row is not None:
             return row
@@ -368,10 +366,10 @@ def report_document(
 
     Raises ValueError where :func:`parse_report_document` would reject the
     sections: an input that is not a string, a count of inputs neither 0 nor
-    ``n_states``, a decomposition of other than two states, beside an
-    intersection of dimension 0 or with a chi outside the intersection
-    (:func:`_check_chi`), or a witness without its decomposition or with dims
-    or normalization not its own.
+    ``n_states``, a decomposition of other than two states or of another
+    dimension than the report, beside an intersection of dimension 0 or with a
+    chi outside the intersection (:func:`_check_chi`), or a witness without
+    its decomposition or with dims or normalization not its own.
     """
     inputs = list(inputs)
     _check_sections(
@@ -396,6 +394,8 @@ def report_document(
         "tolerances_used": asdict(report.tolerances_used),
     }
     if decomposition is not None:
+        if decomposition.chi.dim != doc["report"]["dim"]:  # else the cosine has no meaning
+            raise ValueError(f"decomposition.chi: expected dimension {doc['report']['dim']}")
         _check_chi(report, decomposition.chi, ValueError)
         doc["decomposition"] = _decomposition_doc(decomposition)
     if witness is not None:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from qcompat import (
     projector_from,
     validate_density,
 )
-from qcompat.cli import cli_main
+from qcompat.cli import _COMMANDS, _build_parser, cli_main
 from qcompat.formats import (
     dumps_canonical,
     load_report,
@@ -299,6 +300,28 @@ def test_cli_check_criterion_selects_verdict(corpus):
     assert cli_main(["check", *pair, "--criterion", "all"]) == 0
 
 
+@pytest.mark.parametrize(
+    "diagonal_a, matrix_b, codes",
+    [
+        pytest.param(  # supports meet in |0>, yet rho_a rho_b is all but zero
+            [1e-4, 1 - 1e-4, 0], np.diag([1e-4, 0, 1 - 1e-4]),
+            {"bfm": 0, "pi": 0, "pii": 1, "all": 0}, id="compatible-pii-fails",
+        ),
+        pytest.param(  # |0> and |+> overlap, yet their supports meet only in 0
+            [1, 0], np.full((2, 2), 0.5),
+            {"bfm": 1, "pi": 1, "pii": 0, "all": 1}, id="incompatible-pii-holds",
+        ),
+    ],
+)
+def test_cli_check_criterion_where_verdicts_disagree(diagonal_a, matrix_b, codes, tmp_path):
+    pair = [
+        write_state(tmp_path / "a.json", np.diag(diagonal_a)),
+        write_state(tmp_path / "b.json", matrix_b),
+    ]
+    assert {c: cli_main(["check", *pair, "--criterion", c]) for c in codes} == codes
+    assert cli_main(["check", *pair]) == codes["all"]
+
+
 def test_cli_check_three_states(corpus, tmp_path):
     half = write_state(tmp_path / "half.json", np.eye(2) / 2)
     assert cli_main(["check", corpus["pure"], corpus["mixed"], half]) == 0
@@ -308,6 +331,67 @@ def test_cli_usage_errors():
     assert cli_main(["frobnicate"]) == 2
     assert cli_main(["check"]) == 2
     assert cli_main([]) == 2
+
+
+# each action as (option strings, dest, nargs, choices, default, metavar, type, help)
+HELP_ACTION = (["-h", "--help"], "help", 0, None, "==SUPPRESS==", None, None,
+               "show this help message and exit")
+TOL_ACTIONS = [
+    (["--tol-eig"], "tol_eig", None, None, None, "X", float,
+     "eigenvalue zero cutoff (default 1e-9; env QCOMPAT_TOL_EIG, flag wins)"),
+    (["--tol-overlap"], "tol_overlap", None, None, None, "Y", float,
+     "overlap / intersection threshold (default 1e-7)"),
+]
+JSON_ACTION = (["--json"], "json", None, None, None, "PATH", None,
+               "write the full report file here")
+
+
+def positional(dest):
+    return ([], dest, None, None, None, None, None, None)
+
+
+SUBCOMMANDS = {
+    "validate": ("check a matrix file is a physical density matrix",
+                 [positional("file"), *TOL_ACTIONS]),
+    "support": ("print the support of a density matrix", [positional("file"), *TOL_ACTIONS]),
+    "check": ("compatibility verdicts for two or more states", [
+        ([], "files", "+", None, None, "FILE", None, None),
+        (["--criterion"], "criterion", None, ["bfm", "pi", "pii", "all"], "all", None, None,
+         "which verdict drives the exit code (default: all = support intersection)"),
+        *TOL_ACTIONS, JSON_ACTION,
+    ]),
+    "decompose": ("decompositions of a compatible pair sharing a pure state",
+                  [positional("file_a"), positional("file_b"), *TOL_ACTIONS, JSON_ACTION]),
+    "witness": ("build the tripartite witness state for a compatible pair",
+                [positional("file_a"), positional("file_b"), *TOL_ACTIONS, JSON_ACTION]),
+    "simulate": ("run the measurement protocol on a witness file",
+                 [positional("witness_file"), *TOL_ACTIONS]),
+}
+
+
+def subcommand_parsers():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+def test_cli_subcommands_in_order_with_their_help():
+    sub = subcommand_parsers()
+    assert (sub.dest, sub.required) == ("command", True)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, help_text) for name, (help_text, _) in SUBCOMMANDS.items()
+    ]
+    assert list(_COMMANDS) == list(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_cli_subcommand_arguments(name):
+    # structural, not help bytes: argparse's layout differs across Python versions
+    parser = subcommand_parsers().choices[name]
+    assert parser.prog == f"qcompat {name}"
+    assert [
+        (a.option_strings, a.dest, a.nargs, a.choices, a.default, a.metavar, a.type, a.help)
+        for a in parser._actions
+    ] == [HELP_ACTION, *SUBCOMMANDS[name][1]]
 
 
 def test_cli_json_identical_across_runs(corpus, tmp_path):
@@ -552,6 +636,16 @@ def test_report_parse_checks_decomposition_against_report_dim():
     with pytest.raises(ShapeMismatch) as exc:
         parse_report_document(doc)
     assert str(exc.value) == "decomposition.chi: expected dimension 2"
+
+
+@pytest.mark.parametrize("witnessed", [False, True], ids=["decomposition", "witness"])
+def test_report_document_checks_decomposition_against_report_dim(witnessed):
+    # the writer rejects a decomposition of another dimension with the reader's message
+    a, b = (validate_density(np.diag(w)) for w in QUTRIT_DIAGONALS)
+    d = build_shared_decomposition(*golden_states())
+    with pytest.raises(ValueError) as exc:
+        report_document(check_bfm([a, b]), ["a", "b"], d, build_witness(d) if witnessed else None)
+    assert str(exc.value) == "decomposition.chi: expected dimension 3"
 
 
 BIG = "1" + "0" * 400  # the integer 10**400, beyond the range of a double
