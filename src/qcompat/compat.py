@@ -22,6 +22,7 @@ from .linalg import (
     Subspace,
     Tolerances,
     _Split,
+    _hermitian_deviation,
     _split_spectrum,
     intersect,
     max_abs,
@@ -119,12 +120,6 @@ def _common_support(splits: Sequence[_Split], tol: Tolerances) -> Subspace:
     return intersect(*(split.support for split in splits), tol=tol)
 
 
-# Row/column block edge of the commutator pass: a stack of 64 x 64 complex
-# blocks and their mirrors stays in cache.  At D = 256 (one BLAS thread) the
-# pass over 1, 7 and 31 products takes 0.12, 0.74 and 4.6 ms instead of
-# 0.21, 1.5 and 12.5 ms.  32 x 32 blocks take twice as long for one product
-# (D = 64 and 256) and save at most 15% on deep stacks.
-_BLOCK = 64
 # Bytes of products :func:`_walk` yields at a time.  A chunk is one partner
 # from D = 91 up in double and from D = 129 up in complex64.  At (D, n) =
 # (64, 32), one BLAS thread: 26.6 ms a call at 256 KiB (4 partners), 27.8 at
@@ -176,26 +171,6 @@ _SCREEN_MIN_DIM = 64
 # term covers them.
 _SCREEN_SLACK = 4 * np.finfo(np.float32).eps / 2
 _SCREEN_FLOOR = 4 * np.finfo(np.float32).tiny
-
-
-def _hermitian_deviation(p: np.ndarray) -> np.ndarray:
-    """``max |P - P^dag|`` of each matrix in the stack ``p``, bit for bit.
-
-    ``|P - P^dag|`` is symmetric, so only blocks on or above the diagonal are
-    read, each against its mirror block: a whole-stack transposed read walks
-    rows ``16 D`` bytes apart and is the slow pass at D = 256.  Only a
-    transposed copy of each mirror block is written, never ``p``.
-    """
-    dim = p.shape[-1]
-    out = None
-    for r in range(0, dim, _BLOCK):
-        for c in range(r, dim, _BLOCK):
-            q = p[:, c : c + _BLOCK, r : r + _BLOCK].transpose(0, 2, 1).copy()
-            np.conjugate(q, out=q)
-            np.subtract(p[:, r : r + _BLOCK, c : c + _BLOCK], q, out=q)
-            block = np.abs(q).max(axis=(1, 2))
-            out = block if out is None else np.maximum(out, block, out=out)
-    return out
 
 
 def _fold_extremes(p: np.ndarray, product, commutator):

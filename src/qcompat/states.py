@@ -29,9 +29,9 @@ from .linalg import (
     Tolerances,
     _eigh_canonical,
     _frozen,
+    _hermitian_deviation,
     _split_spectrum,
     as_complex_matrix,
-    max_abs,
 )
 
 __all__ = [
@@ -228,7 +228,7 @@ def validate_density(
     rho = DensityMatrix(a, label=label)
 
     violations: list[tuple[str, float, float]] = []
-    hermiticity = max_abs(a - a.conj().T)
+    hermiticity = float(_hermitian_deviation(a))
     if hermiticity > tol.hermiticity_tol:
         violations.append(("hermiticity", hermiticity, tol.hermiticity_tol))
 
@@ -335,6 +335,14 @@ def partial_trace(
     return validate_density(reduced.reshape(d_keep, d_keep), tol, label=rho.label)
 
 
+def _nonzero_probability(p: float, tol: Tolerances) -> float:
+    """The outcome probability ``p``, unless it is at the numerical floor
+    ``eigenvalue_zero_tol``: then ZeroProbabilityOutcome carries it."""
+    if p <= tol.eigenvalue_zero_tol:
+        raise ZeroProbabilityOutcome(p)
+    return p
+
+
 def project_and_renormalize(
     psi: PureState,
     dims: Sequence[int],
@@ -372,7 +380,5 @@ def project_and_renormalize(
     contracted = np.tensordot(outcome_vector.amplitudes.conj(), t, axes=([0], [subsystem]))
     # measuring the only subsystem leaves a 0-d array; reshape(-1) makes it dim 1
     flat = np.asarray(contracted, dtype=complex).reshape(-1)
-    p = float(np.vdot(flat, flat).real)
-    if p <= tol.eigenvalue_zero_tol:
-        raise ZeroProbabilityOutcome(p)
+    p = _nonzero_probability(float(np.vdot(flat, flat).real), tol)
     return p, PureState(flat / np.sqrt(p))

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChiOutsideSupport, Incompatible, ZeroProbabilityOutcome
+from .errors import ChiOutsideSupport, Incompatible
 from .linalg import DEFAULT_TOLERANCES, Subspace, Tolerances, _Split, _lex_order, _split_spectrum
 from .states import DensityMatrix, PureState, _mixture, validate_density
-from .states import _check_weights
+from .states import _check_weights, _nonzero_probability
 from .compat import _common_support, _named_splits
 
 __all__ = [
@@ -276,9 +276,7 @@ def _zero_blocks(w: WitnessState) -> list[np.ndarray]:
 
 def _outcome_zero(block: np.ndarray, label: str, tol: Tolerances) -> tuple[float, DensityMatrix]:
     """Probability of outcome 0 and the reduced state of the block ``M`` it leaves."""
-    p = float(np.vdot(block, block).real)
-    if p <= tol.eigenvalue_zero_tol:
-        raise ZeroProbabilityOutcome(p)
+    p = _nonzero_probability(float(np.vdot(block, block).real), tol)
     return p, validate_density(block.T @ block.conj() / p, tol, label=label)
 
 
@@ -310,8 +308,7 @@ def simulate_protocol(
     p_bob, rho_bob = _outcome_zero(bob, "B", tol)
     p_both = float(np.vdot(alice[0], alice[0]).real)
     # Bob's outcome 0 measured after Alice's: its conditional probability
-    if p_both / p_alice <= tol.eigenvalue_zero_tol:
-        raise ZeroProbabilityOutcome(p_both / p_alice)
+    _nonzero_probability(p_both / p_alice, tol)
     return ProtocolResult(
         rho_alice=rho_alice,
         rho_bob=rho_bob,

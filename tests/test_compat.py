@@ -21,7 +21,7 @@ from qcompat import (
     validate_density,
     verify_joint,
 )
-from qcompat.compat import _hermitian_deviation
+from qcompat.linalg import _hermitian_deviation
 from conftest import (
     compatible_pair,
     delta_bound,

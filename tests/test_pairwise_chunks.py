@@ -16,13 +16,8 @@ import pytest
 
 import qcompat.compat as compat
 from qcompat import DensityMatrix, Tolerances, check_bfm, validate_density
-from qcompat.compat import (
-    _BLOCK,
-    _CHUNK_BYTES,
-    _fold_extremes,
-    _hermitian_deviation,
-    _pairwise_norms,
-)
+from qcompat.compat import _CHUNK_BYTES, _fold_extremes, _pairwise_norms
+from qcompat.linalg import _BLOCK, _hermitian_deviation
 from conftest import per_pair_norms, random_density_exact, random_unitary
 
 

@@ -26,7 +26,7 @@ from qcompat import (
     validate_density,
 )
 from qcompat.linalg import DEFAULT_TOLERANCES, _split_spectrum
-from qcompat.states import WEIGHT_TOL
+from qcompat.states import WEIGHT_TOL, _nonzero_probability
 from conftest import (
     cutoff_mass_pair,
     product_rounding,
@@ -400,6 +400,16 @@ def test_project_impossible_outcome():
     with pytest.raises(ZeroProbabilityOutcome) as exc:
         project_and_renormalize(psi, [2, 2], 0, KET1)
     assert exc.value.probability == pytest.approx(0.0, abs=1e-15)
+
+
+def test_zero_probability_floor_is_inclusive():
+    # the one floor that projection and both protocol outcomes read
+    floor = DEFAULT_TOLERANCES.eigenvalue_zero_tol
+    assert _nonzero_probability(1.5 * floor, DEFAULT_TOLERANCES) == 1.5 * floor
+    for p in (floor, 0.0):
+        with pytest.raises(ZeroProbabilityOutcome) as exc:
+            _nonzero_probability(p, DEFAULT_TOLERANCES)
+        assert exc.value.probability == p
 
 
 def test_measurement_completeness_random():
