@@ -249,6 +249,16 @@ def _check_sections(inputs, n_states, intersection_dim, decomposed, witnessed, e
         raise error("witness section requires a decomposition section")
 
 
+def _check_norms(section: dict, error) -> dict:
+    """The ``commutator_norm`` and ``product_norm`` of a report section (or of
+    a report's fields) as doubles: each a number (:func:`_number`), not negative."""
+    norms = {k: _number(section, k, "report", error) for k in ("commutator_norm", "product_norm")}
+    for key, norm in norms.items():
+        if norm < 0:
+            raise error(f"report: {key} {norm!r} is negative")
+    return norms
+
+
 def _check_chi(report: CompatReport, chi: PureState, error) -> None:
     """A decomposition's chi lies in the report's intersection: the cosine
     ``|B^dag chi|`` with its basis ``B`` exceeds ``1 - 2 overlap_tol`` at the
@@ -366,16 +376,18 @@ def report_document(
 
     Raises ValueError where :func:`parse_report_document` would reject the
     sections: an input that is not a string, a count of inputs neither 0 nor
-    ``n_states``, a decomposition of other than two states or of another
-    dimension than the report, beside an intersection of dimension 0 or with a
-    chi outside the intersection (:func:`_check_chi`), or a witness without
-    its decomposition or with dims or normalization not its own.
+    ``n_states``, a norm that is no finite number or is negative
+    (:func:`_check_norms`), a decomposition of other than two states or of
+    another dimension than the report, beside an intersection of dimension 0 or
+    with a chi outside the intersection (:func:`_check_chi`), or a witness
+    without its decomposition or with dims or normalization not its own.
     """
     inputs = list(inputs)
     _check_sections(
         inputs, report.n_states, report.intersection_dim,
         decomposition is not None, witness is not None, ValueError,
     )
+    _check_norms(vars(report), ValueError)
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "inputs": inputs,
@@ -425,18 +437,29 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _number(doc: dict, key: str, where: str) -> float:
-    """The finite double that ``doc[key]`` holds as a JSON int or float; a bool,
-    a string, or a number no double can hold is malformed."""
+def _made(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, an object built from file fields; a
+    ValueError its constructor raises is a MalformedFile at ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise MalformedFile(f"{where}: {e}") from e
+
+
+def _number(doc: dict, key: str, where: str, error=MalformedFile) -> float:
+    """The finite double that ``doc[key]`` holds as an int or float (a JSON
+    number, or a numpy integer or floating scalar where a writer checks a
+    report's fields); a bool, a string, or a number no double can hold is
+    malformed."""
     value = _require(doc, key, where)
-    if type(value) not in (int, float):
-        raise MalformedFile(f"{where}: {key} must be a number")
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{where}: {key} must be a number")
     try:
         x = float(value)
     except OverflowError:
-        raise MalformedFile(f"{where}: {key} out of range for a double") from None
+        raise error(f"{where}: {key} out of range for a double") from None
     if not math.isfinite(x):
-        raise MalformedFile(f"{where}: non-finite {key} {x!r}")
+        raise error(f"{where}: non-finite {key} {x!r}")
     return x
 
 
@@ -444,25 +467,15 @@ def _parse_tolerances(doc, where: str) -> Tolerances:
     if not isinstance(doc, dict):
         raise MalformedFile(f"{where}: expected an object")
     values = {f.name: _number(doc, f.name, where) for f in fields(Tolerances)}
-    try:
-        return Tolerances(**values)
-    except ValueError as e:
-        raise MalformedFile(f"{where}: {e}") from e
-
-
-def _pure(pairs, where: str, dim: int) -> PureState:
-    vec = _pairs_to_vector(pairs, where, dim)
-    try:
-        return PureState(vec)
-    except ValueError as e:
-        raise MalformedFile(f"{where}: {e}") from e
+    return _made(where, Tolerances, **values)
 
 
 def _component(item, where: str, dim: int) -> tuple[float, PureState]:
     if not isinstance(item, dict):
         raise MalformedFile(f"{where}: expected an object")
     weight = _number(item, "weight", where)
-    return weight, _pure(_require(item, "state", where), f"{where}.state", dim)
+    vec = _pairs_to_vector(_require(item, "state", where), f"{where}.state", dim)
+    return weight, _made(f"{where}.state", PureState, vec)
 
 
 def _parse_components(items, where: str, dim: int) -> tuple:
@@ -474,16 +487,15 @@ def _parse_components(items, where: str, dim: int) -> tuple:
 def _parse_decomposition(doc, where: str, dim: int) -> SharedDecomposition:
     if not isinstance(doc, dict):
         raise MalformedFile(f"{where}: expected an object")
-    try:
-        return SharedDecomposition(
-            chi=_pure(_require(doc, "chi", where), f"{where}.chi", dim),
-            p0=_number(doc, "p0", where),
-            q0=_number(doc, "q0", where),
-            rest_a=_parse_components(_require(doc, "rest_a", where), f"{where}.rest_a", dim),
-            rest_b=_parse_components(_require(doc, "rest_b", where), f"{where}.rest_b", dim),
-        )
-    except ValueError as e:
-        raise MalformedFile(f"{where}: {e}") from e
+    chi = _pairs_to_vector(_require(doc, "chi", where), f"{where}.chi", dim)
+    return _made(
+        where, SharedDecomposition,
+        chi=_made(f"{where}.chi", PureState, chi),
+        p0=_number(doc, "p0", where),
+        q0=_number(doc, "q0", where),
+        rest_a=_parse_components(_require(doc, "rest_a", where), f"{where}.rest_a", dim),
+        rest_b=_parse_components(_require(doc, "rest_b", where), f"{where}.rest_b", dim),
+    )
 
 
 def parse_report_document(doc: dict) -> ParsedReport:
@@ -520,15 +532,9 @@ def parse_report_document(doc: dict) -> ParsedReport:
     _check_sections(
         inputs, n_states, len(vectors), "decomposition" in doc, "witness" in doc, MalformedFile
     )
-    norms = {key: _number(rep, key, "report") for key in ("commutator_norm", "product_norm")}
-    for key, norm in norms.items():
-        if norm < 0:
-            raise MalformedFile(f"report: {key} {norm!r} is negative")
+    norms = _check_norms(rep, MalformedFile)
     tolerances = _parse_tolerances(_require(doc, "tolerances_used", "document"), "tolerances_used")
-    try:
-        intersection = Subspace(dim, basis)
-    except ValueError as e:
-        raise MalformedFile(f"report: {e}") from e
+    intersection = _made("report", Subspace, dim, basis)
     report = CompatReport(intersection, **norms, tolerances_used=tolerances, n_states=n_states)
     basis_dim = f"the intersection basis of dimension {report.intersection_dim}"
     at_tol = f"at overlap_tol {tolerances.overlap_tol!r}"

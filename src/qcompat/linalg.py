@@ -67,11 +67,12 @@ class Tolerances:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, (bool, np.bool_)):  # a report would write true, not a number
-                raise ValueError(f"{field.name} must be a number, got {value!r}")
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{field.name} must be finite and nonnegative, got {value!r}")
+            v = getattr(self, field.name)
+            # a bool is no number: a report would write true
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{field.name} must be a number, got {v!r}")
+            if not np.isfinite(v) or v < 0:
+                raise ValueError(f"{field.name} must be finite and nonnegative, got {v!r}")
         if not 1e-12 <= self.overlap_tol < 0.5:
             bound = "below 0.5" if self.overlap_tol >= 0.5 else "at least 1e-12"
             raise ValueError(f"overlap_tol must be {bound}, got {self.overlap_tol!r}")

@@ -11,6 +11,7 @@ four-dimensional product space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -142,7 +143,9 @@ class DensityMatrix:
         """``(eigenvalues, eigenvectors)`` as :func:`hermitian_eigendecompose`
         gives them, computed on first use and kept."""
         if "_spectrum" not in self.__dict__:
-            # no lock: callers racing on first use compute the same bits
+            # no lock: callers racing on first use compute the same bits.  Not
+            # functools.cached_property: on Python 3.10 and 3.11 its one lock
+            # covers every instance, so first uses on other states would queue
             object.__setattr__(self, "_spectrum", _eigh_canonical(self.matrix))
         return self.__dict__["_spectrum"]
 
@@ -283,15 +286,9 @@ def tensor(states: Sequence[DensityMatrix] | Sequence[PureState]):
     kinds = {type(s) for s in states}
     if len(kinds) != 1:
         raise TypeError("tensor operands must all be DensityMatrix or all PureState")
-    if isinstance(states[0], PureState):
-        out = states[0].amplitudes
-        for s in states[1:]:
-            out = np.kron(out, s.amplitudes)
-        return PureState(out)
-    out = states[0].matrix
-    for s in states[1:]:
-        out = np.kron(out, s.matrix)
-    return validate_density(out)
+    pure = isinstance(states[0], PureState)
+    out = reduce(np.kron, (s.amplitudes if pure else s.matrix for s in states))
+    return PureState(out) if pure else validate_density(out)
 
 
 def _check_dims(total: int, dims: Sequence[int]) -> tuple[int, ...]:

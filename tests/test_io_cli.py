@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -8,13 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcompat
 from qcompat import (
+    CompatReport,
     MalformedFile,
     SchemaVersionUnsupported,
     ShapeMismatch,
     SharedDecomposition,
+    Subspace,
+    Tolerances,
     check_bfm,
     build_shared_decomposition,
     build_witness,
@@ -792,6 +798,100 @@ def test_report_document_rejects_another_decompositions_witness(other, message):
     with pytest.raises(MalformedFile) as read:
         parse_report_document(doc)
     assert str(read.value) == str(exc.value)
+
+
+NORM_FAULTS = [
+    pytest.param(-1e-300, "report: commutator_norm -1e-300 is negative", id="-1e-300"),
+    pytest.param(np.float64(-0.5), "report: commutator_norm -0.5 is negative", id="float64"),
+    pytest.param(-1, "report: commutator_norm -1.0 is negative", id="int"),
+    pytest.param(True, "report: commutator_norm must be a number", id="True"),
+    pytest.param(np.True_, "report: commutator_norm must be a number", id="np.True_"),
+    pytest.param("0.25", "report: commutator_norm must be a number", id="str"),
+    pytest.param(None, "report: commutator_norm must be a number", id="None"),
+    pytest.param(float("nan"), "report: non-finite commutator_norm nan", id="nan"),
+    pytest.param(10**400, "report: commutator_norm out of range for a double", id="10**400"),
+]
+
+
+@pytest.mark.parametrize("norm, message", NORM_FAULTS)
+def test_report_document_rejects_each_norm_the_reader_rejects(norm, message):
+    report = dataclasses.replace(check_bfm(list(golden_states())), commutator_norm=norm)
+    with pytest.raises(ValueError) as exc:
+        report_document(report, ["A", "B"])
+    assert str(exc.value) == message
+    # the reader rejects the same norm with the same message
+    doc = report_document(check_bfm(list(golden_states())), ["A", "B"])
+    doc["report"]["commutator_norm"] = norm
+    with pytest.raises(MalformedFile) as read:
+        parse_report_document(doc)
+    assert str(read.value) == message
+
+
+GOLDEN_DECOMPOSITION = build_shared_decomposition(*golden_states())
+GOLDEN_SECTIONS = {
+    "decomposition": GOLDEN_DECOMPOSITION, "witness": build_witness(GOLDEN_DECOMPOSITION)
+}
+NORMS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-300, 1e-7, True, False, np.True_, 10**400]
+    ),
+    st.sampled_from([float("nan"), float("inf"), "0.1", None]),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+@st.composite
+def written_reports(draw):
+    """A CompatReport of dimension at most 4 with any norms, and a count of
+    states, inputs and sections that fit it in three draws out of four, so
+    that most reports reach the reader, and may not fit it in the fourth."""
+    fits = draw(st.integers(0, 3)) > 0
+    sections = draw(st.sampled_from([(), ("decomposition",), ("decomposition", "witness")]))
+    if fits and sections:  # the golden chi is e0
+        dim, k, identity = 2, draw(st.integers(1, 2)), True
+    else:
+        dim = draw(st.integers(1, 4))
+        k, identity = draw(st.integers(0, dim)), draw(st.booleans())
+    if identity:
+        basis = np.eye(dim, dtype=complex)[:, :k]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        basis = np.linalg.qr(rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k)))[0]
+    if fits:
+        n_states = 2 if sections else draw(st.sampled_from([2, 3]))
+        inputs = draw(st.sampled_from([[], ["A", "B", "C"][:n_states]]))
+    else:
+        n_states = draw(st.sampled_from([1, 2, 3, True, np.int64(2)]))
+        names = st.one_of(st.text(max_size=2), st.integers(), st.none())
+        inputs = draw(st.lists(names, max_size=3))
+        sections = draw(st.sampled_from([sections, ("witness",)]))
+    report = CompatReport(
+        Subspace(dim, basis),
+        draw(NORMS),
+        draw(NORMS),
+        draw(st.sampled_from([Tolerances(), Tolerances(overlap_tol=0.3)])),
+        n_states,
+    )
+    return report, inputs, {name: GOLDEN_SECTIONS[name] for name in sections}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(written=written_reports())
+def test_every_report_the_writer_accepts_reads_back(written):
+    # the writer rejects (ValueError) what its reader would reject
+    report, inputs, sections = written
+    try:
+        text = dumps_canonical(report_document(report, inputs, **sections))
+    except ValueError:
+        return
+    back = load_report(io.StringIO(text)).report
+    for key in ("verdict_bfm", "verdict_pi", "verdict_pii", "pairwise_conjunction",
+                "intersection_dim", "commutator_norm", "product_norm", "n_states"):
+        assert getattr(back, key) == getattr(report, key), key
+    assert back.intersection_basis.ambient_dim == report.intersection_basis.ambient_dim
 
 
 def golden_witness_document():

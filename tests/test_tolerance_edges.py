@@ -86,6 +86,15 @@ def test_tolerances_reject_a_bool(field, value):
     assert str(exc.value) == f"{field} must be a number, got {value!r}"
 
 
+@pytest.mark.parametrize("field", [f.name for f in fields(Tolerances)])
+@pytest.mark.parametrize("value", ["x", None, 1j, [1]], ids=repr)
+def test_tolerances_reject_a_non_number_with_value_error(field, value):
+    # not a numpy or comparison TypeError from the range checks
+    with pytest.raises(ValueError) as exc:
+        Tolerances(**{field: value})
+    assert str(exc.value) == f"{field} must be a number, got {value!r}"
+
+
 @pytest.mark.parametrize(
     "tol",
     [
