@@ -60,7 +60,10 @@ class CompatReport:
     changes no reported bit (see :func:`_fold_extremes`).  From six states
     at ``D >= 64`` every pair is first formed in complex64, and only the
     pairs whose proven error interval can reach an extreme are formed in
-    double (see :func:`_screen`): the reported floats keep their bits.
+    double (see :func:`_screen`): the reported floats keep their bits.  From
+    ``D = 129`` the screen forms a pair of two low-rank states from both kept
+    factors; the double pass still multiplies by the dense partner, so this
+    changes only which pairs reach it.
 
     At ``D >= 32`` a state of rank ``k < D / 2`` enters its pairs through its
     kept spectrum, ``rho = V Lambda V^dag`` without its eigenvalues at or below
@@ -153,22 +156,45 @@ _SCREEN_MIN_DIM = 64
 # ``e = (D + k + 4)(4 u L R + (D + k + 4) 4 t (1 + L + R))`` on how far a
 # complex64 ``|P_rc|`` lies from the double one.  ``u`` is float32's unit
 # roundoff and ``t`` its smallest normal; ``R`` is the partner's spectral
-# norm, ``L`` the left state's (dense, ``k = 0``) or ``||Lambda||_2`` (thin,
-# ``k`` its rank).  By Cauchy-Schwarz over a row of ``rho_i`` (or of ``V`` and
-# of ``Lambda V^dag``) and a column of ``rho_j``, the magnitudes of the
-# summands of each ``P_rc`` add up to at most ``L R``.  Each cast errs by
-# ``u``, a product of inner length ``m`` by ``sqrt(2) gamma_2m`` in any
-# summation order (each real part is a real dot product of ``2 m`` terms;
-# Higham 2002, sections 3.5-3.6), and the float32 ``hypot`` by about ``u``:
-# ``(2 sqrt(2)(D + k) + 5) u L R`` in all.  ``4 (D + k + 4) u L R`` covers
-# that 1.4 times over, with room for the double product's own rounding and
-# for the spectrum's, about ``D eps`` relative.  A commutator entry reads
-# two product entries and rounds once more, so it stays within ``2 e``.
-# Below the normal range each float32 operation errs by up to ``t`` instead,
-# whether it underflows gradually or flushes to zero: ``sqrt(2 D)`` such
-# errors times a norm per cast, ``2 (D + k)`` per product, and ``sqrt(k)``
-# times those of a thin state's first product in its second.  The second
-# term covers them.
+# norm, ``L`` the left state's (dense, ``k = 0``) or ``g = max_r sum_m
+# |V_rm| lambda_m`` (thin, ``k`` its rank; ``g <= ||Lambda||_2`` by
+# Cauchy-Schwarz).  Over a row of ``rho_i`` (or of ``V``, each ``m`` weighted by
+# ``lambda_m`` and a unit column of ``V``) and a column of ``rho_j``, the
+# magnitudes of the summands of each ``P_rc`` add up to at most ``L R``.  Each
+# cast errs by ``u``, a product of inner length ``m`` by ``sqrt(2) gamma_2m``
+# in any summation order (each real part is a real dot product of ``2 m``
+# terms; Higham 2002, sections 3.5-3.6), and the float32 ``hypot`` by about
+# ``u``: ``(2 sqrt(2)(D + k) + 5) u L R`` in all.  ``4 (D + k + 4) u L R``
+# covers that 1.4 times over, with room for the double product's own
+# rounding and for the spectrum's, about ``D eps`` relative.  A commutator
+# entry reads two product entries and rounds once more, so it stays within
+# ``2 e``.  Below the normal range each float32 operation errs by up to ``t``
+# instead, whether it underflows gradually or flushes to zero: ``sqrt(2 D)``
+# such errors times a norm per cast, ``2 (D + k)`` per product, and
+# ``sqrt(k)`` times those of a thin state's first product in its second.  The
+# second term covers them.
+#
+# A pair of thin states formed from both kept factors (:func:`_walk`),
+# ``V_a ((Lambda_a V_a^dag V_b Lambda_b) V_b^dag)``, has its ``e`` from
+# :func:`_thin_pair_error`.  The summands of an entry of the core
+# ``Lambda_a V_a^dag V_b`` add up to at most ``lambda_a`` (unit columns), and
+# their error reaches ``P_rc`` weighted by ``|V_a,rm| lambda_am`` and
+# ``lambda_bj |V_b,cj|``: within ``g_a g_b`` times it, with no orthogonality
+# left to shrink it.  With two casts that is the first term,
+# ``4 (D + 4) u g_a g_b``.
+# A row of ``Lambda_a V_a^dag V_b Lambda_b`` has norm at most
+# ``lambda_a ||Lambda_b||_2`` (orthonormal ``V_b``), so the products of inner
+# lengths ``k_b`` and ``k_a``, the casts of ``V_a``, ``V_b`` and ``Lambda_b``,
+# the scaling and the hypot (``(2 sqrt(2)(k_a + k_b) + 5) u g_a R``) stay
+# within ``4 (k_a + k_b + 4) u g_a R``.  That ``R`` is the partner's spectral
+# norm plus ``delta_b``, its largest dropped eigenvalue magnitude: the double
+# pass multiplies by the dense ``rho_b``, whose dropped part moves an entry of
+# ``rho_a rho_b`` by up to ``g_a delta_b``, which is added, and the double
+# rounding (``D^1.5 eps g_a ||rho_b||_2``, as ``||Lambda_a||_2 <= sqrt(D) g_a``)
+# fits in the room left for ``D`` below 10^5.  Underflow errors still count
+# one per operation, ``2 D`` per core entry, reaching ``P`` times at most
+# ``sqrt(k_a) g_b``, and each later product's times at most ``sqrt(k_a k_b)``
+# and a norm: the floor term of width ``D + k_a + k_b + 4`` covers them.
 _SCREEN_SLACK = 4 * np.finfo(np.float32).eps / 2
 _SCREEN_FLOOR = 4 * np.finfo(np.float32).tiny
 
@@ -198,6 +224,11 @@ def _factor(left, dtype):
     return np.asarray(v, dtype), np.asarray(left.kept[:, None] * v.conj().T, dtype)
 
 
+def _partners(dim: int, dtype) -> int:
+    """Partners per chunk of :func:`_walk`: ``_CHUNK_BYTES`` of products, at least one."""
+    return max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * dim * dim))
+
+
 def _walk(lefts, mats, dtype, keep=None):
     """Yield ``(pos, cols, P)``: the products ``lefts[pos] mats[cols]`` in ``dtype``,
     each left a matrix or a thin state's split, each its own GEMM.
@@ -209,11 +240,18 @@ def _walk(lefts, mats, dtype, keep=None):
     each partner's own matrix is read, so no copy of every state is held.
     With ``keep`` only the pairs ``keep[pos, j]`` are formed, one partner at a
     time.  A factor is formed for one left state at a time, and only for a
-    left state with a partner.
+    left state with a partner (the last position has none).
+
+    In complex64, where a chunk is one partner, a thin left's pair with a
+    thin partner (``lefts[j]`` a split too) is formed from both kept factors,
+    ``V_a ((Lambda_a V_a^dag V_b Lambda_b) V_b^dag)``: the partner's
+    ``D x k_b`` basis is cast per pair in place of its ``D x D`` matrix, and
+    no stack of factors is held.
     """
     n, dim = len(mats), mats[0].shape[0]
-    step = max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * dim * dim))
+    step = _partners(dim, dtype)
     stack = np.array(mats, dtype=dtype) if keep is None and step > 1 else None
+    two_sided = step == 1 and np.dtype(dtype) == np.complex64
     for pos, left in enumerate(lefts):
         if keep is None:
             chunks = [slice(lo, min(lo + step, n)) for lo in range(pos + 1, n, step)]
@@ -221,9 +259,15 @@ def _walk(lefts, mats, dtype, keep=None):
             chunks = [slice(j, j + 1) for j in np.flatnonzero(keep[pos])]
         factor = _factor(left, dtype) if chunks else None
         for cols in chunks:
-            chunk = np.asarray(mats[cols.start], dtype)[None] if stack is None else stack[cols]
-            yield pos, cols, (factor @ chunk if isinstance(factor, np.ndarray)
-                              else factor[0] @ (factor[1] @ chunk))
+            right = lefts[cols.start] if two_sided and isinstance(factor, tuple) else None
+            if isinstance(right, _Split):  # both thin
+                v = np.asarray(right.support.basis, dtype)
+                core = (factor[1] @ v) * np.asarray(right.kept, dtype)
+                yield pos, cols, (factor[0] @ (core @ v.conj().T))[None]
+            else:
+                chunk = np.asarray(mats[cols.start], dtype)[None] if stack is None else stack[cols]
+                yield pos, cols, (factor @ chunk if isinstance(factor, np.ndarray)
+                                  else factor[0] @ (factor[1] @ chunk))
 
 
 def _screen_error(dim: int, k, left, right):
@@ -233,12 +277,25 @@ def _screen_error(dim: int, k, left, right):
     return width * (_SCREEN_SLACK * left * right + width * _SCREEN_FLOOR * (1 + left + right))
 
 
+def _thin_pair_error(dim: int, k_a, k_b, g_a, g_b, norm_b, delta_b):
+    """``e`` of a pair of thin states formed from both kept factors, for their ranks
+    and ``g``, the partner's spectral norm and its largest dropped eigenvalue
+    magnitude ``delta_b`` (see ``_SCREEN_SLACK``): the core, the rest, the
+    underflow floor, and the dropped part of the dense ``rho_b``."""
+    core, right, width = dim + 4, norm_b + delta_b, dim + k_a + k_b + 4
+    return (_SCREEN_SLACK * g_a * (core * g_b + (k_a + k_b + 4) * right)
+            + width * width * _SCREEN_FLOOR * (1 + g_a + g_b + right) + g_a * delta_b)
+
+
 def _screen(lefts, mats, sizes: np.ndarray) -> np.ndarray | None:
     """The pairs that can set an extreme: ``keep[pos, j]`` for ``lefts[pos] mats[j]``,
     each left a matrix or a thin state's split, as :func:`_factor` reads it.
 
-    ``sizes`` holds, per position, ``(k, L, R)`` of :func:`_screen_error`.
-    Each pair is formed once in complex64, in its double orientation, and
+    ``sizes`` holds, per position, ``(k, L, R)`` of :func:`_screen_error` (a
+    thin state's ``L`` is its ``g``), and a fourth column, ``delta``, where :func:`_walk` forms a pair of thin
+    states from both kept factors (one-partner chunks, from D = 129): such a
+    pair's ``e`` is :func:`_thin_pair_error`'s.  Each pair is formed once in
+    complex64, in its double orientation, and
     its screened ``max |P|`` and ``max |P - P^dag|`` bound the double norms
     to ``[s - e, s + e]`` and ``[c - 2 e, c + 2 e]``.  A pair is kept when its
     product interval reaches the smallest upper end, or its commutator
@@ -250,10 +307,15 @@ def _screen(lefts, mats, sizes: np.ndarray) -> np.ndarray | None:
     cast, or when a screened value or bound is not finite.
     """
     n, dim = len(mats), mats[0].shape[0]
-    k, left_norms, norms = sizes.T
+    k, left_norms, norms = sizes.T[:3]
     if not norms.max() < np.finfo(np.float32).max:
         return None
     bound = _screen_error(dim, k[:, None], left_norms[:, None], norms)
+    if _partners(dim, np.complex64) == 1:
+        thin = np.array([isinstance(f, _Split) for f in lefts])
+        both = _thin_pair_error(dim, k[:, None], k, left_norms[:, None], left_norms, norms,
+                                sizes[:, 3])
+        bound = np.where(thin[:, None] & thin, both, bound)
     low, high = np.zeros((2, 2, n, n))  # [product, commutator] per pair
     best = -np.inf  # the largest commutator lower end so far
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
@@ -309,9 +371,13 @@ def _pairwise_norms(
     each double norm within ``e`` of its screened value (``2 e`` for the
     commutator; ``e`` from ``_SCREEN_SLACK``).  Only the pairs that can hold
     the smallest product or the largest commutator are then formed in double,
-    each as its own GEMM: the two floats keep their bits.  Where a norm
-    reaches float32's range, or a screened value or bound is not finite,
-    every pair is formed in double as without the screen.
+    each as its own GEMM: the two floats keep their bits.  Where a chunk is
+    one partner (``D >= 129``), the screen forms a pair of two thin states as
+    ``V_a ((Lambda_a V_a^dag V_b Lambda_b) V_b^dag)``, casting the partner's
+    ``D x k_b`` basis instead of its ``D x D`` matrix, under the bound of
+    :func:`_thin_pair_error`.  Where a norm reaches float32's range, or a
+    screened value or bound is not finite, every pair is formed in double as
+    without the screen.
     """
     tol = tol or DEFAULT_TOLERANCES
     n, dim = len(states), states[0].dim
@@ -323,16 +389,19 @@ def _pairwise_norms(
     # order: no partner after a left state has a smaller rank
     order = sorted(range(n), key=ranks.__getitem__)
     mats = [states[i].matrix for i in order]
-    lefts = [mats[pos] if ranks[i] == dim else splits[i] for pos, i in enumerate(order[:-1])]
+    lefts = [mats[pos] if ranks[i] == dim else splits[i] for pos, i in enumerate(order)]
     keep = None  # every pair
     if n >= _SCREEN_MIN_STATES and dim >= _SCREEN_MIN_DIM:
-        sizes = []  # (k, L, R) of _screen_error per position
+        sizes = []  # (k, L, R, delta) of _screen per position
         for i in order:
             values = states[i].spectrum[0]
             norm = max(values[0], -values[-1])
-            thin = ranks[i] < dim
-            sizes.append((ranks[i], np.linalg.norm(splits[i].kept), norm) if thin
-                         else (0, norm, norm))
+            if ranks[i] < dim:  # L = g = max_r sum_m |V_rm| lambda_m
+                split = splits[i]
+                g = (np.abs(split.support.basis) @ split.kept).max()
+                sizes.append((split.rank, g, norm, np.abs(values[split.rank:]).max()))
+            else:
+                sizes.append((0, norm, norm, 0))
         keep = _screen(lefts, mats, np.array(sizes))
     product, commutator = np.inf, 0.0
     for _, _, p in _walk(lefts, mats, complex, keep):

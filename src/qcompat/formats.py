@@ -375,13 +375,16 @@ def report_document(
     """Assemble the full report document (insertion order is the schema order).
 
     Raises ValueError where :func:`parse_report_document` would reject the
-    sections: an input that is not a string, a count of inputs neither 0 nor
-    ``n_states``, a norm that is no finite number or is negative
-    (:func:`_check_norms`), a decomposition of other than two states or of
-    another dimension than the report, beside an intersection of dimension 0 or
-    with a chi outside the intersection (:func:`_check_chi`), or a witness
-    without its decomposition or with dims or normalization not its own.
+    sections: ``inputs`` given as one ``str`` or ``bytes``, an input that is
+    not a string, a count of inputs neither 0 nor ``n_states``, a norm that is
+    no finite number or is negative (:func:`_check_norms`), a decomposition of
+    other than two states or of another dimension than the report, beside an
+    intersection of dimension 0 or with a chi outside the intersection
+    (:func:`_check_chi`), or a witness without its decomposition or with dims
+    or normalization not its own.
     """
+    if isinstance(inputs, (str, bytes)):  # list() would split one name into characters
+        raise ValueError("field 'inputs' must be a list of strings")
     inputs = list(inputs)
     _check_sections(
         inputs, report.n_states, report.intersection_dim,

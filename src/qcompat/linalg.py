@@ -71,7 +71,11 @@ class Tolerances:
             # a bool is no number: a report would write true
             if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
                 raise ValueError(f"{field.name} must be a number, got {v!r}")
-            if not np.isfinite(v) or v < 0:
+            try:
+                finite = np.isfinite(float(v))
+            except OverflowError:  # an int beyond a double's range
+                finite = False
+            if not finite or v < 0:
                 raise ValueError(f"{field.name} must be finite and nonnegative, got {v!r}")
         if not 1e-12 <= self.overlap_tol < 0.5:
             bound = "below 0.5" if self.overlap_tol >= 0.5 else "at least 1e-12"
@@ -329,15 +333,33 @@ def projector_from(s: Subspace) -> np.ndarray:
     return s.basis @ s.basis.conj().T
 
 
+# Structural, like ``ORTHONORMALITY_TOL``: the exit of :func:`intersect`.  A fold
+# step's largest cosine is ``sigma_1(C) <= ||C||_F`` of the computed ``m x n``
+# product ``C = B^dag S``.  LAPACK's SVD returns the singular values of some
+# ``C + E`` with ``||E||_F <= p u ||C||_F``, ``p`` of order ``m n`` (Householder
+# bidiagonalization, Higham 2002, section 19.3; the bidiagonal SVD errs far
+# less), so each computed cosine is at most ``(1 + p u) ||C||_F``.
+# ``np.vdot(C, C)`` sums ``2 m n`` squares in any order (``sqrt(2) gamma_{mn+2}``
+# relative; Higham 2002, section 3.6) and one root follows: within
+# ``(m n + 4) u``.  Raising the computed norm by
+# ``_EXIT_SLACK (m + 1)(n + 1)``, 64 u per unit, covers both with room for the
+# product that raises it.
+_EXIT_SLACK = 32 * np.finfo(float).eps
+
+
 def intersect(a: Subspace, *rest: Subspace, tol: Tolerances | None = None) -> Subspace:
     """Intersection of one or more subspaces (a single one is returned as it is).
 
     One left fold of principal-angle steps (Björck and Golub 1973) over bare
-    bases: the singular values of ``B^dag B_next`` are the cosines between the
-    running basis ``B`` and the next subspace, and ``B`` times the left singular
-    vectors with cosine above ``1 - 2 overlap_tol`` (mean-projector eigenvalue
-    above ``1 - overlap_tol``) is the next ``B``, until it is empty.  Only the
-    result is made :func:`_canonical` (keyed by the last cosines) and checked.
+    bases: the singular values of ``C = B^dag B_next`` are the cosines between
+    the running basis ``B`` and the next subspace, and ``B`` times the left
+    singular vectors with cosine above ``1 - 2 overlap_tol`` (mean-projector
+    eigenvalue above ``1 - overlap_tol``) is the next ``B``, until it is empty.
+    A step whose ``||C||_F``, raised by the SVD's backward error and its own
+    rounding (``_EXIT_SLACK``), is at or below that threshold bounds every
+    computed cosine there: it ends the fold empty with no SVD, the same
+    ``(D, 0)`` result the SVD would give.  Only the result is made
+    :func:`_canonical` (keyed by the last cosines) and checked.
 
     Raises
     ------
@@ -350,10 +372,16 @@ def intersect(a: Subspace, *rest: Subspace, tol: Tolerances | None = None) -> Su
             raise AmbientMismatch(f"ambient dimensions differ: {a.ambient_dim} vs {s.ambient_dim}")
     if not rest:
         return a
+    threshold = 1.0 - 2.0 * tol.overlap_tol
     basis = a.basis
     for s in rest:
-        u, cosines, _ = np.linalg.svd(basis.conj().T @ s.basis, full_matrices=False)
-        keep = cosines > 1.0 - 2.0 * tol.overlap_tol
+        c = basis.conj().T @ s.basis
+        m, n = c.shape
+        if np.sqrt(np.vdot(c, c).real) * (1 + _EXIT_SLACK * (m + 1) * (n + 1)) <= threshold:
+            u, cosines = np.zeros((m, 0)), np.zeros(0)  # no computed cosine passes
+        else:
+            u, cosines, _ = np.linalg.svd(c, full_matrices=False)
+        keep = cosines > threshold
         basis = basis @ u[:, keep]
         if basis.shape[1] == 0:
             break

@@ -4,7 +4,8 @@ The oracles below are the earlier implementation: a pairwise step that puts
 every intermediate basis in the canonical convention, copies it and checks it
 orthonormal, folded left to right.  For two subspaces ``intersect`` is that
 step bit for bit; for more it spans the same subspace, and only its result is
-canonicalized and checked.
+canonicalized and checked.  A step whose ``||B^dag S||_F`` proves that no
+computed cosine passes ends the fold with no SVD and the same empty result.
 """
 
 import numpy as np
@@ -164,3 +165,83 @@ def test_canonical_returns_read_only_arrays():
             out[0] = 0
     # the inputs are left as they were
     assert values.flags.writeable and vectors.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius exit: no SVD where no cosine can pass, the same bytes either way
+
+
+def counting_svd(monkeypatch):
+    """Wrap ``np.linalg.svd``; the returned list counts its calls."""
+    calls = [0]
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def supports_at_cosine(rng, dim, ranks, cosine):
+    """Two subspaces of ``ranks`` whose largest principal cosine is ``cosine``
+    (the others 0), in a random frame, so that ``B^dag S`` is dense."""
+    frame = random_unitary(rng, dim)
+    k_a, k_b = ranks
+    a = frame[:, :k_a]
+    tilted = cosine * frame[:, :1] + np.sqrt(1 - cosine**2) * frame[:, k_a : k_a + 1]
+    b = np.column_stack([tilted, frame[:, k_a + 1 : k_a + k_b]])
+    return Subspace(dim, a), Subspace(dim, np.linalg.qr(b)[0])
+
+
+@pytest.mark.parametrize("ranks", [(100, 128), (1, 1), (128, 128)])
+def test_orthogonal_supports_take_no_svd(monkeypatch, ranks):
+    rng = np.random.default_rng(ranks)
+    frame = random_unitary(rng, 256)
+    a, b = (Subspace(256, frame[:, lo : lo + k]) for lo, k in zip((0, ranks[0]), ranks))
+    want = oracle_step(a, b, Tolerances())
+    calls = counting_svd(monkeypatch)
+    got = intersect(a, b)
+    assert calls == [0]
+    assert got.basis.shape == want.basis.shape == (256, 0)
+    assert got.basis.tobytes() == want.basis.tobytes()
+    states = planted_states(rng, [a, b])
+    assert not check_bfm(states).verdict_bfm
+    assert calls == [0]
+
+
+def test_exit_ends_a_longer_fold_at_its_empty_step(monkeypatch):
+    # the first step keeps a shared span of 10, the second meets an orthogonal support
+    frame = random_unitary(np.random.default_rng(5), 64)
+    spans = [frame[:, :20], frame[:, 10:30], frame[:, 40:60], frame[:, 5:15]]
+    subspaces = [Subspace(64, b) for b in spans]
+    calls = counting_svd(monkeypatch)
+    assert intersect(*subspaces).dimension == 0
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("overlap_tol", [1e-12, 1e-7, 0.1, 0.49])
+@pytest.mark.parametrize("ranks", [(1, 1), (3, 5), (40, 60)])
+def test_cosines_at_the_threshold_read_as_the_svd_step_does(monkeypatch, overlap_tol, ranks):
+    # largest cosines just above and just below 1 - 2 overlap_tol: the exit may
+    # fire only below it, and the result has the bytes of the SVD step
+    tol = Tolerances(overlap_tol=overlap_tol)
+    threshold = 1 - 2 * overlap_tol
+    rng = np.random.default_rng([int(1 / overlap_tol) % 2**32, *ranks])
+    calls = counting_svd(monkeypatch)
+    for offset in (-1e-3, -1e-6, -1e-9, -1e-12, -1e-14, 0.0, 1e-14, 1e-13, 1e-12, 1e-9, 1e-6):
+        cosine = threshold + offset
+        if not 0 <= cosine < 1 - 1e-13:
+            continue
+        a, b = supports_at_cosine(rng, 128, ranks, cosine)
+        before = calls[0]
+        got = intersect(a, b, tol=tol)
+        exited = calls[0] == before
+        want = oracle_step(a, b, tol)
+        assert got.basis.shape == want.basis.shape
+        assert got.basis.tobytes() == want.basis.tobytes()
+        if offset <= -1e-6:  # far below the threshold the exit fires
+            assert exited and got.dimension == 0
+        if exited:
+            assert offset < 0

@@ -654,6 +654,21 @@ def test_report_document_checks_decomposition_against_report_dim(witnessed):
     assert str(exc.value) == "decomposition.chi: expected dimension 3"
 
 
+@pytest.mark.parametrize("inputs", ["AB", b"AB"], ids=["str", "bytes"])
+def test_report_document_rejects_one_string_of_inputs(inputs):
+    # list() would split it into one input per character (or per byte value)
+    with pytest.raises(ValueError) as exc:
+        report_document(check_bfm(list(golden_states())), inputs)
+    assert str(exc.value) == "field 'inputs' must be a list of strings"
+
+
+def test_report_document_writes_a_list_or_tuple_of_inputs_alike():
+    report = check_bfm(list(golden_states()))
+    written = [dumps_canonical(report_document(report, names)) for names in (["A", "B"], ("A", "B"))]
+    assert written[0] == written[1]
+    assert json.loads(written[0])["inputs"] == ["A", "B"]
+
+
 BIG = "1" + "0" * 400  # the integer 10**400, beyond the range of a double
 
 

@@ -8,6 +8,7 @@ any set, in any observer order and at any scale, however few pairs it forms.
 """
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from qcompat.compat import (
     _pairwise_norms,
     _screen,
     _screen_error,
+    _thin_pair_error,
+    _walk,
 )
+from qcompat.linalg import _split_spectrum
 from conftest import random_density_exact
 from test_pairwise_chunks import (
     counting_deviation,
@@ -97,6 +101,53 @@ def test_screened_extremes_are_the_oracles_bit_for_bit(dim, n, seed, exponents, 
     with screen_from(3, 32) as seen:
         assert_oracle_extremes(states, tol)
     assert len(seen) == 1 and seen[0] is not None
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(129, 256),
+    fractions=st.lists(st.floats(0, 1), min_size=3, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.floats(-30, 0), min_size=8, max_size=8),
+    data=st.data(),
+)
+def test_one_partner_screen_keeps_the_oracles_bits(dim, fractions, seed, exponents, data):
+    # from D = 129 a complex64 chunk is one partner, and a pair of thin states
+    # is screened through both kept factors: ranks from 1 to D (mostly thin),
+    # any order, each state scaled by 10^-30 to 1
+    rng = np.random.default_rng(seed)
+    n = len(fractions)
+    ranks = [max(1, min(dim, int(f * f * dim))) for f in fractions]
+    scales = 10.0 ** np.array(exponents[:n])
+    drawn = [DensityMatrix(s * random_density_exact(rng, dim, k).matrix)
+             for s, k in zip(scales, ranks)]
+    states = [drawn[k] for k in data.draw(st.permutations(range(n)))]
+    tol = Tolerances(eigenvalue_zero_tol=1e-9 * scales.min())
+    with screen_from(3, 32) as seen:
+        assert_oracle_extremes(states, tol)
+    assert len(seen) == 1 and seen[0] is not None
+
+
+@pytest.mark.parametrize("dim, both", [(128, False), (129, True), (256, True)])
+def test_thin_pairs_enter_by_both_factors_only_in_one_partner_screens(dim, both):
+    # where a complex64 chunk is one partner, the screen forms a pair of thin
+    # states from both kept factors and never reads the partner's matrix, and
+    # stays within the pair's bound; the double walk always multiplies by it
+    rng = np.random.default_rng(467 + dim)
+    states = [random_density_exact(rng, dim, k) for k in (5, dim // 3)]
+    splits = [_split_spectrum(s.spectrum, Tolerances()) for s in states]
+    unread = [states[0].matrix, np.full((dim, dim), np.nan, dtype=complex)]
+    [(pos, cols, screened)] = list(_walk(splits, unread, np.complex64))
+    assert (pos, range(2)[cols]) == (0, range(1, 2))
+    assert np.isfinite(screened).all() == both
+    assert np.isnan(next(_walk(splits, unread, complex))[2]).all()
+    if both:
+        exact = next(_walk(splits, [s.matrix for s in states], complex))[2]
+        g_a, g_b = ((np.abs(s.support.basis) @ s.kept).max() for s in splits)
+        values = states[1].spectrum[0]
+        e = _thin_pair_error(dim, splits[0].rank, splits[1].rank, g_a, g_b,
+                             max(values[0], -values[-1]), np.abs(values[splits[1].rank :]).max())
+        assert np.abs(np.abs(screened) - np.abs(exact)).max() <= e
 
 
 def test_entries_beyond_float32_fall_back_without_a_warning(monkeypatch):
@@ -210,6 +261,54 @@ def test_bound_covers_the_worst_case_rounding(dim):
             absolute = per_op * (np.sqrt(dim) * (left + right) + 2 * (dim + k) + 1)
             worst = rel * (1 + gamma(4)) * left * right + absolute
             assert _screen_error(dim, k, left, right) >= worst
+
+
+@pytest.mark.parametrize("dim", [129, 256, 1024])
+def test_thin_pair_bound_covers_the_worst_case_rounding(dim):
+    # the derivation beside _SCREEN_SLACK for a pair formed from both thin
+    # factors: the casts of Lambda_a V_a^dag and V_b, the core of inner length
+    # D and its double scaling, weighted by g_a g_b and carried through the
+    # later roundings; the casts of V_b, Lambda_b and V_a, the scaling, the
+    # products of inner lengths k_b and k_a and the hypot, weighted by g_a R
+    # (R the partner's norm plus delta); the double pass's own rounding,
+    # with ||Lambda_a||_2 <= sqrt(D) g_a; the absolute underflow terms; and
+    # the dropped part of the dense rho_b
+    def gamma(m, u=U32):
+        return m * u / (1 - m * u)
+
+    half = dim // 2 - 1
+    for k_a, k_b in ((1, 1), (1, half), (dim // 4, dim // 4), (half, half)):
+        rest = 5 * U32 + np.sqrt(2) * (gamma(2 * k_b) + gamma(2 * k_a)) + U32
+        core = (2 * U32 + np.sqrt(2) * gamma(2 * dim) + 2**-53) * (1 + rest)
+        double = np.sqrt(2) * (gamma(2 * dim, 2**-53) + gamma(2 * k_a, 2**-53)) * np.sqrt(dim)
+        for g_a, g_b, norm, delta in ((1.0, 1.0, 1.0, 1e-9), (0.08, 0.05, 0.02, 1e-17),
+                                      (0.3, 0.2, 1e-3, 1e-9), (0.3, 1e-9, 1.1e-9, 1e-9),
+                                      (0.0, 0.0, 0.0, 0.0), (2e-30, 1e-25, 3e-26, 1e-40)):
+            r = norm + delta
+            per_op = np.sqrt(2) * TINY32
+            absolute = per_op * ((2 * dim + np.sqrt(dim)) * np.sqrt(k_a) * (1 + g_b)
+                                 + 2 * np.sqrt(k_a * k_b) + 2 * k_b * np.sqrt(k_a) + 2 * k_a + 1
+                                 + (np.sqrt(k_b) + np.sqrt(k_a * dim)) * (g_a + r))
+            worst = (core * g_a * g_b + (rest + double) * (1 + gamma(4)) * g_a * r
+                     + absolute + g_a * delta * (1 + dim * 2**-52))
+            assert _thin_pair_error(dim, k_a, k_b, g_a, g_b, norm, delta) >= worst
+
+
+def test_thin_pair_screen_holds_one_product_at_a_time():
+    # from D = 129 the screen casts each thin partner's D x k basis per pair,
+    # not its D x D matrix, and holds no stack of factors: the pass stays
+    # within the bytes that test_one_partner_chunks_stack_nothing allows
+    rng = np.random.default_rng(463)
+    states = planted_set(rng, 256, 8, 2)
+    for s in states:
+        s.spectrum
+    tracemalloc.start()
+    try:
+        _pairwise_norms(states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 256 * 256 * 16
 
 
 def test_bench_like_set_forms_few_pairs_in_double(monkeypatch):

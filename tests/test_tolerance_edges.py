@@ -95,6 +95,16 @@ def test_tolerances_reject_a_non_number_with_value_error(field, value):
     assert str(exc.value) == f"{field} must be a number, got {value!r}"
 
 
+@pytest.mark.parametrize("field", [f.name for f in fields(Tolerances)])
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024], ids=["1e400", "-1e400", "2^1024"])
+def test_tolerances_reject_an_int_beyond_a_double(field, value):
+    # a number, but no double holds it: the range check's ValueError, not
+    # numpy's TypeError from np.isfinite
+    with pytest.raises(ValueError) as exc:
+        Tolerances(**{field: value})
+    assert str(exc.value) == f"{field} must be finite and nonnegative, got {value!r}"
+
+
 @pytest.mark.parametrize(
     "tol",
     [
