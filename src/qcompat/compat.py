@@ -157,10 +157,13 @@ _SCREEN_MIN_DIM = 64
 # complex64 ``|P_rc|`` lies from the double one.  ``u`` is float32's unit
 # roundoff and ``t`` its smallest normal; ``R`` is the partner's spectral
 # norm, ``L`` the left state's (dense, ``k = 0``) or ``g = max_r sum_m
-# |V_rm| lambda_m`` (thin, ``k`` its rank; ``g <= ||Lambda||_2`` by
-# Cauchy-Schwarz).  Over a row of ``rho_i`` (or of ``V``, each ``m`` weighted by
-# ``lambda_m`` and a unit column of ``V``) and a column of ``rho_j``, the
-# magnitudes of the summands of each ``P_rc`` add up to at most ``L R``.  Each
+# |V_rm| lambda_m`` (thin, ``k`` its rank).  With ``||lambda||_2`` the vector
+# 2-norm of the kept eigenvalues, ``g <= ||lambda||_2 <= sqrt(k) lambda_max``
+# (Cauchy-Schwarz over a row of ``V``, whose norm is at most 1); ``g`` may
+# exceed ``lambda_max``, the spectral norm, by up to ``sqrt(k)``.  Over a row
+# of ``rho_i`` (or of ``V``, each ``m`` weighted by ``lambda_m`` and a unit
+# column of ``V``) and a column of ``rho_j``, the magnitudes of the summands
+# of each ``P_rc`` add up to at most ``L R``.  Each
 # cast errs by ``u``, a product of inner length ``m`` by ``sqrt(2) gamma_2m``
 # in any summation order (each real part is a real dot product of ``2 m``
 # terms; Higham 2002, sections 3.5-3.6), and the float32 ``hypot`` by about
@@ -182,15 +185,16 @@ _SCREEN_MIN_DIM = 64
 # ``lambda_bj |V_b,cj|``: within ``g_a g_b`` times it, with no orthogonality
 # left to shrink it.  With two casts that is the first term,
 # ``4 (D + 4) u g_a g_b``.
-# A row of ``Lambda_a V_a^dag V_b Lambda_b`` has norm at most
-# ``lambda_a ||Lambda_b||_2`` (orthonormal ``V_b``), so the products of inner
+# A row ``m`` of ``Lambda_a V_a^dag V_b Lambda_b`` has norm at most
+# ``lambda_am lambda_max_b`` (orthonormal ``V_b``), so the products of inner
 # lengths ``k_b`` and ``k_a``, the casts of ``V_a``, ``V_b`` and ``Lambda_b``,
 # the scaling and the hypot (``(2 sqrt(2)(k_a + k_b) + 5) u g_a R``) stay
 # within ``4 (k_a + k_b + 4) u g_a R``.  That ``R`` is the partner's spectral
 # norm plus ``delta_b``, its largest dropped eigenvalue magnitude: the double
 # pass multiplies by the dense ``rho_b``, whose dropped part moves an entry of
 # ``rho_a rho_b`` by up to ``g_a delta_b``, which is added, and the double
-# rounding (``D^1.5 eps g_a ||rho_b||_2``, as ``||Lambda_a||_2 <= sqrt(D) g_a``)
+# rounding (``D^1.5 eps g_a ||rho_b||_2``, as ``lambda_max_a <= sqrt(D) g_a``:
+# its top eigenvector has an entry of magnitude at least ``1 / sqrt(D)``)
 # fits in the room left for ``D`` below 10^5.  Underflow errors still count
 # one per operation, ``2 D`` per core entry, reaching ``P`` times at most
 # ``sqrt(k_a) g_b``, and each later product's times at most ``sqrt(k_a k_b)``
@@ -224,14 +228,10 @@ def _factor(left, dtype):
     return np.asarray(v, dtype), np.asarray(left.kept[:, None] * v.conj().T, dtype)
 
 
-def _partners(dim: int, dtype) -> int:
-    """Partners per chunk of :func:`_walk`: ``_CHUNK_BYTES`` of products, at least one."""
-    return max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * dim * dim))
-
-
 def _walk(lefts, mats, dtype, keep=None):
-    """Yield ``(pos, cols, P)``: the products ``lefts[pos] mats[cols]`` in ``dtype``,
-    each left a matrix or a thin state's split, each its own GEMM.
+    """Yield ``(pos, cols, P, both)``: the products ``lefts[pos] mats[cols]`` in
+    ``dtype``, each left a matrix or a thin state's split, each its own GEMM, and
+    whether that chunk was formed from both kept factors (below).
 
     With ``keep`` None every pair ``pos < j`` is formed, ``_CHUNK_BYTES`` of
     products (at least one partner) at a time, so a caller reduces them while
@@ -246,10 +246,11 @@ def _walk(lefts, mats, dtype, keep=None):
     thin partner (``lefts[j]`` a split too) is formed from both kept factors,
     ``V_a ((Lambda_a V_a^dag V_b Lambda_b) V_b^dag)``: the partner's
     ``D x k_b`` basis is cast per pair in place of its ``D x D`` matrix, and
-    no stack of factors is held.
+    no stack of factors is held.  This is the one place that route is decided:
+    ``both`` is True exactly for those chunks.
     """
     n, dim = len(mats), mats[0].shape[0]
-    step = _partners(dim, dtype)
+    step = max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * dim * dim))
     stack = np.array(mats, dtype=dtype) if keep is None and step > 1 else None
     two_sided = step == 1 and np.dtype(dtype) == np.complex64
     for pos, left in enumerate(lefts):
@@ -263,11 +264,11 @@ def _walk(lefts, mats, dtype, keep=None):
             if isinstance(right, _Split):  # both thin
                 v = np.asarray(right.support.basis, dtype)
                 core = (factor[1] @ v) * np.asarray(right.kept, dtype)
-                yield pos, cols, (factor[0] @ (core @ v.conj().T))[None]
+                yield pos, cols, (factor[0] @ (core @ v.conj().T))[None], True
             else:
                 chunk = np.asarray(mats[cols.start], dtype)[None] if stack is None else stack[cols]
                 yield pos, cols, (factor @ chunk if isinstance(factor, np.ndarray)
-                                  else factor[0] @ (factor[1] @ chunk))
+                                  else factor[0] @ (factor[1] @ chunk)), False
 
 
 def _screen_error(dim: int, k, left, right):
@@ -291,12 +292,13 @@ def _screen(lefts, mats, sizes: np.ndarray) -> np.ndarray | None:
     """The pairs that can set an extreme: ``keep[pos, j]`` for ``lefts[pos] mats[j]``,
     each left a matrix or a thin state's split, as :func:`_factor` reads it.
 
-    ``sizes`` holds, per position, ``(k, L, R)`` of :func:`_screen_error` (a
-    thin state's ``L`` is its ``g``), and a fourth column, ``delta``, where :func:`_walk` forms a pair of thin
-    states from both kept factors (one-partner chunks, from D = 129): such a
-    pair's ``e`` is :func:`_thin_pair_error`'s.  Each pair is formed once in
-    complex64, in its double orientation, and
-    its screened ``max |P|`` and ``max |P - P^dag|`` bound the double norms
+    ``sizes`` holds, per position, ``(k, L, R, delta)``: ``(k, L, R)`` of
+    :func:`_screen_error` (a thin state's ``L`` is its ``g``) and ``delta``, the
+    largest dropped eigenvalue magnitude (0 for a dense state).  Each pair is
+    formed once in complex64, in its double orientation, and its ``e`` is
+    :func:`_thin_pair_error`'s where :func:`_walk` flags the chunk as formed
+    from both kept factors, :func:`_screen_error`'s elsewhere.
+    Its screened ``max |P|`` and ``max |P - P^dag|`` bound the double norms
     to ``[s - e, s + e]`` and ``[c - 2 e, c + 2 e]``.  A pair is kept when its
     product interval reaches the smallest upper end, or its commutator
     interval the largest lower end; no other pair can hold an extreme.  A
@@ -307,21 +309,17 @@ def _screen(lefts, mats, sizes: np.ndarray) -> np.ndarray | None:
     cast, or when a screened value or bound is not finite.
     """
     n, dim = len(mats), mats[0].shape[0]
-    k, left_norms, norms = sizes.T[:3]
+    k, left_norms, norms, delta = sizes.T
     if not norms.max() < np.finfo(np.float32).max:
         return None
     bound = _screen_error(dim, k[:, None], left_norms[:, None], norms)
-    if _partners(dim, np.complex64) == 1:
-        thin = np.array([isinstance(f, _Split) for f in lefts])
-        both = _thin_pair_error(dim, k[:, None], k, left_norms[:, None], left_norms, norms,
-                                sizes[:, 3])
-        bound = np.where(thin[:, None] & thin, both, bound)
+    thin_pair = _thin_pair_error(dim, k[:, None], k, left_norms[:, None], left_norms, norms, delta)
     low, high = np.zeros((2, 2, n, n))  # [product, commutator] per pair
     best = -np.inf  # the largest commutator lower end so far
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
-        for pos, cols, p in _walk(lefts, mats, np.complex64):
+        for pos, cols, p, both in _walk(lefts, mats, np.complex64):
             pairs = (pos, cols)
-            e = bound[pairs]
+            e = (thin_pair if both else bound)[pairs]
             tops = np.abs(p).max(axis=(1, 2))
             low[0][pairs], high[0][pairs] = tops - e, tops + e
             cap = _COMMUTATOR_SLACK * (tops + e) + _COMMUTATOR_FLOOR
@@ -404,7 +402,7 @@ def _pairwise_norms(
                 sizes.append((0, norm, norm, 0))
         keep = _screen(lefts, mats, np.array(sizes))
     product, commutator = np.inf, 0.0
-    for _, _, p in _walk(lefts, mats, complex, keep):
+    for _, _, p, _ in _walk(lefts, mats, complex, keep):
         product, commutator = _fold_extremes(p, product, commutator)
     return float(product), float(commutator)
 

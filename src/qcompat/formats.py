@@ -37,7 +37,7 @@ import numpy as np
 
 from .compat import CompatReport
 from .errors import MalformedFile, SchemaVersionUnsupported, ShapeMismatch
-from .linalg import Subspace, Tolerances, max_abs
+from .linalg import Subspace, Tolerances, _cosine_floor, max_abs
 from .states import WEIGHT_TOL, PureState
 from .witness import ROUND_TRIP_TOL, SharedDecomposition, WitnessState
 
@@ -261,11 +261,11 @@ def _check_norms(section: dict, error) -> dict:
 
 def _check_chi(report: CompatReport, chi: PureState, error) -> None:
     """A decomposition's chi lies in the report's intersection: the cosine
-    ``|B^dag chi|`` with its basis ``B`` exceeds ``1 - 2 overlap_tol`` at the
-    report's own tolerances, the rule by which :func:`~qcompat.linalg.intersect`
-    keeps a direction."""
+    ``|B^dag chi|`` with its basis ``B`` exceeds the report's
+    :func:`~qcompat.linalg._cosine_floor`, the rule by which
+    :func:`~qcompat.linalg.intersect` keeps a direction."""
     cosine = float(np.linalg.norm(report.intersection_basis.basis.conj().T @ chi.amplitudes))
-    if not cosine > 1.0 - 2.0 * report.tolerances_used.overlap_tol:
+    if not cosine > _cosine_floor(report.tolerances_used):
         raise error(f"decomposition.chi leaves the report's intersection: cosine {cosine!r}")
 
 

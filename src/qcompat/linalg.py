@@ -147,6 +147,13 @@ def _hermitian_deviation(p: np.ndarray):
     return out
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^dag) / 2`` as a fresh array, ``m``'s values when it is exactly
+    Hermitian: what a :class:`~qcompat.states.DensityMatrix` holds and
+    :func:`hermitian_eigendecompose` decomposes."""
+    return (m + m.conj().T) / 2
+
+
 def _check_orthonormal(b: np.ndarray) -> None:
     if max_abs(b.conj().T @ b - np.eye(b.shape[1])) > ORTHONORMALITY_TOL:
         raise ValueError(f"basis columns are not orthonormal to {ORTHONORMALITY_TOL:g}")
@@ -272,7 +279,7 @@ def hermitian_eigendecompose(
     deviation = float(_hermitian_deviation(a))
     if deviation > tol.hermiticity_tol:
         raise NotHermitian([("hermiticity", deviation, tol.hermiticity_tol)])
-    return _eigh_canonical((a + a.conj().T) / 2)
+    return _eigh_canonical(_hermitian_part(a))
 
 
 class _Split(NamedTuple):
@@ -333,6 +340,13 @@ def projector_from(s: Subspace) -> np.ndarray:
     return s.basis @ s.basis.conj().T
 
 
+def _cosine_floor(tol: Tolerances) -> float:
+    """``1 - 2 overlap_tol``: a principal-angle cosine above it is a shared direction,
+    the rule by which :func:`intersect` keeps one (mean-projector eigenvalue above
+    ``1 - overlap_tol``)."""
+    return 1.0 - 2.0 * tol.overlap_tol
+
+
 # Structural, like ``ORTHONORMALITY_TOL``: the exit of :func:`intersect`.  A fold
 # step's largest cosine is ``sigma_1(C) <= ||C||_F`` of the computed ``m x n``
 # product ``C = B^dag S``.  LAPACK's SVD returns the singular values of some
@@ -372,7 +386,7 @@ def intersect(a: Subspace, *rest: Subspace, tol: Tolerances | None = None) -> Su
             raise AmbientMismatch(f"ambient dimensions differ: {a.ambient_dim} vs {s.ambient_dim}")
     if not rest:
         return a
-    threshold = 1.0 - 2.0 * tol.overlap_tol
+    threshold = _cosine_floor(tol)
     basis = a.basis
     for s in rest:
         c = basis.conj().T @ s.basis

@@ -31,6 +31,7 @@ from .linalg import (
     _eigh_canonical,
     _frozen,
     _hermitian_deviation,
+    _hermitian_part,
     _split_spectrum,
     as_complex_matrix,
 )
@@ -119,8 +120,10 @@ class DensityMatrix:
     """A validated density operator with an optional observer label.
 
     ``matrix`` holds the Hermitian part ``(m + m^dag) / 2`` of the matrix
-    ``m`` it is given, a fresh read-only array, so every state is exactly
-    Hermitian; an exactly Hermitian ``m`` keeps its values.  Construct
+    ``m`` it is given (:func:`~qcompat.linalg._hermitian_part`), a fresh
+    read-only array, so every state is exactly Hermitian; an exactly
+    Hermitian ``m`` keeps its values.  ``label`` is a string or None, else
+    ``ValueError``: a report writes it as an input name.  Construct
     through :func:`validate_density`, which bounds how far ``m`` was from
     Hermitian; the dataclass itself only checks structure, not physicality.
     """
@@ -129,8 +132,9 @@ class DensityMatrix:
     label: str | None = None
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        h = (m + m.conj().T) / 2
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError(f"label must be a string or None, got {self.label!r}")
+        h = _hermitian_part(as_complex_matrix(self.matrix))
         h.setflags(write=False)
         object.__setattr__(self, "matrix", h)
 

@@ -9,6 +9,7 @@ import pytest
 
 from qcompat import (
     ChiOutsideSupport,
+    DensityMatrix,
     DimensionMismatch,
     Ensemble,
     PureState,
@@ -53,6 +54,10 @@ CASES = [
      "rest_a states must match the shared-state dimension"),
     ("common-weight-chi-dim", lambda: max_common_weight(MIXED, KET3), ChiOutsideSupport,
      "state dimension 3 does not match rho dimension 2"),
+    ("density-label-int", lambda: validate_density(np.eye(2) / 2, label=5), ValueError,
+     "label must be a string or None, got 5"),
+    ("density-label-bytes", lambda: DensityMatrix(np.eye(2) / 2, label=b"A"), ValueError,
+     "label must be a string or None, got b'A'"),
 ]
 
 
@@ -68,3 +73,4 @@ def test_each_rule_rejects_with_its_class_and_message(call, error, message):
 
 def test_ensemble_dim_is_its_components_dimension():
     assert Ensemble(((0.25, KET0), (0.75, KET1))).dim == 2
+

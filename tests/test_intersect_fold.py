@@ -13,6 +13,8 @@ import pytest
 
 from qcompat import (
     AmbientMismatch,
+    CompatReport,
+    PureState,
     Subspace,
     Tolerances,
     check_bfm,
@@ -21,6 +23,7 @@ from qcompat import (
     validate_density,
 )
 from qcompat import linalg
+from qcompat.formats import _check_chi
 from qcompat.linalg import _canonical, _lex_order, _split_spectrum, max_abs
 from conftest import random_density, random_subspace, random_unitary
 
@@ -245,3 +248,24 @@ def test_cosines_at_the_threshold_read_as_the_svd_step_does(monkeypatch, overlap
             assert exited and got.dimension == 0
         if exited:
             assert offset < 0
+
+
+@pytest.mark.parametrize("overlap_tol", [1e-12, 1e-7, 0.1, 0.49])
+def test_a_reports_chi_passes_where_the_intersection_keeps_it(overlap_tol):
+    # one cosine floor, 1 - 2 overlap_tol, serves both: a direction at the
+    # floor is dropped by the intersection and rejected as a report's chi,
+    # one just above it is kept and accepted
+    tol = Tolerances(overlap_tol=overlap_tol)
+    floor = linalg._cosine_floor(tol)
+    assert floor == 1 - 2 * overlap_tol
+    e0 = Subspace(2, np.eye(2)[:, :1])
+    report = CompatReport(e0, 0.0, 1.0, tol)
+    for cosine in (floor, np.nextafter(floor, 2)):
+        chi = PureState(np.array([cosine, np.sqrt(1 - cosine**2)]))
+        kept = intersect(e0, Subspace(2, chi.amplitudes[:, None]), tol=tol).dimension == 1
+        try:
+            _check_chi(report, chi, ValueError)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert kept == accepted == (cosine > floor)

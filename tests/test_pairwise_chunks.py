@@ -171,11 +171,11 @@ def recording_walk(monkeypatch):
     original = compat._walk
 
     def recorded(lefts, mats, dtype, keep=None):
-        for pos, cols, p in original(lefts, mats, dtype, keep):
+        for pos, cols, p, both in original(lefts, mats, dtype, keep):
             partners = list(range(len(mats))[cols])
             assert p.dtype == dtype and p.shape == (len(partners),) + mats[0].shape
             seen.append((np.dtype(dtype), pos, partners))
-            yield pos, cols, p
+            yield pos, cols, p, both
 
     monkeypatch.setattr(compat, "_walk", recorded)
     return seen

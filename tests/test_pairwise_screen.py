@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import qcompat.compat as compat
 from qcompat import DensityMatrix, Tolerances, check_bfm, validate_density
 from qcompat.compat import (
+    _CHUNK_BYTES,
     _SCREEN_SLACK,
     _hermitian_deviation,
     _pairwise_norms,
@@ -137,8 +138,8 @@ def test_thin_pairs_enter_by_both_factors_only_in_one_partner_screens(dim, both)
     states = [random_density_exact(rng, dim, k) for k in (5, dim // 3)]
     splits = [_split_spectrum(s.spectrum, Tolerances()) for s in states]
     unread = [states[0].matrix, np.full((dim, dim), np.nan, dtype=complex)]
-    [(pos, cols, screened)] = list(_walk(splits, unread, np.complex64))
-    assert (pos, range(2)[cols]) == (0, range(1, 2))
+    [(pos, cols, screened, flagged)] = list(_walk(splits, unread, np.complex64))
+    assert (pos, range(2)[cols], flagged) == (0, range(1, 2), both)
     assert np.isfinite(screened).all() == both
     assert np.isnan(next(_walk(splits, unread, complex))[2]).all()
     if both:
@@ -148,6 +149,88 @@ def test_thin_pairs_enter_by_both_factors_only_in_one_partner_screens(dim, both)
         e = _thin_pair_error(dim, splits[0].rank, splits[1].rank, g_a, g_b,
                              max(values[0], -values[-1]), np.abs(values[splits[1].rank :]).max())
         assert np.abs(np.abs(screened) - np.abs(exact)).max() <= e
+
+
+@pytest.mark.parametrize("dim", [64, 128, 129, 256])
+def test_walk_flags_exactly_the_thin_pairs_of_one_partner_complex64_chunks(dim):
+    # the flag is the route: True for a thin left and a thin partner where a
+    # complex64 chunk is one partner, False for every other chunk and in double
+    rng = np.random.default_rng(479 + dim)
+    states = mixed_ranks(rng, dim, 5)
+    splits = [_split_spectrum(s.spectrum, Tolerances()) for s in states]
+    thin = [2 * split.rank < dim for split in splits]
+    assert any(thin) and not all(thin)
+    lefts = [split if t else s.matrix for s, split, t in zip(states, splits, thin)]
+    mats = [s.matrix for s in states]
+    one_partner = _CHUNK_BYTES // (8 * dim * dim) <= 1
+    assert one_partner == (dim >= 129)
+    for dtype in (np.complex64, complex):
+        flags = [(pos, j, both) for pos, cols, _, both in _walk(lefts, mats, dtype)
+                 for j in range(5)[cols]]
+        assert [(pos, j) for pos, j, _ in flags] == [(i, j) for i in range(4)
+                                                       for j in range(i + 1, 5)]
+        for pos, j, both in flags:
+            route = dtype == np.complex64 and one_partner and thin[pos] and thin[j]
+            assert both is route
+    keep = np.triu(np.ones((5, 5), dtype=bool), 1)
+    assert not any(both for *_, both in _walk(lefts, mats, complex, keep))
+
+
+@pytest.mark.parametrize("dim, ranks, route", [(256, [3] * 6, "both"), (128, [3] * 6, "one"),
+                                               (256, [3, 200] * 3, "mixed")])
+def test_screen_bounds_each_chunk_by_its_routes_bound(monkeypatch, dim, ranks, route):
+    # a NaN bound table makes the screen give up (None) exactly when a chunk
+    # reads it: a chunk formed from both kept factors reads _thin_pair_error's,
+    # every other chunk _screen_error's
+    rng = np.random.default_rng(487 + dim + len(set(ranks)))
+    states = [random_density_exact(rng, dim, k) for k in ranks]
+    for name, read in (("_thin_pair_error", route != "one"), ("_screen_error", route != "both")):
+        with pytest.MonkeyPatch.context() as mp:
+            original = getattr(compat, name)
+            mp.setattr(compat, name, lambda *args, f=original: np.nan * f(*args))
+            seen = recording_screen(mp)
+            assert_oracle_extremes(states)
+        assert len(seen) == 1 and (seen[0] is None) == read
+
+
+def flat_row_state(rng, dim, rank):
+    """A thin state whose basis has rows of equal magnitudes ``1/sqrt(k)``: its
+    ``g = max_r sum_m |V_rm| lambda_m`` is ``||lambda||_1 / sqrt(k)``, above
+    ``lambda_max`` once the eigenvalues are near equal."""
+    dft = np.exp(2j * np.pi * np.outer(np.arange(rank), np.arange(rank)) / rank) / np.sqrt(rank)
+    v = np.zeros((dim, rank), dtype=complex)
+    v[rng.permutation(dim)[:rank]] = dft * np.exp(2j * np.pi * rng.random(rank))[:, None]
+    m = (v * rng.uniform(0.8, 1.2, size=rank)) @ v.conj().T
+    return validate_density((m + m.conj().T) / 2 / np.trace(m).real)
+
+
+def test_a_flat_row_state_with_g_above_lambda_max_keeps_the_oracles_bits(monkeypatch):
+    # g bounds a thin state's rows by the vector norm of its kept eigenvalues,
+    # not by lambda_max: here g is about 3 lambda_max, in a screened (256, 8)
+    # set whose other states are drawn as the benchmark draws them
+    rng = np.random.default_rng(491)
+    flat = flat_row_state(rng, 256, 16)
+    split = _split_spectrum(flat.spectrum, Tolerances())
+    g = (np.abs(split.support.basis) @ split.kept).max()
+    assert split.rank == 16 and g > 2.5 * split.kept[0]
+    states = planted_set(rng, 256, 7, 2)
+    seen = recording_screen(monkeypatch)
+    for at in (0, 3, 7):
+        assert_oracle_extremes(states[:at] + [flat] + states[at:])
+    assert len(seen) == 3 and all(keep is not None for keep in seen)
+
+
+def test_g_is_within_the_kept_eigenvalues_vector_norm():
+    # g <= ||lambda||_2 (Cauchy-Schwarz over a row of V, of norm at most 1)
+    # <= sqrt(k) lambda_max
+    rng = np.random.default_rng(499)
+    for dim in (32, 64, 129, 256):
+        for rank in (1, 2, dim // 8, dim // 2 - 1):
+            split = _split_spectrum(random_density_exact(rng, dim, rank).spectrum, Tolerances())
+            g = (np.abs(split.support.basis) @ split.kept).max()
+            vector_norm = np.linalg.norm(split.kept)
+            assert split.kept[0] / np.sqrt(dim) <= g <= vector_norm
+            assert vector_norm <= np.sqrt(rank) * split.kept[0]
 
 
 def test_entries_beyond_float32_fall_back_without_a_warning(monkeypatch):
@@ -241,7 +324,7 @@ def test_underflow_floor_keeps_the_pair_float32_reads_high():
     assert min(norms, key=norms.get) == (0, 2)
     spectral = [np.linalg.norm(m, 2) for m in mats]
     assert (dim + 4) * _SCREEN_SLACK * spectral[0] * spectral[1] < eta / 1000
-    keep = _screen(mats[:2], mats, np.array([(0, s, s) for s in spectral]))
+    keep = _screen(mats[:2], mats, np.array([(0, s, s, 0) for s in spectral]))
     assert keep[0, 2] and keep[1, 2]
 
 
