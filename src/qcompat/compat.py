@@ -501,6 +501,8 @@ class NullSpaceLeak:
     must vanish for an admissible joint state.  It is read from the joint's
     kept spectrum, so it lies within ``delta_J`` (the largest eigenvalue magnitude
     at or below ``eigenvalue_zero_tol``, 0 if none) of the dense ``max |N^dag J N|``.
+    That block is positive semidefinite, so its largest entry is its largest
+    diagonal entry, and only the diagonal is formed.
     """
 
     observer_index: int
@@ -549,9 +551,10 @@ def verify_joint(
     leaks = []
     for k, (obs, obs_split) in enumerate(zip(observers, splits)):
         null = obs_split.null.basis
-        # N^dag J N within delta_J; a trivial null space gives a (0, 0) block, max_abs 0.0
+        # N^dag J N within delta_J is the PSD block x Lambda x^dag, whose largest
+        # entry lies on its diagonal (|M_rc|^2 <= M_rr M_cc); a trivial null space reads 0.0
         x = null.conj().T @ w
-        leaked = max_abs((x * kept) @ x.conj().T)
+        leaked = float(np.max((x.real**2 + x.imag**2) @ kept, initial=0.0))
         leaks.append(NullSpaceLeak(k, obs.label, null.shape[1], leaked))
     report = JointConstraintReport(leakage=leakage, per_observer=tuple(leaks))
     return leakage <= tol.overlap_tol, report

@@ -155,11 +155,11 @@ def _pair_to_complex(entry, where: str) -> complex:
     return value
 
 
-def _pairs_to_array(nested, shape: tuple[int, ...], per_entry) -> np.ndarray:
+def _pairs_to_array(nested, shape: tuple[int, ...], where: str) -> np.ndarray:
     """The complex array of ``shape`` that nested ``[re, im]`` pairs hold, read
     in bulk.  When an entry is not a pair of finite int or float numbers, or
-    the nesting is not ``shape``, ``per_entry()`` reads them one by one
-    instead, and its error names the first faulty entry."""
+    the nesting is not ``shape``, :func:`_read_pairs` reads them one by one
+    instead, and its error names the first faulty row or entry of ``where``."""
     leaves = nested
     for _ in shape:
         leaves = chain.from_iterable(leaves)
@@ -171,7 +171,19 @@ def _pairs_to_array(nested, shape: tuple[int, ...], per_entry) -> np.ndarray:
                 return values.view(np.complex128).reshape(shape)
     except (TypeError, ValueError, OverflowError):
         pass
-    return per_entry()
+    return np.array(_read_pairs(nested, shape, where), dtype=complex)
+
+
+def _read_pairs(nested, shape: tuple[int, ...], where: str):
+    """The per-entry reader: nested lists of the complex numbers ``nested`` holds,
+    row by row and entry by entry, raising at the first faulty one."""
+    if not shape:
+        return _pair_to_complex(nested, where)
+    if not isinstance(nested, list):
+        raise MalformedFile(f"{where}: expected a list of [re, im] pairs")
+    if len(nested) != shape[0]:
+        raise ShapeMismatch(f"{where}: expected {shape[0]} columns, got {len(nested)}")
+    return [_read_pairs(e, shape[1:], f"{where}[{k}]") for k, e in enumerate(nested)]
 
 
 def _pairs_to_vector(pairs, where: str, dim: int | None = None) -> np.ndarray:
@@ -179,13 +191,7 @@ def _pairs_to_vector(pairs, where: str, dim: int | None = None) -> np.ndarray:
     ``dim``, the one place a payload's dimension is checked, after its entries."""
     if not isinstance(pairs, list) or not pairs:
         raise MalformedFile(f"{where}: expected a nonempty list of [re, im] pairs")
-    vec = _pairs_to_array(
-        pairs,
-        (len(pairs),),
-        lambda: np.array(
-            [_pair_to_complex(e, f"{where}[{k}]") for k, e in enumerate(pairs)], dtype=complex
-        ),
-    )
+    vec = _pairs_to_array(pairs, (len(pairs),), where)
     if dim is not None and len(pairs) != dim:
         raise ShapeMismatch(f"{where}: expected dimension {dim}")
     return vec
@@ -318,18 +324,7 @@ def parse_matrix(source: str | Path | IO) -> tuple[np.ndarray, str | None]:
     if len(entries) != dim:
         raise ShapeMismatch(f"expected {dim} rows, got {len(entries)}")
 
-    def per_entry() -> np.ndarray:
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for i, row in enumerate(entries):
-            if not isinstance(row, list):
-                raise MalformedFile(f"entries[{i}]: expected a list of [re, im] pairs")
-            if len(row) != dim:
-                raise ShapeMismatch(f"entries[{i}]: expected {dim} columns, got {len(row)}")
-            for j, entry in enumerate(row):
-                matrix[i, j] = _pair_to_complex(entry, f"entries[{i}][{j}]")
-        return matrix
-
-    matrix = _pairs_to_array(entries, (dim, dim), per_entry)
+    matrix = _pairs_to_array(entries, (dim, dim), "entries")
 
     label = doc.get("label")
     _check_label(label, MalformedFile)

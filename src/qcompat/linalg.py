@@ -91,8 +91,10 @@ DEFAULT_TOLERANCES = Tolerances()
 ORTHONORMALITY_TOL = 1e-10
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex, copy=True)
+def _frozen(a: np.ndarray, copy: bool = True) -> np.ndarray:
+    """``a`` as a read-only complex array: a copy, or, with ``copy`` False, ``a``
+    itself frozen in place, for a fresh complex array no one else holds."""
+    a = np.array(a, dtype=complex, copy=True) if copy else np.asarray(a, dtype=complex)
     a.setflags(write=False)
     return a
 

@@ -82,11 +82,12 @@ def _check_weights(weights: Sequence[float], what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A unit-norm complex amplitude vector."""
+    """A unit-norm complex amplitude vector, held read-only: the constructor
+    keeps a copy of what it is given."""
 
     amplitudes: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if a.size == 0:
             raise ValueError("pure state needs at least one amplitude")
@@ -95,7 +96,17 @@ class PureState:
         norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > ORTHONORMALITY_TOL:  # a one-column orthonormal basis
             raise ValueError(f"state is not normalized: |amplitudes| = {norm!r}")
-        object.__setattr__(self, "amplitudes", _frozen(a))
+        object.__setattr__(self, "amplitudes", _frozen(a, copy))
+
+    @classmethod
+    def _adopt(cls, amplitudes: np.ndarray) -> PureState:
+        """The state of ``amplitudes``, a fresh complex array that no one else
+        holds, frozen in place rather than copied: every check of the
+        constructor runs, so a dense vector is never held twice."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        state.__post_init__(copy=False)
+        return state
 
     @property
     def dim(self) -> int:
@@ -382,4 +393,4 @@ def project_and_renormalize(
     # measuring the only subsystem leaves a 0-d array; reshape(-1) makes it dim 1
     flat = np.asarray(contracted, dtype=complex).reshape(-1)
     p = _nonzero_probability(float(np.vdot(flat, flat).real), tol)
-    return p, PureState(flat / np.sqrt(p))
+    return p, PureState._adopt(flat / np.sqrt(p))

@@ -118,7 +118,7 @@ class WitnessState:
         t = np.zeros(self.dims, dtype=complex)
         t[0], t[:, 0] = _zero_blocks(self)
         t /= np.linalg.norm(t)
-        return PureState(t)
+        return PureState._adopt(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +228,7 @@ def _split_off(split: _Split, chi: PureState) -> tuple[float, tuple[Component, .
     complement = np.linalg.qr((overlaps / np.sqrt(kept))[:, None], mode="complete")[0][:, 1:]
     terms = (split.support.basis * np.sqrt(kept)) @ complement
     norms = np.linalg.norm(terms, axis=0)
-    return weight, tuple((float(n) ** 2, PureState(t / n)) for n, t in zip(norms, terms.T))
+    return weight, tuple((float(n) ** 2, PureState._adopt(t / n)) for n, t in zip(norms, terms.T))
 
 
 def build_shared_decomposition(
@@ -312,7 +312,7 @@ def simulate_protocol(
     return ProtocolResult(
         rho_alice=rho_alice,
         rho_bob=rho_bob,
-        joint=PureState(alice[0] / np.sqrt(p_both)),
+        joint=PureState._adopt(alice[0] / np.sqrt(p_both)),
         p_alice=p_alice,
         p_bob=p_bob,
         p_both=p_both,

@@ -111,7 +111,8 @@ def test_every_matrix_the_writer_accepts_reads_back(shape, seed):
 def per_entry_only():
     """Route every read through the per-entry reader, the bulk path's fallback."""
     return mock.patch.object(
-        formats, "_pairs_to_array", lambda nested, shape, per_entry: per_entry()
+        formats, "_pairs_to_array",
+        lambda nested, shape, where: np.array(formats._read_pairs(nested, shape, where)),
     )
 
 

@@ -349,6 +349,34 @@ def test_pii_does_not_imply_bfm():
     assert report.product_norm == pytest.approx(0.25, abs=1e-12)
 
 
+# ROADMAP item 7: PII compares the max-entry norm of rho_a rho_b with the
+# absolute overlap_tol, so it reads weights and the basis, not the supports.
+# The item that decides PII on the supports removes both marks.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: BFM without PII at small weights")
+def test_compatible_pair_is_never_orthogonal():
+    # the supports share e0, held with weight 1e-4 by both: the product norm
+    # is 1e-8, below overlap_tol, so PII fails on a compatible pair
+    a = validate_density(np.diag([1e-4, 1 - 1e-4, 0.0]))
+    b = validate_density(np.diag([1e-4, 0.0, 1 - 1e-4]))
+    report = check_bfm([a, b])
+    assert report.verdict_bfm
+    assert report.verdict_pii
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the PII verdict depends on the basis")
+def test_pii_verdict_survives_a_common_unitary():
+    # the product norm is 2e-7 in the computational basis, so PII holds, and
+    # 1.25e-8 after a common Fourier unitary, so PII fails
+    dim = 16
+    psi = np.eye(dim)[1] + 2e-7 * np.eye(dim)[0]
+    psi /= np.linalg.norm(psi)
+    mats = [np.diag(np.eye(dim)[0]).astype(complex), np.outer(psi, psi.conj())]
+    fourier = np.fft.fft(np.eye(dim)) / np.sqrt(dim)
+    turned = [fourier @ m @ fourier.conj().T for m in mats]
+    assert check_pii(*map(validate_density, mats))[0]
+    assert check_pii(*map(validate_density, turned))[0]
+
+
 def test_bfm_three_observers_conjunction():
     a, b = golden_pair()
     half = validate_density(np.eye(2) / 2)

@@ -39,6 +39,13 @@ CASES = [
      "pure state needs at least one amplitude"),
     ("pure-non-finite", lambda: PureState(np.array([np.inf, 0.0])), ValueError,
      "amplitudes contain non-finite entries"),
+    # the private constructor that freezes a fresh vector in place keeps every check
+    ("pure-adopt-empty", lambda: PureState._adopt(np.zeros(0, dtype=complex)), ValueError,
+     "pure state needs at least one amplitude"),
+    ("pure-adopt-non-finite", lambda: PureState._adopt(np.array([np.nan, 1.0 + 0j])),
+     ValueError, "amplitudes contain non-finite entries"),
+    ("pure-adopt-not-normalized", lambda: PureState._adopt(np.array([2.0 + 0j, 0.0])),
+     ValueError, "state is not normalized: |amplitudes| = 2.0"),
     ("basis-state-out-of-range", lambda: basis_state(2, 2), ValueError,
      "basis index 2 out of range for dim 2"),
     ("ensemble-empty", lambda: Ensemble(()), ValueError,

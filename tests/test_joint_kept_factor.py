@@ -2,10 +2,13 @@
 
 With ``W`` the joint's support basis and ``Lambda`` its kept eigenvalues, the
 leakage is ``max |(W - B_c (B_c^dag W)) W^dag|``, the same operator as the
-dense ``P_J - B_c (B_c^dag P_J)``, and an observer's leak is
-``max |(x Lambda) x^dag|`` with ``x = N^dag W``.  That leak omits the joint's
-eigenvalues at or below ``eigenvalue_zero_tol``, so the oracle below allows
-``delta_J``, the largest of them in magnitude, on top of product rounding.
+dense ``P_J - B_c (B_c^dag P_J)``, and an observer's leak is the largest
+entry of the PSD block ``(x Lambda) x^dag`` with ``x = N^dag W``, read off its
+diagonal ``sum_m lambda_m |x_rm|^2``.  The oracle below forms the whole block
+and allows the diagonal reading ``4 k_J eps`` relative, ``k_J`` the joint's
+rank.  That leak omits the joint's eigenvalues at or below
+``eigenvalue_zero_tol``, so the oracle allows ``delta_J``, the largest of
+them in magnitude, on top of product rounding against the dense leak.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ from conftest import product_rounding, random_unitary
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 TOL = Tolerances()
+EPS = np.finfo(float).eps
 
 
 def planted_observers(rng, dim, n, common):
@@ -64,7 +68,8 @@ def assert_within_dense_rule(joint, observers):
     ok, report = verify_joint(joint, observers)
     dim = joint.dim
     b = _common_support(_named_splits(observers, TOL), TOL).basis
-    p_joint = projector_from(_split_spectrum(joint.spectrum, TOL, "joint").support)
+    split = _split_spectrum(joint.spectrum, TOL, "joint")
+    p_joint = projector_from(split.support)
     dense = max_abs(p_joint - b @ (b.conj().T @ p_joint))
     assert abs(report.leakage - dense) <= product_rounding(dim)
     if abs(dense - TOL.overlap_tol) > product_rounding(dim):
@@ -74,6 +79,9 @@ def assert_within_dense_rule(joint, observers):
         null = _split_spectrum(obs.spectrum, TOL).null.basis
         assert leak.null_dim == null.shape[1]
         assert abs(leak.leaked_norm - max_abs(null.conj().T @ joint.matrix @ null)) <= slack
+        x = null.conj().T @ split.support.basis
+        block = max_abs((x * split.kept) @ x.conj().T)
+        assert abs(leak.leaked_norm - block) <= 4 * split.rank * EPS * block + 1e-30
     return ok, report
 
 

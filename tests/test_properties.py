@@ -15,7 +15,8 @@
   written from, derived verdicts included.
 * A shared decomposition splits each state of rank ``k`` into the shared
   state and ``k - 1`` remainder terms, each weighted at least the state's
-  smallest kept eigenvalue, and rebuilds the state.
+  smallest kept eigenvalue, and rebuilds the state.  From D = 129 up, at
+  ranks within 3 of D, its witness's simulated round trip gives it back.
 """
 
 import json
@@ -29,15 +30,18 @@ from qcompat import (
     Subspace,
     Tolerances,
     build_shared_decomposition,
+    build_witness,
     check_bfm,
     hermitian_eigendecompose,
     intersect,
     max_abs,
     projector_from,
+    simulate_protocol,
     validate_density,
 )
 from qcompat.formats import dumps_canonical, parse_report_document, report_document
 from qcompat.states import WEIGHT_TOL
+from qcompat.witness import ROUND_TRIP_TOL
 from conftest import (
     delta_bound,
     per_pair_norms,
@@ -306,23 +310,25 @@ def test_eigendecompose_orders_ties_like_reference(m):
 
 
 @st.composite
-def decomposable_pairs(draw):
+def decomposable_pairs(draw, dims=st.integers(2, 64), gaps=None):
     """Compatible pairs whose supports share a planted pure state chi.
 
     Each state of rank ``r`` is ``w |chi><chi| + (1 - w) sigma`` with ``sigma``
     of rank ``r - 1`` inside a fixed hyperplane that holds at most half of
     chi, so the state holds chi with weight exactly ``w`` and its smallest
-    eigenvalue stays near ``w`` or above.  D runs up to 64, ranks often
-    within 3 of D, and ``w`` down to 1e-7.
+    eigenvalue stays near ``w`` or above.  D is drawn from ``dims`` (up to 64
+    by default) and ``w`` down to 1e-7.  Each rank is D less a draw of
+    ``gaps``: by default often within 3 of D, else anywhere down to 1.
     """
-    dim = draw(st.integers(2, 64))
+    dim = draw(dims)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frame = random_unitary(rng, dim)
     t = draw(st.floats(0, np.pi / 4))
     chi = np.cos(t) * frame[:, 0] + np.sin(t) * frame[:, 1:] @ random_pure(rng, dim - 1).amplitudes
     states = []
     for _ in range(2):
-        rank = dim - draw(st.one_of(st.integers(0, min(3, dim - 1)), st.integers(0, dim - 1)))
+        rank = dim - draw(gaps if gaps is not None else st.one_of(
+            st.integers(0, min(3, dim - 1)), st.integers(0, dim - 1)))
         w = 1.0 if rank == 1 else 10.0 ** draw(st.floats(-7, -0.3))
         others = frame[:, 1:] @ random_unitary(rng, dim - 1)[:, : rank - 1]
         levels = 10.0 ** rng.uniform(-3, 0, size=rank - 1)
@@ -344,3 +350,16 @@ def test_remainder_terms_come_from_the_kept_spectrum(pair):
         assert all(w >= kept[-1] * (1 - 1e-10) for w, _ in rest)
         assert abs(head + sum(w for w, _ in rest) - 1) <= WEIGHT_TOL
         assert max_abs(rebuilt.matrix - state.matrix) <= 1e-9
+
+
+# few examples, each large: the five take under a second together
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(decomposable_pairs(dims=st.integers(129, 256), gaps=st.integers(0, 3)))
+def test_large_near_full_rank_pairs_round_trip_through_the_witness(pair):
+    d = build_shared_decomposition(*pair)
+    w = build_witness(d)
+    result = simulate_protocol(w)
+    assert max_abs(result.rho_alice.matrix - d.rho_a().matrix) <= ROUND_TRIP_TOL
+    assert max_abs(result.rho_bob.matrix - d.rho_b().matrix) <= ROUND_TRIP_TOL
+    overlap = abs(np.vdot(result.joint.amplitudes, d.chi.amplitudes)) ** 2
+    assert overlap >= 1 - ROUND_TRIP_TOL

@@ -89,6 +89,18 @@ def test_pure_state_requires_unit_norm():
         PureState(np.array([1.0, 1.0]))
 
 
+def test_pure_state_copies_what_it_is_given_and_adopt_freezes_in_place():
+    given = np.array([1.0, 1.0j]) / np.sqrt(2)
+    public = PureState(given)
+    assert not np.shares_memory(public.amplitudes, given)
+    given[0] = 0.0  # the caller still owns its array
+    assert public.amplitudes[0] == 1 / np.sqrt(2)
+    fresh = np.array([[0.6, 0.8j]])
+    adopted = PureState._adopt(fresh)
+    assert np.shares_memory(adopted.amplitudes, fresh)
+    assert adopted.amplitudes.shape == (2,) and not adopted.amplitudes.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 

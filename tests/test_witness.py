@@ -372,6 +372,22 @@ def test_witness_stores_only_its_decomposition():
     assert list(vars(w)) == ["decomposition"]
 
 
+def test_reading_the_dense_amplitudes_holds_the_vector_once():
+    # the vector is unit-scaled and frozen in place, not copied into the state:
+    # a copy would double the peak (8 MiB for this 4 MiB vector)
+    d = build_shared_decomposition(*full_rank_pair(np.random.default_rng(167), 64))
+    w = build_witness(d)
+    assert w.dims == (64, 64, 64)
+    tracemalloc.start()
+    try:
+        amplitudes = w.amplitudes.amplitudes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * amplitudes.nbytes
+    assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_dense_amplitudes_absorb_the_weight_slack():
     # weights may sum to 1 within WEIGHT_TOL; here N times the raw terms has
     # norm 1 + 2.5e-10, beyond the unit-norm check of a PureState
