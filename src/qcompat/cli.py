@@ -230,7 +230,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         tol = _resolve_tolerances(args)
-        return _COMMANDS[args.command](args, tol)
+        # an overflow (and the inf - inf a product of overflowed entries forms)
+        # is rejected by the library's own checks: stderr keeps one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args, tol)
     except (StateValidationError, Incompatible) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -152,8 +152,14 @@ def _hermitian_deviation(p: np.ndarray):
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """``(m + m^dag) / 2`` as a fresh array, ``m``'s values when it is exactly
     Hermitian: what a :class:`~qcompat.states.DensityMatrix` holds and
-    :func:`hermitian_eigendecompose` decomposes."""
-    return (m + m.conj().T) / 2
+    :func:`hermitian_eigendecompose` decomposes.  Where ``m + m^dag``
+    overflows, ``m / 2 + m^dag / 2`` stands in: halving first would flush an
+    exactly Hermitian subnormal entry to 0, so it is only the fallback."""
+    with np.errstate(over="raise"):
+        try:
+            return (m + m.conj().T) / 2
+        except FloatingPointError:
+            return m / 2 + m.conj().T / 2
 
 
 def _check_orthonormal(b: np.ndarray) -> None:

@@ -5,10 +5,13 @@ Gaussian ``G`` of chosen rank.  Support eigenvalues get a floor so the PSD
 boundary and product norms stay well separated from the tolerances under
 test; every generator takes an explicit ``numpy.random.Generator`` so runs
 are reproducible from seeds.
+
+:func:`spy` is the one recorder the tests count the library's work with.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +25,27 @@ from qcompat import (
     check_pii,
     validate_density,
 )
+
+
+def spy(monkeypatch, fn, *owners, keep=lambda a, *args, **kwargs: getattr(a, "shape", None)):
+    """Patch ``fn`` in each of ``owners`` (with none, in every loaded ``qcompat``
+    module that binds it) to append ``keep(*args, **kwargs)`` to the returned
+    list before each call runs, so a call that raises still counts.  By
+    default ``keep`` records the first operand's shape, None if it has none."""
+    name = fn.__name__
+    if not owners:
+        owners = [module for key, module in sorted(sys.modules.items())
+                  if key.partition(".")[0] == "qcompat" and vars(module).get(name) is fn]
+    assert owners and all(getattr(owner, name) is fn for owner in owners)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(keep(*args, **kwargs))
+        return fn(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> PureState:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qcompat import MalformedFile, ShapeMismatch, formats
 from qcompat.cli import cli_main
 from qcompat.formats import dumps_canonical, load_report, parse_matrix, serialize_matrix
-from conftest import full_rank_pair
+from conftest import full_rank_pair, spy
 
 DATA = Path(__file__).parent / "data"
 
@@ -213,11 +213,7 @@ def test_integer_beyond_int64_still_parses():
 def test_valid_files_never_read_entry_by_entry(tmp_path, monkeypatch):
     # a silent fall back to the per-entry reader would keep every answer and
     # lose the speed, so count its calls
-    calls = []
-    per_entry = formats._pair_to_complex
-    monkeypatch.setattr(
-        formats, "_pair_to_complex", lambda *args: calls.append(args) or per_entry(*args)
-    )
+    calls = spy(monkeypatch, formats._pair_to_complex, formats, keep=lambda *args: args)
     a, b = full_rank_pair(np.random.default_rng(3), 64)
     paths = []
     for name, state in (("a", a), ("b", b)):
@@ -234,9 +230,7 @@ def test_valid_files_never_read_entry_by_entry(tmp_path, monkeypatch):
 
 def test_matrix_rows_never_written_value_by_value(monkeypatch):
     # rows of float pairs go out one format per pair; only "dim" is a lone number
-    calls = []
-    per_value = formats._emit_number
-    monkeypatch.setattr(formats, "_emit_number", lambda x: calls.append(x) or per_value(x))
+    calls = spy(monkeypatch, formats._emit_number, formats, keep=lambda x: x)
     a, _ = full_rank_pair(np.random.default_rng(5), 64)
     assert parse_matrix(io.StringIO(serialize_matrix(a.matrix)))[0].shape == (64, 64)
     assert calls == [64]

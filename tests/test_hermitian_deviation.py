@@ -21,7 +21,7 @@ from qcompat import (
     validate_density,
 )
 from qcompat.linalg import _BLOCK, _hermitian_deviation
-from conftest import random_density_exact
+from conftest import random_density_exact, spy
 
 DIMS = [1, 2, 63, 64, 65, 127, 128, 129, 256]
 
@@ -76,20 +76,6 @@ def test_block_edge_is_inside_the_tested_dimensions():
     assert {_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1} <= set(DIMS)
 
 
-def counting(monkeypatch, module):
-    """Wrap ``module``'s binding of the measure; the returned list collects the
-    shape of each input it is given."""
-    seen = []
-    original = linalg._hermitian_deviation
-
-    def counted(p):
-        seen.append(p.shape)
-        return original(p)
-
-    monkeypatch.setattr(module, "_hermitian_deviation", counted)
-    return seen
-
-
 def off_hermitian(m):
     """``m`` with its strict upper triangle moved by 1e-3."""
     return m + 1e-3 * np.triu(np.ones(m.shape), 1)
@@ -98,7 +84,7 @@ def off_hermitian(m):
 @pytest.mark.parametrize("dim", [2, 8, 65])
 def test_validation_measures_each_matrix_once(monkeypatch, dim):
     m = random_density_exact(np.random.default_rng(dim), dim).matrix
-    seen = counting(monkeypatch, states)
+    seen = spy(monkeypatch, _hermitian_deviation, states)
     validate_density(m)
     assert seen == [(dim, dim)]
     with pytest.raises(NotHermitian) as exc:
@@ -110,7 +96,7 @@ def test_validation_measures_each_matrix_once(monkeypatch, dim):
 @pytest.mark.parametrize("dim", [2, 8, 65])
 def test_eigendecomposition_measures_each_matrix_once(monkeypatch, dim):
     m = random_density_exact(np.random.default_rng(dim), dim).matrix
-    seen = counting(monkeypatch, linalg)
+    seen = spy(monkeypatch, _hermitian_deviation, linalg)
     hermitian_eigendecompose(m)
     assert seen == [(dim, dim)]
     with pytest.raises(NotHermitian) as exc:

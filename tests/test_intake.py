@@ -5,7 +5,8 @@ A matrix operand is 2-D, finite, square and at least 1 x 1.
 every entry point that takes a matrix goes through it, so they all reject
 the same inputs with the same exception classes: a 0 x 0 state stops at
 the door and never reaches ``check_bfm``.  ``validate_density`` takes each
-state in once.
+state in once.  A finite operand whose ``m + m^dag`` overflows keeps a
+finite Hermitian part, so it is judged on its spectrum, never on NaNs.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 
 from qcompat import (
     DensityMatrix,
+    NegativeEigenvalue,
+    NotPSD,
     NotSquare,
     check_bfm,
     hermitian_eigendecompose,
@@ -21,6 +24,8 @@ from qcompat import (
     validate_density,
 )
 from qcompat import linalg, states
+from qcompat.linalg import as_complex_matrix
+from conftest import spy
 
 ENTRY_POINTS = [validate_density, DensityMatrix, hermitian_eigendecompose, support_of, null_of]
 
@@ -44,26 +49,41 @@ def test_every_entry_point_rejects_a_bad_operand_at_the_intake(entry, matrix, er
     assert exc.traceback[-1].name == "as_complex_matrix"
 
 
-def count_intake(monkeypatch) -> list:
-    """Shapes of the operands passed to ``as_complex_matrix`` from here on,
-    whichever module calls it."""
-    calls = []
-    original = linalg.as_complex_matrix
-
-    def counted(m):
-        calls.append(np.shape(m))
-        return original(m)
-
-    monkeypatch.setattr(linalg, "as_complex_matrix", counted)
-    monkeypatch.setattr(states, "as_complex_matrix", counted)
-    return calls
-
-
 @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
 def test_validate_density_takes_each_state_in_once(monkeypatch, as_list):
-    calls = count_intake(monkeypatch)
+    calls = spy(monkeypatch, as_complex_matrix)  # whichever module calls it
+    assert all(vars(m)["as_complex_matrix"] is not as_complex_matrix for m in (linalg, states))
     pure, mixed = np.diag([1.0, 0.0, 0.0]), np.eye(3) / 3
     rhos = [validate_density(m.tolist() if as_list else m) for m in (pure, mixed)]
     assert calls == [(3, 3), (3, 3)]
     check_bfm(rhos)  # later stages read the validated states, not the operands
     assert calls == [(3, 3), (3, 3)]
+
+
+# ---------------------------------------------------------------------------
+# a finite operand whose Hermitian part overflows
+
+OVERFLOWING = np.array([[0.5, 1e308], [1e308, 0.5]])  # eigenvalues +-1e308
+
+
+def test_an_overflowing_hermitian_part_is_held_finite():
+    assert DensityMatrix(OVERFLOWING).matrix.tobytes() == OVERFLOWING.astype(complex).tobytes()
+    values, vectors = hermitian_eigendecompose(OVERFLOWING)
+    assert np.all(np.isfinite(vectors))
+    assert values == pytest.approx([1e308, -1e308], rel=1e-12)
+
+
+def test_an_overflowing_hermitian_part_is_not_a_state():
+    with pytest.raises(NotPSD) as exc:
+        validate_density(OVERFLOWING)
+    [(name, lam_min, _)] = exc.value.violations
+    assert name == "positivity lambda_min" and lam_min == pytest.approx(-1e308, rel=1e-12)
+    for reader in (support_of, null_of):
+        with pytest.raises(NegativeEigenvalue):
+            reader(OVERFLOWING)
+
+
+def test_an_exactly_hermitian_subnormal_entry_keeps_its_bits():
+    # halving before the sum would flush 5e-324 to 0
+    m = np.array([[1.0, 5e-324], [5e-324, 0.0]], dtype=complex)
+    assert validate_density(m).matrix.tobytes() == m.tobytes()

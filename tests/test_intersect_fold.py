@@ -25,7 +25,7 @@ from qcompat import (
 from qcompat import linalg
 from qcompat.formats import _check_chi
 from qcompat.linalg import _canonical, _lex_order, _split_spectrum, max_abs
-from conftest import random_density, random_subspace, random_unitary
+from conftest import random_density, random_subspace, random_unitary, spy
 
 
 def oracle_canonical(values, vectors):
@@ -143,20 +143,10 @@ def test_one_canonical_and_one_check_per_intersect(monkeypatch, n, common, deep)
     # "half" empties an incompatible fold at its first step, "deep" runs it to the end
     rng = np.random.default_rng([n, common, deep])
     supports, _ = planted_supports(rng, 16, n, common, deep)
-    calls = {"canonical": 0, "orthonormal": 0}
-
-    def counted(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapper
-
-    monkeypatch.setattr(linalg, "_canonical", counted("canonical", linalg._canonical))
-    monkeypatch.setattr(
-        linalg, "_check_orthonormal", counted("orthonormal", linalg._check_orthonormal)
-    )
+    canonicals = spy(monkeypatch, linalg._canonical, linalg)
+    checks = spy(monkeypatch, linalg._check_orthonormal, linalg)
     assert intersect(*supports).dimension == common
-    assert calls == {"canonical": 1, "orthonormal": 1}
+    assert (len(canonicals), len(checks)) == (1, 1)
 
 
 def test_canonical_returns_read_only_arrays():
@@ -172,19 +162,6 @@ def test_canonical_returns_read_only_arrays():
 
 # ---------------------------------------------------------------------------
 # the Frobenius exit: no SVD where no cosine can pass, the same bytes either way
-
-
-def counting_svd(monkeypatch):
-    """Wrap ``np.linalg.svd``; the returned list counts its calls."""
-    calls = [0]
-    original = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
 
 
 def supports_at_cosine(rng, dim, ranks, cosine):
@@ -204,14 +181,14 @@ def test_orthogonal_supports_take_no_svd(monkeypatch, ranks):
     frame = random_unitary(rng, 256)
     a, b = (Subspace(256, frame[:, lo : lo + k]) for lo, k in zip((0, ranks[0]), ranks))
     want = oracle_step(a, b, Tolerances())
-    calls = counting_svd(monkeypatch)
+    svds = spy(monkeypatch, np.linalg.svd, np.linalg)
     got = intersect(a, b)
-    assert calls == [0]
+    assert svds == []
     assert got.basis.shape == want.basis.shape == (256, 0)
     assert got.basis.tobytes() == want.basis.tobytes()
     states = planted_states(rng, [a, b])
     assert not check_bfm(states).verdict_bfm
-    assert calls == [0]
+    assert svds == []
 
 
 def test_exit_ends_a_longer_fold_at_its_empty_step(monkeypatch):
@@ -219,9 +196,9 @@ def test_exit_ends_a_longer_fold_at_its_empty_step(monkeypatch):
     frame = random_unitary(np.random.default_rng(5), 64)
     spans = [frame[:, :20], frame[:, 10:30], frame[:, 40:60], frame[:, 5:15]]
     subspaces = [Subspace(64, b) for b in spans]
-    calls = counting_svd(monkeypatch)
+    svds = spy(monkeypatch, np.linalg.svd, np.linalg)
     assert intersect(*subspaces).dimension == 0
-    assert calls == [1]
+    assert len(svds) == 1
 
 
 @pytest.mark.parametrize("overlap_tol", [1e-12, 1e-7, 0.1, 0.49])
@@ -232,15 +209,15 @@ def test_cosines_at_the_threshold_read_as_the_svd_step_does(monkeypatch, overlap
     tol = Tolerances(overlap_tol=overlap_tol)
     threshold = 1 - 2 * overlap_tol
     rng = np.random.default_rng([int(1 / overlap_tol) % 2**32, *ranks])
-    calls = counting_svd(monkeypatch)
+    svds = spy(monkeypatch, np.linalg.svd, np.linalg)
     for offset in (-1e-3, -1e-6, -1e-9, -1e-12, -1e-14, 0.0, 1e-14, 1e-13, 1e-12, 1e-9, 1e-6):
         cosine = threshold + offset
         if not 0 <= cosine < 1 - 1e-13:
             continue
         a, b = supports_at_cosine(rng, 128, ranks, cosine)
-        before = calls[0]
+        before = len(svds)
         got = intersect(a, b, tol=tol)
-        exited = calls[0] == before
+        exited = len(svds) == before
         want = oracle_step(a, b, tol)
         assert got.basis.shape == want.basis.shape
         assert got.basis.tobytes() == want.basis.tobytes()

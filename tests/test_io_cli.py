@@ -1107,6 +1107,31 @@ def test_cli_unexpected_failure_exits_3(corpus, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: MemoryError: cannot allocate\n"
 
 
+def test_cli_rejects_a_state_whose_hermitian_part_overflows(tmp_path, capsys):
+    # eigenvalues +-1e308: m + m^dag overflows, and no NaN may pass as a state
+    path = write_state(tmp_path / "big.json", np.array([[0.5, 1e308], [1e308, 0.5]]))
+    assert cli_main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert "positivity lambda_min" in captured.out and captured.err == ""
+    assert cli_main(["support", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid operator: positivity") and err.count("\n") == 1
+
+
+def test_cli_overflow_prints_no_warning_beside_its_diagnostic(tmp_path, capsys):
+    # a witness whose first basis entry overflows the orthonormality check's product
+    doc = json.loads((DATA / "legacy_witness.json").read_text())
+    doc["report"]["intersection_basis"][0][0] = [1e308, 0]
+    witness = tmp_path / "wit.json"
+    witness.write_text(json.dumps(doc))
+    assert cli_main(["simulate", str(witness)]) == 2
+    assert capsys.readouterr().err == "error: report: basis columns are not orthonormal to 1e-10\n"
+    # a trace and a certificate scale that overflow
+    assert cli_main(["validate", write_state(tmp_path / "big.json", np.diag([1e308, 1e308]))]) == 1
+    captured = capsys.readouterr()
+    assert "trace" in captured.out and captured.err == ""
+
+
 @pytest.mark.parametrize("module", ["qcompat", "qcompat.cli"])
 def test_python_dash_m_exit_codes(module, corpus, tmp_path):
     env = dict(os.environ)

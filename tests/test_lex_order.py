@@ -12,7 +12,7 @@ import pytest
 from qcompat import check_bfm, choose_common_state, intersect, validate_density
 from qcompat import linalg, witness
 from qcompat.linalg import _canonical, _lex_order
-from conftest import random_hermitian, random_subspace, random_unitary
+from conftest import random_hermitian, random_subspace, random_unitary, spy
 
 
 def oracle_order(keys, vectors):
@@ -73,14 +73,8 @@ def test_random_ties_down_to_the_last_row():
 
 def test_callers_keys_sort_like_the_oracle(monkeypatch):
     # every (keys, vectors) the intersection and choose_common_state sort
-    calls = []
-
-    def recording(keys, vectors):
-        calls.append((np.array(keys), np.array(vectors)))
-        return _lex_order(keys, vectors)
-
-    monkeypatch.setattr(linalg, "_lex_order", recording)
-    monkeypatch.setattr(witness, "_lex_order", recording)
+    calls = spy(monkeypatch, _lex_order, linalg, witness,
+                keep=lambda keys, vectors: (np.array(keys), np.array(vectors)))
     rng = np.random.default_rng(317)
     for dim in (4, 16, 64):
         shared = random_subspace(rng, dim, 3)

@@ -18,7 +18,7 @@ import qcompat.compat as compat
 from qcompat import DensityMatrix, Tolerances, check_bfm, validate_density
 from qcompat.compat import _CHUNK_BYTES, _fold_extremes, _pairwise_norms
 from qcompat.linalg import _BLOCK, _hermitian_deviation
-from conftest import per_pair_norms, random_density_exact, random_unitary
+from conftest import per_pair_norms, random_density_exact, random_unitary, spy
 
 
 def whole_stack_deviation(p):
@@ -150,20 +150,6 @@ def test_mirror_pass_never_writes_its_input(dim, batch):
 # the commutator skip rule
 
 
-def counting_deviation(monkeypatch):
-    """Wrap the commutator pass; the returned list counts ``[calls, products]``."""
-    seen = [0, 0]
-    original = compat._hermitian_deviation
-
-    def counted(p):
-        seen[0] += 1
-        seen[1] += len(p)
-        return original(p)
-
-    monkeypatch.setattr(compat, "_hermitian_deviation", counted)
-    return seen
-
-
 def recording_walk(monkeypatch):
     """Wrap the product walker; the returned list collects ``(dtype, pos, partners)``
     per chunk it yields, ``partners`` the positions its products pair ``pos`` with."""
@@ -209,11 +195,11 @@ def test_skip_rule_runs_the_pass_at_its_edge(monkeypatch, c, unit):
     # the running maximum lies below 2c, however close
     p = c * np.array([unit], dtype=complex)
     assert _hermitian_deviation(p)[0] == 2 * c
-    seen = counting_deviation(monkeypatch)
+    seen = spy(monkeypatch, _hermitian_deviation, compat, keep=len)  # products per pass
     for below in (0.0, c, np.nextafter(2 * c, 0)):
         product, commutator = _fold_extremes(p, np.inf, below)
         assert (product, commutator) == (c, 2 * c)
-    assert seen[0] == 3
+    assert len(seen) == 3
     assert _fold_extremes(p, np.inf, 2 * c) == (c, 2 * c)
 
 
@@ -226,14 +212,14 @@ def test_skip_rule_reaches_the_edge_through_the_pass():
 
 
 def test_all_zero_products_skip_the_pass(monkeypatch):
-    seen = counting_deviation(monkeypatch)
+    seen = spy(monkeypatch, _hermitian_deviation, compat, keep=len)  # products per pass
     assert _fold_extremes(np.zeros((3, 4, 4), dtype=complex), np.inf, 0.0) == (0.0, 0.0)
     # disjoint basis projectors give exactly zero products: both norms are 0.0, no pass runs
     states = [validate_density(np.diag(np.eye(6)[k])) for k in range(4)]
     report = check_bfm(states)
     assert (report.product_norm, report.commutator_norm) == (0.0, 0.0)
     assert np.float64(report.commutator_norm).tobytes() == np.float64(0.0).tobytes()
-    assert seen == [0, 0]
+    assert seen == []
 
 
 def test_non_finite_products_keep_the_full_reduction():
@@ -267,12 +253,12 @@ def test_bench_like_set_skips_most_commutator_passes(monkeypatch):
     rng = np.random.default_rng(229)
     states = planted_set(rng, 64, 32, 2)
     products, commutators = whole_stack_norms(states)
-    seen = counting_deviation(monkeypatch)
+    seen = spy(monkeypatch, _hermitian_deviation, compat, keep=len)  # products per pass
     got = np.array(_pairwise_norms(states))
     assert got.tobytes() == np.array([products.min(), commutators.max()]).tobytes()
     # 496 pairs in chunks of up to 4 partners: 136 chunks
-    assert 0 < seen[0] < 136
-    assert seen[1] < 496
+    assert 0 < len(seen) < 136
+    assert sum(seen) < 496
 
 
 @pytest.mark.parametrize("dim", [8, 32, 33, 64, 65, 128, 256])

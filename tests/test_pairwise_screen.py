@@ -20,6 +20,7 @@ from qcompat import DensityMatrix, Tolerances, check_bfm, validate_density
 from qcompat.compat import (
     _CHUNK_BYTES,
     _SCREEN_SLACK,
+    _fold_extremes,
     _hermitian_deviation,
     _pairwise_norms,
     _screen,
@@ -28,9 +29,8 @@ from qcompat.compat import (
     _walk,
 )
 from qcompat.linalg import _split_spectrum
-from conftest import random_density_exact
+from conftest import random_density_exact, spy
 from test_pairwise_chunks import (
-    counting_deviation,
     mixed_ranks,
     planted_set,
     recording_walk,
@@ -58,19 +58,6 @@ def recording_screen(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(compat, "_screen", recorded)
-    return seen
-
-
-def counting_double_products(monkeypatch):
-    """Wrap the double fold; the returned list counts the products it reduces."""
-    seen = [0]
-    original = compat._fold_extremes
-
-    def counted(p, product, commutator):
-        seen[0] += len(p)
-        return original(p, product, commutator)
-
-    monkeypatch.setattr(compat, "_fold_extremes", counted)
     return seen
 
 
@@ -261,12 +248,12 @@ def test_products_beyond_float32_fall_back(monkeypatch):
 def test_disjoint_projectors_read_exact_zeros_with_no_commutator_pass(monkeypatch):
     eye = np.eye(64)
     states = [validate_density(np.diag(eye[8 * k : 8 * k + 8].sum(axis=0)) / 8) for k in range(8)]
-    passes = counting_deviation(monkeypatch)
+    passes = spy(monkeypatch, _hermitian_deviation, compat)
     seen = recording_screen(monkeypatch)
     report = check_bfm(states)
     assert np.float64(report.product_norm).tobytes() == np.float64(0.0).tobytes()
     assert np.float64(report.commutator_norm).tobytes() == np.float64(0.0).tobytes()
-    assert passes == [0, 0]  # neither in the screen nor in double
+    assert passes == []  # neither in the screen nor in double
     assert seen[0][np.triu_indices(8, 1)].all()  # all-zero screens decide nothing
 
 
@@ -396,12 +383,12 @@ def test_thin_pair_screen_holds_one_product_at_a_time():
 
 def test_bench_like_set_forms_few_pairs_in_double(monkeypatch):
     rng = np.random.default_rng(443)
-    formed = counting_double_products(monkeypatch)
+    formed = spy(monkeypatch, _fold_extremes, compat, keep=lambda p, *bounds: len(p))
     for _ in range(2):
         states = planted_set(rng, 256, 8, 2)
-        formed[0] = 0
+        formed.clear()
         assert_oracle_extremes(states)
-        assert 0 < formed[0] <= 4  # of 28 pairs
+        assert 0 < sum(formed) <= 4  # of 28 pairs
 
 
 def test_screened_walk_forms_each_pair_once_per_pass(monkeypatch):

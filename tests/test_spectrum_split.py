@@ -8,14 +8,11 @@ stands in for an eigendecomposition; the public readers are checked against
 the spectrum they compute.
 """
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qcompat.cli  # noqa: F401  (binds _split_spectrum too)
 from qcompat import (
     NegativeEigenvalue,
     Tolerances,
@@ -25,8 +22,9 @@ from qcompat import (
     null_of,
     support_of,
 )
+from qcompat import cli, compat, witness
 from qcompat.linalg import _split_spectrum
-from conftest import compatible_pair
+from conftest import compatible_pair, spy
 
 CUTOFFS = (0.0, 1e-9, 1e-3, 0.25)
 
@@ -102,29 +100,12 @@ def test_support_and_null_readers_raise_exactly_below_minus_cutoff(case):
             reader(m, tol)  # an emptied support is reported, not raised
 
 
-def counting_splits(monkeypatch):
-    """Wrap ``_split_spectrum`` in every module that binds it; the returned list
-    counts the calls."""
-    seen = [0]
-
-    def counted(*args, **kwargs):
-        seen[0] += 1
-        return _split_spectrum(*args, **kwargs)
-
-    bound = [name for name, module in sorted(sys.modules.items())
-             if name.partition(".")[0] == "qcompat"
-             and getattr(module, "_split_spectrum", None) is _split_spectrum]
-    for name in bound:
-        monkeypatch.setattr(sys.modules[name], "_split_spectrum", counted)
-    assert {"qcompat.compat", "qcompat.witness", "qcompat.cli"} <= set(bound)
-    return seen
-
-
 @pytest.mark.parametrize("dim", [6, 64])
 @pytest.mark.parametrize("build", [build_shared_decomposition, choose_common_state])
 def test_witness_stages_split_each_state_once(monkeypatch, build, dim):
     # the intersection and the decomposition both read the one named split
     a, b, _ = compatible_pair(np.random.default_rng(dim), dim)
-    seen = counting_splits(monkeypatch)
+    seen = spy(monkeypatch, _split_spectrum)  # in every module that binds it
+    assert all(vars(m)["_split_spectrum"] is not _split_spectrum for m in (compat, witness, cli))
     build(a, b)
-    assert seen == [2]
+    assert len(seen) == 2

@@ -32,6 +32,7 @@ from conftest import (
     full_rank_pair,
     random_density_conditioned,
     random_pure,
+    spy,
 )
 
 KET0 = PureState(np.array([1, 0], dtype=complex))
@@ -141,8 +142,7 @@ def test_weight_builds_no_remainder_terms(monkeypatch):
     a, b = full_rank_pair(np.random.default_rng(89), 16)
     chi = choose_common_state(a, b)
     p = max_common_weight(a, chi)
-    calls, qr = [], np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(args) or qr(*args, **kw))
+    calls = spy(monkeypatch, np.linalg.qr, np.linalg)
     assert max_common_weight(a, chi) == p
     assert calls == []
 
