@@ -30,12 +30,12 @@ from qcompat.cli import cli_main
 from qcompat.formats import parse_matrix, serialize_matrix
 from conftest import (
     compatible_pair,
+    intersection_via_complement_nullspace,
+    psd_weight_by_bisection,
     random_density_conditioned,
     random_pure,
     random_subspace,
 )
-from test_linalg import intersection_via_complement_nullspace
-from test_witness import psd_weight_by_bisection
 
 
 @contextmanager

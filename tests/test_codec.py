@@ -3,7 +3,6 @@ against the per-entry reader, and the diagnostics for malformed entries."""
 
 import io
 import json
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,9 +13,8 @@ from hypothesis import strategies as st
 from qcompat import MalformedFile, ShapeMismatch, formats
 from qcompat.cli import cli_main
 from qcompat.formats import dumps_canonical, load_report, parse_matrix, serialize_matrix
-from conftest import full_rank_pair, spy
+from conftest import BIG, DATA, full_rank_pair, spy, write_state
 
-DATA = Path(__file__).parent / "data"
 
 
 def golden_matrix() -> np.ndarray:
@@ -87,7 +85,7 @@ def test_writer_rejects_non_finite_values_as_before():
         assert str(exc.value) == f"cannot serialize non-finite number {text}"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(shape=st.lists(st.integers(0, 4), max_size=3), seed=st.integers(0, 2**32 - 1))
 @example(shape=[0, 0], seed=0)
 @example(shape=[1, 1], seed=1)
@@ -123,7 +121,7 @@ SPECIAL = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     dim=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
@@ -148,7 +146,6 @@ def test_bulk_and_per_entry_reads_agree_bit_for_bit(dim, seed, specials):
     assert serialize_matrix(parse_matrix(io.StringIO(canonical))[0]) == canonical
 
 
-BIG = "1" + "0" * 400  # the integer 10**400, beyond the range of a double
 
 PAIR_ERROR = "entries[1][2]: expected a [re, im] number pair, got "
 COLUMNS = "entries[1]: expected 3 columns, got "
@@ -215,10 +212,7 @@ def test_valid_files_never_read_entry_by_entry(tmp_path, monkeypatch):
     # lose the speed, so count its calls
     calls = spy(monkeypatch, formats._pair_to_complex, formats, keep=lambda *args: args)
     a, b = full_rank_pair(np.random.default_rng(3), 64)
-    paths = []
-    for name, state in (("a", a), ("b", b)):
-        (tmp_path / f"{name}.json").write_text(serialize_matrix(state.matrix))
-        paths.append(str(tmp_path / f"{name}.json"))
+    paths = [write_state(tmp_path / f"{n}.json", s.matrix) for n, s in (("a", a), ("b", b))]
     assert np.array_equal(parse_matrix(paths[0])[0], a.matrix)
     witness = tmp_path / "wit.json"
     assert cli_main(["witness", *paths, "--json", str(witness)]) == 0

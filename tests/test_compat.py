@@ -25,6 +25,7 @@ from qcompat.linalg import _hermitian_deviation
 from conftest import (
     compatible_pair,
     delta_bound,
+    golden_pair,
     per_pair_norms,
     product_bound,
     product_rounding,
@@ -34,17 +35,6 @@ from conftest import (
     random_pure,
     random_unitary,
 )
-
-
-def golden_pair():
-    """Pure state vs half-half mixture with a non-orthogonal second branch.
-
-    The pair commutes nowhere (commutator norm 1/4 by hand) yet shares the
-    first basis direction, so it is compatible with intersection span{e0}.
-    """
-    rho_a = validate_density(np.array([[1, 0], [0, 0]], dtype=complex), label="A")
-    rho_b = validate_density(np.array([[0.75, 0.25], [0.25, 0.25]]), label="B")
-    return rho_a, rho_b
 
 
 def pii_without_bfm_pair():

@@ -18,18 +18,19 @@ from qcompat import (
     check_bfm,
     check_pi,
     check_pii,
+    projector_from,
     simulate_protocol,
     validate_density,
     verify_joint,
 )
 from qcompat.cli import cli_main
-from qcompat.formats import serialize_matrix
 from conftest import (
     compatible_pair,
+    planted_set,
     random_density_conditioned,
-    random_pure,
     random_unitary,
     spy,
+    write_state,
 )
 
 DIM = 6
@@ -37,27 +38,13 @@ DECOMPOSITIONS = (np.linalg.eigh, np.linalg.eigvalsh, np.linalg.cholesky)
 
 
 def write_states(tmp_path, states) -> list[str]:
-    paths = []
-    for i, rho in enumerate(states):
-        path = tmp_path / f"s{i}.json"
-        path.write_text(serialize_matrix(rho.matrix, label=f"s{i}"))
-        paths.append(str(path))
-    return paths
-
-
-def planted_states(rng, n):
-    """n states whose supports all contain one random pure state."""
-    chi = random_pure(rng, DIM)
-    states = []
-    for _ in range(n):
-        background = random_density_conditioned(rng, DIM, int(rng.integers(1, DIM))).matrix
-        states.append(validate_density(0.3 * chi.projector() + 0.7 * background))
-    return states, chi
+    return [write_state(tmp_path / f"s{i}.json", s.matrix, f"s{i}") for i, s in enumerate(states)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_check_bfm_decomposes_each_state_once(monkeypatch, n):
-    states, _ = planted_states(np.random.default_rng(100 + n), n)
+    rng = np.random.default_rng(100 + n)
+    states, _ = planted_set(rng, DIM, 1, rng.integers(0, DIM, size=n))
     eighs = spy(monkeypatch, np.linalg.eigh, np.linalg)
     assert check_bfm(states).verdict_bfm
     assert eighs.count((DIM, DIM)) == n
@@ -87,8 +74,9 @@ def test_check_pi_and_check_pii_decompose_each_state_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_verify_joint_decomposes_each_state_once(monkeypatch, n):
-    observers, chi = planted_states(np.random.default_rng(200 + n), n)
-    joint = validate_density(chi.projector())
+    rng = np.random.default_rng(200 + n)
+    observers, chi = planted_set(rng, DIM, 1, rng.integers(0, DIM, size=n))
+    joint = validate_density(projector_from(chi))
     eighs = spy(monkeypatch, np.linalg.eigh, np.linalg)
     ok, _ = verify_joint(joint, observers)
     assert ok
@@ -137,7 +125,8 @@ def test_shared_decomposition_intersects_the_supports_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_cli_check_folds_n_supports_in_n_minus_one_svds(monkeypatch, tmp_path, n):
-    states, _ = planted_states(np.random.default_rng(470 + n), n)
+    rng = np.random.default_rng(470 + n)
+    states, _ = planted_set(rng, DIM, 1, rng.integers(0, DIM, size=n))
     paths = write_states(tmp_path, states)
     svds = spy(monkeypatch, np.linalg.svd, np.linalg)
     assert cli_main(["check", *paths]) == 0
@@ -177,7 +166,8 @@ def test_valid_state_validates_without_eigendecomposition(monkeypatch):
 
 
 def test_cli_check_budget(monkeypatch, tmp_path):
-    states, _ = planted_states(np.random.default_rng(700), 3)
+    rng = np.random.default_rng(700)
+    states, _ = planted_set(rng, DIM, 1, rng.integers(0, DIM, size=3))
     paths = write_states(tmp_path, states)
     eighs, eigvalshs, _ = (spy(monkeypatch, f, np.linalg) for f in DECOMPOSITIONS)
     assert cli_main(["check", *paths]) == 0

@@ -17,6 +17,7 @@ from qcompat import (
     NegativeEigenvalue,
     NotPSD,
     NotSquare,
+    TraceNotOne,
     check_bfm,
     hermitian_eigendecompose,
     null_of,
@@ -87,3 +88,16 @@ def test_an_exactly_hermitian_subnormal_entry_keeps_its_bits():
     # halving before the sum would flush 5e-324 to 0
     m = np.array([[1.0, 5e-324], [5e-324, 0.0]], dtype=complex)
     assert validate_density(m).matrix.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("diagonal, error, violation", [
+    ([1e308, 1e308], TraceNotOne, ("trace", np.inf)),
+    ([1e308, -1e308], NotPSD, ("positivity lambda_min", -1e308)),
+], ids=["trace", "negative"])
+def test_an_overflowing_diagonal_is_rejected_without_a_warning(diagonal, error, violation):
+    # the certificate's scale sum and the trace overflow; under
+    # filterwarnings = error a RuntimeWarning would stand in for the rejection
+    with pytest.raises(error) as exc:
+        validate_density(np.diag(diagonal))
+    assert type(exc.value) is error
+    assert exc.value.violations[0][:2] == violation

@@ -25,7 +25,7 @@ from qcompat import (
 from qcompat import linalg
 from qcompat.formats import _check_chi
 from qcompat.linalg import _canonical, _lex_order, _split_spectrum, max_abs
-from conftest import random_density, random_subspace, random_unitary, spy
+from conftest import planted_set, random_density, random_subspace, random_unitary, spy
 
 
 def oracle_canonical(values, vectors):
@@ -51,29 +51,12 @@ def oracle_fold(a, *rest, tol):
     return a
 
 
-def planted_supports(rng, dim, n, common, deep):
-    """``n`` supports ``C (+) W_i``, ``C`` of dimension ``common`` and each ``W_i``
-    random in the ``f``-dimensional complement of ``C``, so that generically
-    they share exactly ``C``.  ``W_i`` has dimension ``f // 2``, or with
-    ``deep`` ``f - ceil(f / n)``: then the running intersection sheds at most
-    ``ceil(f / n)`` dimensions a step and reaches ``C`` only at the end."""
-    frame = random_unitary(rng, dim)
-    shared, complement = frame[:, :common], frame[:, common:]
-    free = dim - common
-    extra = free - -(-free // n) if deep else free // 2
-    return [
-        Subspace(dim, np.column_stack([shared, complement @ random_subspace(rng, free, extra)]))
-        for _ in range(n)
-    ], Subspace(dim, shared)
-
-
-def planted_states(rng, supports):
-    states = []
-    for s in supports:
-        weights = rng.uniform(0.1, 1.1, size=s.dimension)
-        m = (s.basis * weights) @ s.basis.conj().T
-        states.append(validate_density(m / np.trace(m).real))
-    return states
+def w_dims(n, free, deep):
+    """Dimensions of the ``n`` subspaces ``W_k`` of :func:`conftest.planted_set`
+    in the ``free``-dimensional complement of ``C``: ``free // 2``, or with
+    ``deep`` ``free - ceil(free / n)``: then the running intersection sheds at
+    most ``ceil(free / n)`` dimensions a step and reaches ``C`` only at the end."""
+    return [free - -(-free // n) if deep else free // 2] * n
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +94,15 @@ def test_two_subspaces_match_the_oracle_step_bit_for_bit(dim):
 @pytest.mark.parametrize("deep", [False, True], ids=["half", "deep"])
 def test_many_subspaces_match_the_oracle_fold(dim, n, common, deep):
     rng = np.random.default_rng([dim, n, common, deep])
-    supports, planted = planted_supports(rng, dim, n, common, deep)
     tol = Tolerances()
+    states, planted = planted_set(rng, dim, common, w_dims(n, dim - common, deep))
+    supports = [_split_spectrum(s.spectrum, tol).support for s in states]
     got, want = intersect(*supports, tol=tol), oracle_fold(*supports, tol=tol)
     assert got.dimension == want.dimension == common
     assert max_abs(projector_from(got) - projector_from(want)) <= 1e-12
     assert max_abs(projector_from(got) - projector_from(planted)) <= 1e-8
 
-    report = check_bfm(planted_states(rng, supports), tol)
+    report = check_bfm(states, tol)
     assert report.verdict_bfm == (want.dimension > 0)
     assert report.intersection_dim == want.dimension
     assert max_abs(projector_from(report.intersection_basis) - projector_from(want)) <= 1e-12
@@ -142,7 +126,8 @@ def test_mismatched_last_subspace_raises_after_the_fold_is_empty():
 def test_one_canonical_and_one_check_per_intersect(monkeypatch, n, common, deep):
     # "half" empties an incompatible fold at its first step, "deep" runs it to the end
     rng = np.random.default_rng([n, common, deep])
-    supports, _ = planted_supports(rng, 16, n, common, deep)
+    states, _ = planted_set(rng, 16, common, w_dims(n, 16 - common, deep))
+    supports = [_split_spectrum(s.spectrum, Tolerances()).support for s in states]
     canonicals = spy(monkeypatch, linalg._canonical, linalg)
     checks = spy(monkeypatch, linalg._check_orthonormal, linalg)
     assert intersect(*supports).dimension == common
@@ -186,7 +171,7 @@ def test_orthogonal_supports_take_no_svd(monkeypatch, ranks):
     assert svds == []
     assert got.basis.shape == want.basis.shape == (256, 0)
     assert got.basis.tobytes() == want.basis.tobytes()
-    states = planted_states(rng, [a, b])
+    states = [validate_density(projector_from(s) / s.dimension) for s in (a, b)]
     assert not check_bfm(states).verdict_bfm
     assert svds == []
 

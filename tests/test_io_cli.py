@@ -38,24 +38,22 @@ from qcompat.formats import (
     serialize_matrix,
 )
 from conftest import (
+    BIG,
+    DATA,
     compatible_pair,
     cutoff_mass_pair,
     full_rank_pair,
+    golden_pair,
+    golden_witness_document,
     random_density,
     random_pure,
+    write_state,
 )
 
-DATA = Path(__file__).parent / "data"
 
-GOLDEN_A = np.array([[1, 0], [0, 0]], dtype=complex)
-GOLDEN_B = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
+A, B = golden_pair()
 # diagonals of a compatible qutrit pair whose supports share |0>
 QUTRIT_DIAGONALS = ([0.5, 0.5, 0], [0.5, 0, 0.5])
-
-
-def write_state(path, matrix, label=None):
-    path.write_text(serialize_matrix(matrix, label=label))
-    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +66,7 @@ def test_parse_matrix_minimal_document():
         '"entries":[[[1,0],[0,0]],[[0,0],[0,0]]]}'
     )
     matrix, label = parse_matrix(io.StringIO(text))
-    assert np.array_equal(matrix, GOLDEN_A)
+    assert np.array_equal(matrix, A.matrix)
     assert label is None
 
 
@@ -119,7 +117,7 @@ def test_file_that_is_not_utf8_is_malformed(read, tmp_path, capsys):
 
 
 def test_every_source_is_read_as_utf8(tmp_path):
-    text = serialize_matrix(GOLDEN_A, label="A")
+    text = serialize_matrix(A.matrix, label="A")
     path = tmp_path / "a.json"
     for data in (b"\xff\xfe" + text.encode("utf-16-le"), b"\xef\xbb\xbf" + text.encode()):
         path.write_bytes(data)
@@ -132,13 +130,13 @@ def test_every_source_is_read_as_utf8(tmp_path):
     path.write_bytes(text.encode())
     for source in (str(path), io.StringIO(text), io.BytesIO(text.encode())):
         matrix, label = parse_matrix(source)
-        assert label == "A" and np.array_equal(matrix, GOLDEN_A)
+        assert label == "A" and np.array_equal(matrix, A.matrix)
 
 
 @pytest.mark.parametrize("label", [5, True, b"A", ["A"]], ids=["int", "bool", "bytes", "list"])
 def test_serialize_matrix_rejects_a_label_the_reader_rejects(label):
     with pytest.raises(ValueError) as exc:
-        serialize_matrix(GOLDEN_A, label=label)
+        serialize_matrix(A.matrix, label=label)
     assert str(exc.value) == f"field 'label' must be a string, got {label!r}"
 
 
@@ -163,15 +161,8 @@ def test_serialization_is_deterministic():
 # report files
 
 
-def golden_states():
-    return (
-        validate_density(GOLDEN_A, label="A"),
-        validate_density(GOLDEN_B, label="B"),
-    )
-
-
 def test_report_round_trip_preserves_fields():
-    a, b = golden_states()
+    a, b = golden_pair()
     report = check_bfm([a, b])
     d = build_shared_decomposition(a, b)
     w = build_witness(d)
@@ -221,7 +212,7 @@ def test_report_round_trip_with_empty_intersection():
 
 
 def test_report_parse_rejects_corrupted_witness():
-    a, b = golden_states()
+    a, b = golden_pair()
     report = check_bfm([a, b])
     d = build_shared_decomposition(a, b)
     w = build_witness(d)
@@ -238,8 +229,8 @@ def test_report_parse_rejects_corrupted_witness():
 @pytest.fixture
 def corpus(tmp_path):
     files = {
-        "pure": write_state(tmp_path / "pure.json", GOLDEN_A, label="A"),
-        "mixed": write_state(tmp_path / "mixed.json", GOLDEN_B, label="B"),
+        "pure": write_state(tmp_path / "pure.json", A.matrix, label="A"),
+        "mixed": write_state(tmp_path / "mixed.json", B.matrix, label="B"),
         "one": write_state(tmp_path / "one.json", np.diag([0.0, 1.0])),
         "qutrit": write_state(tmp_path / "qutrit.json", np.eye(3) / 3),
         "trace": write_state(tmp_path / "trace.json", np.diag([0.6, 0.5])),
@@ -606,9 +597,7 @@ def test_witness_file_holds_no_dense_amplitudes(tmp_path):
     ],
 )
 def test_report_parse_checks_witness_against_decomposition(field, value):
-    a, b = golden_states()
-    d = build_shared_decomposition(a, b)
-    doc = report_document(check_bfm([a, b]), ["A", "B"], d, build_witness(d))
+    doc = golden_witness_document()
     # golden pair: dims (2, 1, 2), N = 1/sqrt(2)
     parse_report_document(doc)
     doc["witness"][field] = value
@@ -633,7 +622,7 @@ def test_report_round_trip_with_tiny_shared_weight():
 
 
 def test_report_parse_checks_decomposition_against_report_dim():
-    a, b = golden_states()
+    a, b = golden_pair()
     doc = report_document(check_bfm([a, b]), ["A", "B"])
     c, e, _ = compatible_pair(np.random.default_rng(43), 4)
     doc["decomposition"] = report_document(
@@ -648,7 +637,7 @@ def test_report_parse_checks_decomposition_against_report_dim():
 def test_report_document_checks_decomposition_against_report_dim(witnessed):
     # the writer rejects a decomposition of another dimension with the reader's message
     a, b = (validate_density(np.diag(w)) for w in QUTRIT_DIAGONALS)
-    d = build_shared_decomposition(*golden_states())
+    d = build_shared_decomposition(*golden_pair())
     with pytest.raises(ValueError) as exc:
         report_document(check_bfm([a, b]), ["a", "b"], d, build_witness(d) if witnessed else None)
     assert str(exc.value) == "decomposition.chi: expected dimension 3"
@@ -658,18 +647,17 @@ def test_report_document_checks_decomposition_against_report_dim(witnessed):
 def test_report_document_rejects_one_string_of_inputs(inputs):
     # list() would split it into one input per character (or per byte value)
     with pytest.raises(ValueError) as exc:
-        report_document(check_bfm(list(golden_states())), inputs)
+        report_document(check_bfm(list(golden_pair())), inputs)
     assert str(exc.value) == "field 'inputs' must be a list of strings"
 
 
 def test_report_document_writes_a_list_or_tuple_of_inputs_alike():
-    report = check_bfm(list(golden_states()))
+    report = check_bfm(list(golden_pair()))
     written = [dumps_canonical(report_document(report, names)) for names in (["A", "B"], ("A", "B"))]
     assert written[0] == written[1]
     assert json.loads(written[0])["inputs"] == ["A", "B"]
 
 
-BIG = "1" + "0" * 400  # the integer 10**400, beyond the range of a double
 
 
 @pytest.mark.parametrize(
@@ -740,9 +728,7 @@ NOT_TWO = "is not an integer of at least 2"
     ],
 )
 def test_report_parse_checks_n_states(change, message):
-    a, b = golden_states()
-    d = build_shared_decomposition(a, b)
-    doc = report_document(check_bfm([a, b]), ["A", "B"], d, build_witness(d))
+    doc = golden_witness_document()
     parse_report_document(doc)
     for key, value in change.items():
         (doc if key == "inputs" else doc["report"])[key] = value
@@ -774,7 +760,7 @@ def test_report_parse_checks_n_states(change, message):
     ],
 )
 def test_report_document_rejects_what_the_reader_rejects(n_states, inputs, sections, message):
-    a, b = golden_states()
+    a, b = golden_pair()
     d = build_shared_decomposition(a, b)
     report = check_bfm([a, b, a][:n_states])
     with pytest.raises(ValueError) as exc:
@@ -830,19 +816,19 @@ NORM_FAULTS = [
 
 @pytest.mark.parametrize("norm, message", NORM_FAULTS)
 def test_report_document_rejects_each_norm_the_reader_rejects(norm, message):
-    report = dataclasses.replace(check_bfm(list(golden_states())), commutator_norm=norm)
+    report = dataclasses.replace(check_bfm(list(golden_pair())), commutator_norm=norm)
     with pytest.raises(ValueError) as exc:
         report_document(report, ["A", "B"])
     assert str(exc.value) == message
     # the reader rejects the same norm with the same message
-    doc = report_document(check_bfm(list(golden_states())), ["A", "B"])
+    doc = report_document(check_bfm(list(golden_pair())), ["A", "B"])
     doc["report"]["commutator_norm"] = norm
     with pytest.raises(MalformedFile) as read:
         parse_report_document(doc)
     assert str(read.value) == message
 
 
-GOLDEN_DECOMPOSITION = build_shared_decomposition(*golden_states())
+GOLDEN_DECOMPOSITION = build_shared_decomposition(*golden_pair())
 GOLDEN_SECTIONS = {
     "decomposition": GOLDEN_DECOMPOSITION, "witness": build_witness(GOLDEN_DECOMPOSITION)
 }
@@ -893,7 +879,7 @@ def written_reports(draw):
     return report, inputs, {name: GOLDEN_SECTIONS[name] for name in sections}
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(written=written_reports())
 def test_every_report_the_writer_accepts_reads_back(written):
     # the writer rejects (ValueError) what its reader would reject
@@ -907,12 +893,6 @@ def test_every_report_the_writer_accepts_reads_back(written):
                 "intersection_dim", "commutator_norm", "product_norm", "n_states"):
         assert getattr(back, key) == getattr(report, key), key
     assert back.intersection_basis.ambient_dim == report.intersection_basis.ambient_dim
-
-
-def golden_witness_document():
-    a, b = golden_states()
-    d = build_shared_decomposition(a, b)
-    return report_document(check_bfm([a, b]), ["A", "B"], d, build_witness(d))
 
 
 # golden pair: verdict_bfm, verdict_pii true, verdict_pi and the conjunction
@@ -1028,7 +1008,7 @@ def test_cli_overlap_tol_from_one_half_is_a_usage_error(corpus, command, capsys)
 
 
 def test_report_of_three_states_round_trips():
-    a, b = golden_states()
+    a, b = golden_pair()
     report = check_bfm([a, b, a])
     for inputs in (["A", "B", "A"], []):
         parsed = parse_report_document(json.loads(dumps_canonical(report_document(report, inputs))))

@@ -18,26 +18,10 @@ from hypothesis import strategies as st
 from qcompat import Tolerances, max_abs, projector_from, validate_density, verify_joint
 from qcompat.compat import _common_support, _named_splits
 from qcompat.linalg import _split_spectrum
-from conftest import product_rounding, random_unitary
+from conftest import planted_set, product_rounding, random_unitary
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 TOL = Tolerances()
 EPS = np.finfo(float).eps
-
-
-def planted_observers(rng, dim, n, common):
-    """``n`` observers whose supports share exactly ``common`` planted directions."""
-    frame = random_unitary(rng, dim)
-    shared, complement = frame[:, :common], frame[:, common:]
-    free = dim - common
-    observers = []
-    for _ in range(n):
-        own = complement @ random_unitary(rng, free)[:, : int(rng.integers(0, free // 2 + 1))]
-        basis = np.column_stack([shared, own])
-        weights = rng.uniform(0.1, 1.1, size=basis.shape[1])
-        m = (basis * weights) @ basis.conj().T
-        observers.append(validate_density(m / np.trace(m).real))
-    return observers, shared
 
 
 def joint_state(rng, shared, leak, tiny, level):
@@ -91,13 +75,14 @@ def joint_cases(draw):
     n = draw(st.integers(1, 4))
     common = draw(st.integers(1, max(1, dim // 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    observers, shared = planted_observers(rng, dim, n, common)
+    extras = rng.integers(0, (dim - common) // 2 + 1, size=n)
+    observers, shared = planted_set(rng, dim, common, extras)
     tiny = draw(st.integers(0, 3))
     level = draw(st.one_of(st.just(TOL.eigenvalue_zero_tol), st.floats(1e-13, 1e-9)))
-    return joint_state(rng, shared, draw(st.booleans()), tiny, level), observers
+    return joint_state(rng, shared.basis, draw(st.booleans()), tiny, level), observers
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(joint_cases())
 def test_leaks_stay_within_the_dropped_eigenvalues_of_the_dense_ones(case):
     assert_within_dense_rule(*case)
@@ -125,9 +110,9 @@ def test_a_dropped_eigenvalue_in_a_null_space_is_not_reported():
 
 def test_dim_256_verdicts_follow_the_dense_rule():
     rng = np.random.default_rng(229)
-    observers, shared = planted_observers(rng, 256, 3, 3)
+    observers, shared = planted_set(rng, 256, 3, rng.integers(0, 127, size=3))
     verdicts = set()
     for leak in (False, True):
-        ok, _ = assert_within_dense_rule(joint_state(rng, shared, leak, 2, 5e-10), observers)
+        ok, _ = assert_within_dense_rule(joint_state(rng, shared.basis, leak, 2, 5e-10), observers)
         verdicts.add(ok)
     assert verdicts == {True, False}

@@ -15,7 +15,12 @@ from qcompat import (
     projector_from,
     support_of,
 )
-from conftest import random_density, random_hermitian, random_subspace
+from conftest import (
+    intersection_via_complement_nullspace,
+    random_density,
+    random_hermitian,
+    random_subspace,
+)
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -184,16 +189,6 @@ def test_projector_properties_random():
 
 # ---------------------------------------------------------------------------
 # intersection
-
-
-def intersection_via_complement_nullspace(a: Subspace, b: Subspace) -> Subspace:
-    """Independent oracle: null space of (I - P_a) + (I - P_b), via SVD."""
-    dim = a.ambient_dim
-    eye = np.eye(dim, dtype=complex)
-    m = (eye - projector_from(a)) + (eye - projector_from(b))
-    _, s, vh = np.linalg.svd(m)
-    null_mask = s <= 1e-7
-    return Subspace(dim, vh[null_mask].conj().T)
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:

@@ -1,12 +1,13 @@
 """The pairwise pass reduces its products a cache-sized chunk at a time, and
 skips every commutator pass that cannot raise the maximum.
 
-The oracle is the earlier implementation: each left state forms the whole
-stack of products against its later partners, the commutator pass reads each
-mirror block through a conjugated, transposed view, and every pair's norms are
-kept.  Every product is its own GEMM in either, so the per-pair norms must
-have the same bytes, and the two extremes the n-state pass reports must be
-their minimum and maximum, bit for bit, however many passes it skipped.
+The oracle, ``conftest.whole_stack_norms``, is the earlier implementation:
+each left state forms the whole stack of products against its later
+partners, the commutator pass reads each mirror block through a conjugated,
+transposed view, and every pair's norms are kept.  Every product is its own
+GEMM in either, so the per-pair norms must have the same bytes, and the two
+extremes the n-state pass reports must be their minimum and maximum, bit for
+bit, however many passes it skipped.
 """
 
 import tracemalloc
@@ -15,62 +16,20 @@ import numpy as np
 import pytest
 
 import qcompat.compat as compat
-from qcompat import DensityMatrix, Tolerances, check_bfm, validate_density
+from qcompat import DensityMatrix, check_bfm, validate_density
 from qcompat.compat import _CHUNK_BYTES, _fold_extremes, _pairwise_norms
-from qcompat.linalg import _BLOCK, _hermitian_deviation
-from conftest import per_pair_norms, random_density_exact, random_unitary, spy
-
-
-def whole_stack_deviation(p):
-    dim = p.shape[-1]
-    out = None
-    for r in range(0, dim, _BLOCK):
-        for c in range(r, dim, _BLOCK):
-            block = np.abs(
-                p[:, r : r + _BLOCK, c : c + _BLOCK]
-                - p[:, c : c + _BLOCK, r : r + _BLOCK].conj().transpose(0, 2, 1)
-            ).max(axis=(1, 2))
-            out = block if out is None else np.maximum(out, block, out=out)
-    return out
-
-
-def whole_stack_norms(states, tol=None):
-    tol = tol or Tolerances()
-    n, dim = len(states), states[0].dim
-    ranks = [dim] * n
-    if dim >= 32:
-        for i, s in enumerate(states):
-            k = int(np.count_nonzero(s.spectrum[0] > tol.eigenvalue_zero_tol))
-            ranks[i] = k if 2 * k < dim else dim
-    order = sorted(range(n), key=ranks.__getitem__)
-    m = np.stack([states[i].matrix for i in order])
-    norms = np.zeros((2, n, n))
-    caller = np.array(order)
-    for pos, i in enumerate(order[:-1]):
-        k = ranks[i]
-        if k == dim:
-            p = m[pos] @ m[pos + 1 :]
-        else:
-            values, vectors = states[i].spectrum
-            v = vectors[:, :k]
-            p = v @ ((values[:k, None] * v.conj().T) @ m[pos + 1 :])
-        partners = caller[pos + 1 :]
-        norms[0, i, partners] = np.abs(p).max(axis=(1, 2))
-        norms[1, i, partners] = whole_stack_deviation(p)
-    products, commutators = norms + norms.transpose(0, 2, 1)
-    r = np.arange(n)
-    upper = r[:, None] < r
-    return products[upper], commutators[upper]
-
-
-def mixed_ranks(rng, dim, n):
-    """``n`` states, thin (rank below ``D / 2``) and dense by turns, ranks drawn."""
-    half = max(1, dim // 2)
-    return [
-        random_density_exact(rng, dim, int(rng.integers(1, half) if k % 2 and half > 1
-                                           else rng.integers(half, dim + 1)))
-        for k in range(n)
-    ]
+from qcompat.linalg import _hermitian_deviation
+from conftest import (
+    assert_oracle_extremes,
+    mixed_ranks,
+    per_pair_norms,
+    planted_set,
+    random_density_exact,
+    recording_walk,
+    spy,
+    walked_pairs,
+    whole_stack_norms,
+)
 
 
 def assert_same_bytes(states):
@@ -150,28 +109,6 @@ def test_mirror_pass_never_writes_its_input(dim, batch):
 # the commutator skip rule
 
 
-def recording_walk(monkeypatch):
-    """Wrap the product walker; the returned list collects ``(dtype, pos, partners)``
-    per chunk it yields, ``partners`` the positions its products pair ``pos`` with."""
-    seen = []
-    original = compat._walk
-
-    def recorded(lefts, mats, dtype, keep=None):
-        for pos, cols, p, both in original(lefts, mats, dtype, keep):
-            partners = list(range(len(mats))[cols])
-            assert p.dtype == dtype and p.shape == (len(partners),) + mats[0].shape
-            seen.append((np.dtype(dtype), pos, partners))
-            yield pos, cols, p, both
-
-    monkeypatch.setattr(compat, "_walk", recorded)
-    return seen
-
-
-def walked_pairs(seen, dtype):
-    """The ``(pos, j)`` pairs the walker formed in ``dtype``, in the order formed."""
-    return [(pos, j) for kind, pos, partners in seen if kind == dtype for j in partners]
-
-
 @pytest.mark.parametrize("dim, n", [(64, 9), (100, 6)])
 def test_unscreened_walk_forms_each_pair_once(monkeypatch, dim, n):
     # (64, 9): chunks of 4 partners, with 8, 7, ..., 1 partners per left
@@ -180,9 +117,7 @@ def test_unscreened_walk_forms_each_pair_once(monkeypatch, dim, n):
     rng = np.random.default_rng(241 + dim)
     states = mixed_ranks(rng, dim, n)
     seen = recording_walk(monkeypatch)
-    products, commutators = whole_stack_norms(states)
-    got = np.array(_pairwise_norms(states))
-    assert got.tobytes() == np.array([products.min(), commutators.max()]).tobytes()
+    assert_oracle_extremes(states)
     assert walked_pairs(seen, np.dtype(complex)) == [(i, j) for i in range(n - 1)
                                                      for j in range(i + 1, n)]
     assert len(seen) == sum(-(-(n - 1 - i) // partners_per_chunk(dim)) for i in range(n - 1))
@@ -236,26 +171,11 @@ def test_non_finite_products_keep_the_full_reduction():
     assert np.isnan(product) and np.isnan(commutator)
 
 
-def planted_set(rng, dim, n, common_dim):
-    """``n`` states of rank at most ``D / 2`` around a shared ``common_dim``
-    subspace, like the benchmark's compatible sets."""
-    states = []
-    common = random_unitary(rng, dim)[:, :common_dim]
-    for _ in range(n):
-        extra = random_unitary(rng, dim)[:, : int(rng.integers(1, dim // 2 - common_dim + 1))]
-        frame = np.linalg.qr(np.hstack([common, extra]))[0]
-        m = (frame * rng.uniform(0.1, 1.0, size=frame.shape[1])) @ frame.conj().T
-        states.append(validate_density((m + m.conj().T) / 2 / np.trace(m).real))
-    return states
-
-
 def test_bench_like_set_skips_most_commutator_passes(monkeypatch):
     rng = np.random.default_rng(229)
-    states = planted_set(rng, 64, 32, 2)
-    products, commutators = whole_stack_norms(states)
+    states, _ = planted_set(rng, 64, 2, rng.integers(1, 31, size=32))  # ranks at most D / 2
     seen = spy(monkeypatch, _hermitian_deviation, compat, keep=len)  # products per pass
-    got = np.array(_pairwise_norms(states))
-    assert got.tobytes() == np.array([products.min(), commutators.max()]).tobytes()
+    assert_oracle_extremes(states)
     # 496 pairs in chunks of up to 4 partners: 136 chunks
     assert 0 < len(seen) < 136
     assert sum(seen) < 496

@@ -1,10 +1,10 @@
 """The pairwise pass screens every pair in complex64 and forms in double only
 the pairs that can set an extreme.
 
-The oracle is ``whole_stack_norms`` of ``test_pairwise_chunks``: every pair
-formed in double and its norms kept.  The screened pass must report that
-oracle's smallest product norm and largest commutator norm bit for bit, on
-any set, in any observer order and at any scale, however few pairs it forms.
+The oracle is ``conftest.whole_stack_norms``: every pair formed in double and
+its norms kept.  The screened pass must report that oracle's smallest product
+norm and largest commutator norm bit for bit, on any set, in any observer
+order and at any scale, however few pairs it forms.
 """
 
 import contextlib
@@ -29,23 +29,18 @@ from qcompat.compat import (
     _walk,
 )
 from qcompat.linalg import _split_spectrum
-from conftest import random_density_exact, spy
-from test_pairwise_chunks import (
+from conftest import (
+    assert_oracle_extremes,
     mixed_ranks,
     planted_set,
+    random_density_exact,
     recording_walk,
+    spy,
     walked_pairs,
-    whole_stack_norms,
 )
 
 U32 = np.finfo(np.float32).eps / 2
 TINY32 = np.finfo(np.float32).tiny
-
-
-def assert_oracle_extremes(states, tol=None):
-    products, commutators = whole_stack_norms(states, tol)
-    got = np.array(_pairwise_norms(states, tol))
-    assert got.tobytes() == np.array([products.min(), commutators.max()]).tobytes()
 
 
 def recording_screen(monkeypatch):
@@ -70,7 +65,7 @@ def screen_from(n_states, dim):
         yield recording_screen(mp)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     dim=st.integers(32, 128),
     n=st.integers(3, 9),
@@ -91,7 +86,7 @@ def test_screened_extremes_are_the_oracles_bit_for_bit(dim, n, seed, exponents, 
     assert len(seen) == 1 and seen[0] is not None
 
 
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@settings(max_examples=8)
 @given(
     dim=st.integers(129, 256),
     fractions=st.lists(st.floats(0, 1), min_size=3, max_size=8),
@@ -200,7 +195,7 @@ def test_a_flat_row_state_with_g_above_lambda_max_keeps_the_oracles_bits(monkeyp
     split = _split_spectrum(flat.spectrum, Tolerances())
     g = (np.abs(split.support.basis) @ split.kept).max()
     assert split.rank == 16 and g > 2.5 * split.kept[0]
-    states = planted_set(rng, 256, 7, 2)
+    states, _ = planted_set(rng, 256, 2, rng.integers(1, 127, size=7))
     seen = recording_screen(monkeypatch)
     for at in (0, 3, 7):
         assert_oracle_extremes(states[:at] + [flat] + states[at:])
@@ -369,7 +364,7 @@ def test_thin_pair_screen_holds_one_product_at_a_time():
     # not its D x D matrix, and holds no stack of factors: the pass stays
     # within the bytes that test_one_partner_chunks_stack_nothing allows
     rng = np.random.default_rng(463)
-    states = planted_set(rng, 256, 8, 2)
+    states, _ = planted_set(rng, 256, 2, rng.integers(1, 127, size=8))
     for s in states:
         s.spectrum
     tracemalloc.start()
@@ -385,7 +380,7 @@ def test_bench_like_set_forms_few_pairs_in_double(monkeypatch):
     rng = np.random.default_rng(443)
     formed = spy(monkeypatch, _fold_extremes, compat, keep=lambda p, *bounds: len(p))
     for _ in range(2):
-        states = planted_set(rng, 256, 8, 2)
+        states, _ = planted_set(rng, 256, 2, rng.integers(1, 127, size=8))
         formed.clear()
         assert_oracle_extremes(states)
         assert 0 < sum(formed) <= 4  # of 28 pairs
@@ -395,7 +390,7 @@ def test_screened_walk_forms_each_pair_once_per_pass(monkeypatch):
     # every pair once in complex64, then exactly the kept pairs in double
     rng = np.random.default_rng(457)
     n = 8
-    states = planted_set(rng, 64, n, 2)
+    states, _ = planted_set(rng, 64, 2, rng.integers(1, 31, size=n))
     seen = recording_walk(monkeypatch)
     keeps = recording_screen(monkeypatch)
     assert_oracle_extremes(states)

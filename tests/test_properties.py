@@ -45,14 +45,12 @@ from qcompat.witness import ROUND_TRIP_TOL
 from conftest import (
     delta_bound,
     per_pair_norms,
+    planted_set,
     product_bound,
     product_rounding,
     random_pure,
     random_unitary,
 )
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
 
 # ---------------------------------------------------------------------------
 # observer order
@@ -60,13 +58,9 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 @st.composite
 def planted_sets(draw):
-    """States whose supports share exactly a planted common subspace.
-
-    Each support is ``C (+) W_i`` with ``W_i`` random in the complement of
-    ``C``; any two ``W_i`` fit together in that complement, so generically
-    they meet only at zero and the intersection is exactly ``C``.  ``D``
-    reaches 64, past the ``D = 32`` floor of the thin pairwise products.
-    """
+    """Sets of :func:`conftest.planted_set`, whose supports share exactly a
+    planted ``C``, and an observer order.  ``D`` reaches 64, past the
+    ``D = 32`` floor of the thin pairwise products."""
     dim = draw(st.integers(2, 64))
     n = draw(st.integers(2, 8))
     common = draw(st.integers(0, dim // 2))
@@ -75,20 +69,11 @@ def planted_sets(draw):
         st.lists(st.integers(0 if common else 1, free // 2), min_size=n, max_size=n)
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    frame = random_unitary(rng, dim)
-    shared, complement = frame[:, :common], frame[:, common:]
-    states = []
-    for extra in extras:
-        own = complement @ random_unitary(rng, free)[:, :extra]
-        basis = np.column_stack([shared, own])
-        weights = rng.uniform(0.1, 1.1, size=basis.shape[1])
-        m = (basis * weights) @ basis.conj().T
-        states.append(validate_density(m / np.trace(m).real))
-    order = draw(st.permutations(range(n)))
-    return states, Subspace(dim, shared), order
+    states, planted = planted_set(rng, dim, common, extras)
+    return states, planted, draw(st.permutations(range(n)))
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(planted_sets())
 def test_check_bfm_ignores_observer_order(case):
     states, planted, order = case
@@ -102,7 +87,7 @@ def test_check_bfm_ignores_observer_order(case):
     assert max_abs(p - projector_from(planted)) <= 1e-8
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(planted_sets())
 def test_pairwise_norms_ignore_observer_order(case):
     states, planted, order = case
@@ -133,7 +118,7 @@ def small_reports(draw):
     return states, tol
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(small_reports())
 def test_report_file_round_trips_every_public_attribute(case):
     states, tol = case
@@ -184,7 +169,7 @@ def ranked_sets(draw):
     return states, draw(st.permutations(range(n)))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(ranked_sets())
 def test_pairwise_norms_stay_within_the_dropped_eigenvalue_bound(case):
     states, order = case
@@ -226,7 +211,7 @@ def test_pairwise_norms_stay_within_the_dropped_eigenvalue_bound(case):
 # principal-angle threshold
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(
     dim=st.integers(2, 16),
     log_tol=st.floats(-10, -2),
@@ -296,7 +281,7 @@ def tied_matrices(draw):
     return (p * levels) @ p.conj().T
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(tied_matrices())
 def test_eigendecompose_orders_ties_like_reference(m):
     values, vectors = hermitian_eigendecompose(m)
@@ -337,7 +322,7 @@ def decomposable_pairs(draw, dims=st.integers(2, 64), gaps=None):
     return states
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(decomposable_pairs())
 def test_remainder_terms_come_from_the_kept_spectrum(pair):
     a, b = pair
@@ -353,7 +338,7 @@ def test_remainder_terms_come_from_the_kept_spectrum(pair):
 
 
 # few examples, each large: the five take under a second together
-@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@settings(max_examples=5)
 @given(decomposable_pairs(dims=st.integers(129, 256), gaps=st.integers(0, 3)))
 def test_large_near_full_rank_pairs_round_trip_through_the_witness(pair):
     d = build_shared_decomposition(*pair)

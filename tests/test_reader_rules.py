@@ -10,7 +10,6 @@ both sides: the writer raises ``ValueError`` where the reader raises
 import copy
 import io
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +26,10 @@ from qcompat import (
 )
 from qcompat.cli import cli_main
 from qcompat.formats import dumps_canonical, load_report, parse_matrix, report_document
+from conftest import DATA, golden_pair, golden_witness_document
 
-DATA = Path(__file__).parent / "data"
 
-A = validate_density(np.diag([1.0, 0.0]), label="A")
-B = validate_density(np.array([[0.75, 0.25], [0.25, 0.25]]), label="B")
+A, B = golden_pair()
 ONE = validate_density(np.diag([0.0, 1.0]), label="one")
 HALF = validate_density(np.eye(2) / 2, label="half")
 
@@ -40,12 +38,9 @@ def golden_matrix_document() -> dict:
     return json.loads((DATA / "golden_matrix.json").read_text())
 
 
-def golden_witness_document() -> dict:
-    """The witness file of the golden pair, as JSON reads it back: D = 2, an
-    intersection of dimension 1, chi = |0>, no rest_a term, one rest_b term."""
-    d = build_shared_decomposition(A, B)
-    doc = report_document(check_bfm([A, B]), ["A", "B"], d, build_witness(d))
-    return json.loads(dumps_canonical(doc))
+def golden_witness_file() -> dict:
+    """:func:`conftest.golden_witness_document` as JSON reads its file back."""
+    return json.loads(dumps_canonical(golden_witness_document()))
 
 
 DELETE = object()
@@ -157,7 +152,7 @@ REPORT_CASES = [
     "read, base, mutate, error, message",
     [pytest.param(parse_matrix, golden_matrix_document, *case[1:], id=f"matrix-{case[0]}")
      for case in MATRIX_CASES]
-    + [pytest.param(load_report, golden_witness_document, *case[1:], id=f"report-{case[0]}")
+    + [pytest.param(load_report, golden_witness_file, *case[1:], id=f"report-{case[0]}")
        for case in REPORT_CASES],
 )
 def test_reader_rejects_each_single_fault_with_its_message(read, base, mutate, error, message):
@@ -188,7 +183,7 @@ def test_dumps_canonical_rejects_a_value_of_no_json_type():
     ids=["chi", "basis"],
 )
 def test_each_vector_is_checked_against_the_report_dim_as_it_is_read(mutate, message):
-    doc = mutate(golden_witness_document())
+    doc = mutate(golden_witness_file())
     with pytest.raises(ShapeMismatch) as exc:
         load_report(io.StringIO(json.dumps(doc)))
     assert str(exc.value) == message
@@ -209,7 +204,7 @@ def test_a_decomposition_needs_a_nonempty_intersection(witnessed, tmp_path, caps
     assert type(written.value) is ValueError
     assert str(written.value) == NO_SHARED_STATE
 
-    doc = golden_witness_document()
+    doc = golden_witness_file()
     doc["inputs"] = ["A", "one"]
     doc["report"] = json.loads(dumps_canonical(report_document(report, ["A", "one"])))["report"]
     if not witnessed:
@@ -241,7 +236,7 @@ def test_a_decomposition_chi_lies_in_the_report_intersection(witnessed, tmp_path
     assert type(written.value) is ValueError
     assert str(written.value) == CHI_OUTSIDE
 
-    doc = golden_witness_document()
+    doc = golden_witness_file()
     doc["inputs"] = ["one", "half"]
     doc["report"] = json.loads(dumps_canonical(report_document(report, ["one", "half"])))["report"]
     if not witnessed:

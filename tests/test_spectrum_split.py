@@ -17,14 +17,18 @@ from qcompat import (
     NegativeEigenvalue,
     Tolerances,
     build_shared_decomposition,
+    check_bfm,
     choose_common_state,
     hermitian_eigendecompose,
     null_of,
+    projector_from,
     support_of,
+    validate_density,
+    verify_joint,
 )
 from qcompat import cli, compat, witness
 from qcompat.linalg import _split_spectrum
-from conftest import compatible_pair, spy
+from conftest import compatible_pair, planted_set, spy
 
 CUTOFFS = (0.0, 1e-9, 1e-3, 0.25)
 
@@ -52,7 +56,7 @@ def planted_spectra(draw):
     return planted(values, cutoff)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(planted_spectra())
 @example(planted([0.0], 0.0))
 @example(planted([-0.0, np.nextafter(0.0, -np.inf)], 0.0))
@@ -86,7 +90,7 @@ def test_split_counts_and_signs_at_the_cutoff(case):
                 _split_spectrum((values, vectors), tol, "state")
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(planted_spectra())
 def test_support_and_null_readers_raise_exactly_below_minus_cutoff(case):
     values, _, tol = case
@@ -109,3 +113,19 @@ def test_witness_stages_split_each_state_once(monkeypatch, build, dim):
     assert all(vars(m)["_split_spectrum"] is not _split_spectrum for m in (compat, witness, cli))
     build(a, b)
     assert len(seen) == 2
+
+
+@pytest.mark.parametrize("dim, n", [(32, 3), (64, 6)])
+def test_check_bfm_and_verify_joint_split_each_state_once(monkeypatch, dim, n):
+    # from D = 32 the pairwise pass reads each state's rank from its split:
+    # check_bfm hands it the named splits its intersection read, with the
+    # screen off (3 states) and on (6 states at D = 64)
+    rng = np.random.default_rng(dim + n)
+    states, common = planted_set(rng, dim, 2, rng.integers(1, dim // 2 - 1, size=n))
+    seen = spy(monkeypatch, _split_spectrum)  # in every module that binds it
+    screens = spy(monkeypatch, compat._screen, compat)
+    assert check_bfm(states).intersection_dim == 2
+    assert (len(seen), len(screens)) == (n, int(n >= compat._SCREEN_MIN_STATES))
+    seen.clear()
+    ok, _ = verify_joint(validate_density(projector_from(common) / 2), states)
+    assert ok and len(seen) == n + 1

@@ -33,13 +33,8 @@ from qcompat import (
     verify_joint,
 )
 from qcompat.cli import cli_main
-from qcompat.formats import (
-    dumps_canonical,
-    parse_report_document,
-    report_document,
-    serialize_matrix,
-)
-from conftest import random_density
+from qcompat.formats import dumps_canonical, parse_report_document, report_document
+from conftest import random_density, write_state
 
 # ---------------------------------------------------------------------------
 # the overlap_tol floor
@@ -53,7 +48,7 @@ def test_tolerances_reject_overlap_tol_below_the_floor(overlap_tol):
     assert Tolerances(overlap_tol=1e-12).overlap_tol == 1e-12
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     dim=st.integers(1, 256),
     rank_fraction=st.floats(0, 1),
@@ -121,11 +116,6 @@ def test_report_with_number_tolerances_reads_back(tol):
     back = parse_report_document(doc).report
     assert back.tolerances_used == tol
     assert back.verdict_bfm == report.verdict_bfm
-
-
-def write_state(path, matrix):
-    path.write_text(serialize_matrix(np.asarray(matrix, dtype=complex)))
-    return str(path)
 
 
 def test_cli_overlap_tol_below_the_floor_is_a_usage_error(tmp_path, capsys):

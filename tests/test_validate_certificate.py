@@ -21,7 +21,6 @@ from conftest import random_unitary, spy
 
 ZERO_TOLS = [0.0, 1e-15, 1e-9, 1e-3, 2.0]
 DIMS = [1, 2, 3, 8, 31, 64, 256]
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
 def oracle(m, tol: Tolerances):
@@ -158,7 +157,7 @@ def small_inputs(draw):
     return m, Tolerances(eigenvalue_zero_tol=t)
 
 
-@PROPERTY
+@settings(max_examples=80)
 @given(small_inputs())
 def test_small_inputs_match_oracle(case):
     m, tol = case

@@ -30,6 +30,8 @@ from conftest import (
     compatible_pair,
     cutoff_mass_pair,
     full_rank_pair,
+    golden_pair,
+    psd_weight_by_bisection,
     random_density_conditioned,
     random_pure,
     spy,
@@ -37,31 +39,6 @@ from conftest import (
 
 KET0 = PureState(np.array([1, 0], dtype=complex))
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
-
-
-def golden_pair():
-    rho_a = validate_density(np.array([[1, 0], [0, 0]], dtype=complex), label="A")
-    rho_b = validate_density(np.array([[0.75, 0.25], [0.25, 0.25]]), label="B")
-    return rho_a, rho_b
-
-
-def psd_weight_by_bisection(rho, chi, floor=-1e-9, steps=60):
-    """Oracle: largest weight keeping rho - p |chi><chi| PSD, by bisection."""
-    proj = chi.projector()
-
-    def is_psd(p):
-        return np.linalg.eigvalsh(rho.matrix - p * proj)[0] >= floor
-
-    lo, hi = 0.0, 1.0
-    if is_psd(hi):
-        return hi
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if is_psd(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------
