@@ -36,8 +36,8 @@ from typing import IO
 import numpy as np
 
 from .compat import CompatReport
-from .errors import MalformedFile, SchemaVersionUnsupported, ShapeMismatch
-from .linalg import Subspace, Tolerances, _cosine_floor, max_abs
+from .errors import MalformedFile, SchemaVersionUnsupported, ShapeMismatch, StateValidationError
+from .linalg import Subspace, Tolerances, _cosine_floor, _integer, _number, max_abs
 from .states import WEIGHT_TOL, PureState
 from .witness import ROUND_TRIP_TOL, SharedDecomposition, WitnessState
 
@@ -140,19 +140,11 @@ def _to_pairs(a: np.ndarray) -> list:
 
 
 def _pair_to_complex(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in entry)
-    ):
+    """The complex number of one ``[re, im]`` pair, each part under :func:`_number`."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise MalformedFile(f"{where}: expected a [re, im] number pair, got {entry!r}")
-    try:
-        value = complex(float(entry[0]), float(entry[1]))
-    except OverflowError as e:
-        raise MalformedFile(f"{where}: entry out of range for a double") from e
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise MalformedFile(f"{where}: non-finite entry {entry!r}")
-    return value
+    return complex(_number(entry[0], f"{where}: re", MalformedFile),
+                   _number(entry[1], f"{where}: im", MalformedFile))
 
 
 def _pairs_to_array(nested, shape: tuple[int, ...], where: str) -> np.ndarray:
@@ -197,13 +189,6 @@ def _pairs_to_vector(pairs, where: str, dim: int | None = None) -> np.ndarray:
     return vec
 
 
-def _positive_int(value, what: str) -> int:
-    """A ``dim`` field: a JSON integer of at least 1, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise MalformedFile(f"{what} must be a positive integer, got {value!r}")
-    return value
-
-
 def _reject_constant(name: str):
     # qcompat never writes NaN or Infinity (see _emit_number)
     raise MalformedFile(f"invalid JSON: non-finite constant {name}")
@@ -243,8 +228,7 @@ def _check_sections(inputs, n_states, intersection_dim, decomposed, witnessed, e
     dimension above 0), under a decomposition, which a witness needs."""
     if not isinstance(inputs, list) or any(not isinstance(s, str) for s in inputs):
         raise error("field 'inputs' must be a list of strings")
-    if type(n_states) is not int or n_states < 2:
-        raise error(f"report.n_states {n_states!r} is not an integer of at least 2")
+    _integer(n_states, "report.n_states", least=2, error=error)
     if inputs and n_states != len(inputs):
         raise error(f"report.n_states {n_states!r} differs from the {len(inputs)} inputs")
     if decomposed and n_states != 2:
@@ -257,8 +241,9 @@ def _check_sections(inputs, n_states, intersection_dim, decomposed, witnessed, e
 
 def _check_norms(section: dict, error) -> dict:
     """The ``commutator_norm`` and ``product_norm`` of a report section (or of
-    a report's fields) as doubles: each a number (:func:`_number`), not negative."""
-    norms = {k: _number(section, k, "report", error) for k in ("commutator_norm", "product_norm")}
+    a report's fields) as doubles: each a number (:func:`_number_field`), not negative."""
+    norms = {k: _number_field(section, k, "report", error)
+             for k in ("commutator_norm", "product_norm")}
     for key, norm in norms.items():
         if norm < 0:
             raise error(f"report: {key} {norm!r} is negative")
@@ -275,19 +260,29 @@ def _check_chi(report: CompatReport, chi: PureState, error) -> None:
         raise error(f"decomposition.chi leaves the report's intersection: cosine {cosine!r}")
 
 
+def _check_rebuild(d: SharedDecomposition, error) -> None:
+    """A decomposition rebuilds both its states, as ``simulate`` does
+    (``SharedDecomposition.rho_a`` and ``rho_b``): weights and vectors each
+    within their own bounds can still sum to a trace beyond ``trace_tol``."""
+    try:
+        d.rho_a()
+        d.rho_b()
+    except StateValidationError as e:
+        raise error(f"decomposition rebuilds no valid state: {e}") from e
+
+
 def _check_witness(dims, normalization, witness: WitnessState, error) -> None:
-    """A witness section's ``dims`` are the integers of ``witness``, its
-    decomposition's, and its normalization satisfies ``1/N^2 = 1/p0 + 1/q0 - 1``."""
-    if dims != list(witness.dims) or any(type(d) is not int for d in dims):
+    """A witness section's ``dims`` are a list of integers (:func:`_integer`), those of
+    ``witness``, its decomposition's, and its normalization is a number
+    (:func:`_number`) that satisfies ``1/N^2 = 1/p0 + 1/q0 - 1``."""
+    if not isinstance(dims, list) or [
+        _integer(d, f"witness.dims[{k}]", error=error) for k, d in enumerate(dims)
+    ] != list(witness.dims):
         raise error(f"witness.dims {dims!r} differ from the decomposition's {list(witness.dims)}")
     identity = witness.normalization**-2
-    try:  # relative: the rounding of 1/p0 + 1/q0 - 1 grows with its size
-        consistent = type(normalization) in (int, float) and normalization > 0 and (
-            abs(1 / normalization / normalization - identity) <= WEIGHT_TOL * identity
-        )
-    except OverflowError:  # an integer beyond the range of a double
-        consistent = False
-    if not consistent:
+    n = _number(normalization, "witness.normalization", error)
+    # relative: the rounding of 1/p0 + 1/q0 - 1 grows with its size
+    if not (n > 0 and abs(1 / n / n - identity) <= WEIGHT_TOL * identity):
         raise error(f"witness.normalization {normalization!r} violates 1/N^2 = {identity!r}")
 
 
@@ -317,7 +312,7 @@ def parse_matrix(source: str | Path | IO) -> tuple[np.ndarray, str | None]:
     doc = _load_json(source)
     _check_schema(doc)
 
-    dim = _positive_int(doc.get("dim"), "field 'dim'")
+    dim = _integer(doc.get("dim"), "field 'dim'", error=MalformedFile)
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise MalformedFile("field 'entries' must be a list of rows")
@@ -374,9 +369,10 @@ def report_document(
     not a string, a count of inputs neither 0 nor ``n_states``, a norm that is
     no finite number or is negative (:func:`_check_norms`), a decomposition of
     other than two states or of another dimension than the report, beside an
-    intersection of dimension 0 or with a chi outside the intersection
-    (:func:`_check_chi`), or a witness without its decomposition or with dims
-    or normalization not its own.
+    intersection of dimension 0, with a chi outside the intersection
+    (:func:`_check_chi`) or with states it does not rebuild
+    (:func:`_check_rebuild`), or a witness without its decomposition or with
+    dims or normalization not its own.
     """
     if isinstance(inputs, (str, bytes)):  # list() would split one name into characters
         raise ValueError("field 'inputs' must be a list of strings")
@@ -407,6 +403,7 @@ def report_document(
         if decomposition.chi.dim != doc["report"]["dim"]:  # else the cosine has no meaning
             raise ValueError(f"decomposition.chi: expected dimension {doc['report']['dim']}")
         _check_chi(report, decomposition.chi, ValueError)
+        _check_rebuild(decomposition, ValueError)
         doc["decomposition"] = _decomposition_doc(decomposition)
     if witness is not None:
         _check_witness(
@@ -444,34 +441,22 @@ def _made(where: str, make, *args, **kwargs):
         raise MalformedFile(f"{where}: {e}") from e
 
 
-def _number(doc: dict, key: str, where: str, error=MalformedFile) -> float:
-    """The finite double that ``doc[key]`` holds as an int or float (a JSON
-    number, or a numpy integer or floating scalar where a writer checks a
-    report's fields); a bool, a string, or a number no double can hold is
-    malformed."""
-    value = _require(doc, key, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise error(f"{where}: {key} must be a number")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise error(f"{where}: {key} out of range for a double") from None
-    if not math.isfinite(x):
-        raise error(f"{where}: non-finite {key} {x!r}")
-    return x
+def _number_field(doc: dict, key: str, where: str, error=MalformedFile) -> float:
+    """The double that the required field ``doc[key]`` holds under :func:`_number`."""
+    return _number(_require(doc, key, where), f"{where}: {key}", error)
 
 
 def _parse_tolerances(doc, where: str) -> Tolerances:
     if not isinstance(doc, dict):
         raise MalformedFile(f"{where}: expected an object")
-    values = {f.name: _number(doc, f.name, where) for f in fields(Tolerances)}
+    values = {f.name: _number_field(doc, f.name, where) for f in fields(Tolerances)}
     return _made(where, Tolerances, **values)
 
 
 def _component(item, where: str, dim: int) -> tuple[float, PureState]:
     if not isinstance(item, dict):
         raise MalformedFile(f"{where}: expected an object")
-    weight = _number(item, "weight", where)
+    weight = _number_field(item, "weight", where)
     vec = _pairs_to_vector(_require(item, "state", where), f"{where}.state", dim)
     return weight, _made(f"{where}.state", PureState, vec)
 
@@ -489,8 +474,8 @@ def _parse_decomposition(doc, where: str, dim: int) -> SharedDecomposition:
     return _made(
         where, SharedDecomposition,
         chi=_made(f"{where}.chi", PureState, chi),
-        p0=_number(doc, "p0", where),
-        q0=_number(doc, "q0", where),
+        p0=_number_field(doc, "p0", where),
+        q0=_number_field(doc, "q0", where),
         rest_a=_parse_components(_require(doc, "rest_a", where), f"{where}.rest_a", dim),
         rest_b=_parse_components(_require(doc, "rest_b", where), f"{where}.rest_b", dim),
     )
@@ -507,7 +492,8 @@ def parse_report_document(doc: dict) -> ParsedReport:
     intersection-basis vector, then chi, then each remainder term) must have
     the report's ``dim`` entries, checked as it is read, and a decomposition
     section needs an intersection basis of at least one vector, in which its
-    chi lies (:func:`_check_chi`).
+    chi lies (:func:`_check_chi`), and must rebuild both its states
+    (:func:`_check_rebuild`), as ``simulate`` does.
     """
     _check_schema(doc)
     inputs = doc.get("inputs", [])
@@ -515,7 +501,7 @@ def parse_report_document(doc: dict) -> ParsedReport:
     rep = _require(doc, "report", "document")
     if not isinstance(rep, dict):
         raise MalformedFile("field 'report' must be an object")
-    dim = _positive_int(_require(rep, "dim", "report"), "report.dim")
+    dim = _integer(_require(rep, "dim", "report"), "report.dim", error=MalformedFile)
     basis_pairs = _require(rep, "intersection_basis", "report")
     if not isinstance(basis_pairs, list):
         raise MalformedFile("report.intersection_basis must be a list of vectors")
@@ -552,6 +538,7 @@ def parse_report_document(doc: dict) -> ParsedReport:
     if "decomposition" in doc:
         decomposition = _parse_decomposition(doc["decomposition"], "decomposition", dim)
         _check_chi(report, decomposition.chi, MalformedFile)
+        _check_rebuild(decomposition, MalformedFile)
 
     witness = None
     if "witness" in doc:

@@ -10,6 +10,7 @@ row-major.  All functions are pure; returned arrays are read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -30,12 +31,37 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str, least: int = 1, error=ValueError) -> int:
+    """The one integer rule for a dimension, count or index a caller or a file
+    hands in: an ``int`` or numpy integer, never a bool, of at least ``least``;
+    returned as an ``int``.  Else ``error`` names ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _number(value, what: str, error=ValueError) -> float:
+    """The one number rule for a value a caller or a file hands in: an int or a
+    float, numpy scalars included, never a bool, finite as a double; returned
+    as that double.  Else ``error`` names ``what``."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            if math.isfinite(x := float(value)):
+                return x
+        except OverflowError:  # an int beyond a double's range
+            pass
+    raise error(f"{what} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds used throughout the toolkit.
 
     All states are trace-normalized, so eigenvalues and matrix entries are
-    O(1) and absolute thresholds are meaningful.
+    O(1) and absolute thresholds are meaningful.  Each field is a number under
+    :func:`_number` (an int or a float, numpy scalars included, never a bool,
+    finite as a double) and not negative, else ``ValueError``; the value is
+    kept as given.
 
     Attributes
     ----------
@@ -68,15 +94,8 @@ class Tolerances:
     def __post_init__(self):
         for field in fields(self):
             v = getattr(self, field.name)
-            # a bool is no number: a report would write true
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{field.name} must be a number, got {v!r}")
-            try:
-                finite = np.isfinite(float(v))
-            except OverflowError:  # an int beyond a double's range
-                finite = False
-            if not finite or v < 0:
-                raise ValueError(f"{field.name} must be finite and nonnegative, got {v!r}")
+            if _number(v, field.name) < 0:
+                raise ValueError(f"{field.name} must be nonnegative, got {v!r}")
         if not 1e-12 <= self.overlap_tol < 0.5:
             bound = "below 0.5" if self.overlap_tol >= 0.5 else "at least 1e-12"
             raise ValueError(f"overlap_tol must be {bound}, got {self.overlap_tol!r}")
@@ -179,8 +198,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        if self.ambient_dim < 1:
-            raise ValueError("ambient_dim must be positive")
+        object.__setattr__(self, "ambient_dim", _integer(self.ambient_dim, "ambient_dim"))
         b = np.asarray(self.basis, dtype=complex)
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise ValueError(

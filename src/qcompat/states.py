@@ -32,6 +32,8 @@ from .linalg import (
     _frozen,
     _hermitian_deviation,
     _hermitian_part,
+    _integer,
+    _Split,
     _split_spectrum,
     as_complex_matrix,
 )
@@ -118,8 +120,10 @@ class PureState:
 
 
 def basis_state(dim: int, index: int) -> PureState:
-    """Computational basis vector ``|index>`` in ``dim`` dimensions."""
-    if not 0 <= index < dim:
+    """Computational basis vector ``|index>`` in ``dim`` dimensions; each an
+    integer under :func:`~qcompat.linalg._integer` (else ``ValueError``)."""
+    dim, index = _integer(dim, "dim"), _integer(index, "basis index", least=0)
+    if index >= dim:
         raise ValueError(f"basis index {index} out of range for dim {dim}")
     a = np.zeros(dim, dtype=complex)
     a[index] = 1.0
@@ -283,12 +287,18 @@ def from_ensemble(e: Ensemble, tol: Tolerances | None = None) -> DensityMatrix:
     return validate_density(_mixture(e.components), tol)
 
 
+def _state_split(rho: DensityMatrix, tol: Tolerances | None) -> _Split:
+    """The :func:`_split_spectrum` of one state's kept spectrum, named for its
+    error: a cutoff that empties the support raises ValueError."""
+    return _split_spectrum(rho.spectrum, tol or DEFAULT_TOLERANCES, f"state (label {rho.label!r})")
+
+
 def eigen_ensemble(rho: DensityMatrix, tol: Tolerances | None = None) -> Ensemble:
     """Canonical ensemble of the support eigenvectors, weighted by their
     eigenvalues rescaled to sum to one (``_Split.weights``), which gives back
     the mass the zero cutoff drops: the weights sum to one in rounding.  A
     cutoff that empties the support raises ValueError."""
-    split = _split_spectrum(rho.spectrum, tol or DEFAULT_TOLERANCES, f"state (label {rho.label!r})")
+    split = _state_split(rho, tol)
     return Ensemble(tuple(zip(split.weights, map(PureState, split.support.basis.T))))
 
 
@@ -309,9 +319,7 @@ def tensor(states: Sequence[DensityMatrix] | Sequence[PureState]):
 
 
 def _check_dims(total: int, dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionMismatch(f"subsystem dimensions must be positive, got {dims}")
+    dims = tuple(_integer(d, "subsystem dimension", error=DimensionMismatch) for d in dims)
     if int(np.prod(dims)) != total:
         raise DimensionMismatch(
             f"product of subsystem dimensions {dims} is not the total dimension {total}"
@@ -329,14 +337,16 @@ def partial_trace(
 
     ``dims`` lists the subsystem dimensions in tensor order; ``keep`` is the
     set of subsystem indices to retain (ascending order in the result).
-    Keeping every subsystem returns the state unchanged.
+    Keeping every subsystem returns the state unchanged.  Each dimension and
+    index is an integer under :func:`~qcompat.linalg._integer`, else
+    ``DimensionMismatch``.
     """
     dims = _check_dims(rho.dim, dims)
     n = len(dims)
-    keep_sorted = sorted(set(int(k) for k in keep))
+    keep_sorted = sorted({_integer(k, "keep index", 0, DimensionMismatch) for k in keep})
     if not keep_sorted:
         raise EmptyKeep("must keep at least one subsystem")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
+    if keep_sorted[-1] >= n:
         raise DimensionMismatch(
             f"keep indices {keep_sorted} out of range for {n} subsystems"
         )
@@ -374,7 +384,8 @@ def project_and_renormalize(
     Raises
     ------
     DimensionMismatch
-        If ``dims`` does not factor ``psi`` or the outcome dimension is
+        If ``dims`` or ``subsystem`` breaks :func:`~qcompat.linalg._integer`'s
+        rule, ``dims`` does not factor ``psi`` or the outcome dimension is
         wrong.
     ZeroProbabilityOutcome
         If ``p`` is at the numerical floor; the conditional state is then
@@ -383,7 +394,8 @@ def project_and_renormalize(
     tol = tol or DEFAULT_TOLERANCES
     dims = _check_dims(psi.dim, dims)
     n = len(dims)
-    if not 0 <= subsystem < n:
+    subsystem = _integer(subsystem, "subsystem", least=0, error=DimensionMismatch)
+    if subsystem >= n:
         raise DimensionMismatch(f"subsystem {subsystem} out of range for {n} factors")
     if outcome_vector.dim != dims[subsystem]:
         raise DimensionMismatch(

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChiOutsideSupport, Incompatible
-from .linalg import DEFAULT_TOLERANCES, Subspace, Tolerances, _Split, _lex_order, _split_spectrum
+from .linalg import DEFAULT_TOLERANCES, Subspace, Tolerances, _Split, _lex_order
 from .states import DensityMatrix, PureState, _mixture, validate_density
-from .states import _check_weights, _nonzero_probability
+from .states import _check_weights, _nonzero_probability, _state_split
 from .compat import _common_support, _named_splits
 
 __all__ = [
@@ -194,8 +194,7 @@ def max_common_weight(
         raise ChiOutsideSupport(
             f"state dimension {chi.dim} does not match rho dimension {rho.dim}"
         )
-    split = _split_spectrum(rho.spectrum, tol or DEFAULT_TOLERANCES, f"state (label {rho.label!r})")
-    return _common_weight(split, chi)[0]
+    return _common_weight(_state_split(rho, tol), chi)[0]
 
 
 def _common_weight(split: _Split, chi: PureState) -> tuple[float, np.ndarray, np.ndarray]:

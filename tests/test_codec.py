@@ -149,28 +149,31 @@ def test_bulk_and_per_entry_reads_agree_bit_for_bit(dim, seed, specials):
 
 PAIR_ERROR = "entries[1][2]: expected a [re, im] number pair, got "
 COLUMNS = "entries[1]: expected 3 columns, got "
+PART_ERROR = "entries[1][2]: {} must be a number, got "
 
 
 @pytest.mark.parametrize(
     "literal, error, message",
     [
         pytest.param("true", MalformedFile, PAIR_ERROR + "True", id="bool"),
-        pytest.param("[true, 0]", MalformedFile, PAIR_ERROR + "[True, 0]", id="bool-in-pair"),
+        pytest.param("[true, 0]", MalformedFile, PART_ERROR.format("re") + "True", id="bool-in-pair"),
         pytest.param('"1.5"', MalformedFile, PAIR_ERROR + "'1.5'", id="string"),
-        pytest.param('["1.5", 0]', MalformedFile, PAIR_ERROR + "['1.5', 0]", id="string-in-pair"),
+        pytest.param(
+            '["1.5", 0]', MalformedFile, PART_ERROR.format("re") + "'1.5'", id="string-in-pair"
+        ),
         pytest.param("[1.5]", MalformedFile, PAIR_ERROR + "[1.5]", id="one-element"),
         pytest.param("[1.5, 0, 0]", MalformedFile, PAIR_ERROR + "[1.5, 0, 0]", id="three-element"),
         pytest.param("[[1.5, 0]]", MalformedFile, PAIR_ERROR + "[[1.5, 0]]", id="extra-nesting"),
         pytest.param("null", MalformedFile, PAIR_ERROR + "None", id="null"),
-        pytest.param("[null, 0]", MalformedFile, PAIR_ERROR + "[None, 0]", id="null-in-pair"),
+        pytest.param("[null, 0]", MalformedFile, PART_ERROR.format("re") + "None", id="null-in-pair"),
         pytest.param(
-            "[1e400, 0]", MalformedFile, "entries[1][2]: non-finite entry [inf, 0]", id="1e400"
+            "[1e400, 0]", MalformedFile, PART_ERROR.format("re") + "inf", id="1e400"
         ),
         pytest.param(
-            "[0, -1e400]", MalformedFile, "entries[1][2]: non-finite entry [0, -inf]", id="-1e400"
+            "[0, -1e400]", MalformedFile, PART_ERROR.format("im") + "-inf", id="-1e400"
         ),
         pytest.param(
-            f"[{BIG}, 0]", MalformedFile, "entries[1][2]: entry out of range for a double",
+            f"[{BIG}, 0]", MalformedFile, PART_ERROR.format("re") + BIG,
             id="10**400",
         ),
         pytest.param("ragged-short", ShapeMismatch, COLUMNS + "2", id="ragged-short"),

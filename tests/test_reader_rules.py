@@ -19,6 +19,7 @@ from qcompat import (
     PureState,
     ShapeMismatch,
     SharedDecomposition,
+    basis_state,
     build_shared_decomposition,
     build_witness,
     check_bfm,
@@ -72,11 +73,11 @@ MATRIX_CASES = [
     ("no-schema", put("schema_version", DELETE), MalformedFile,
      "missing required field 'schema_version'"),
     ("dim-zero", put("dim", 0), MalformedFile,
-     "field 'dim' must be a positive integer, got 0"),
+     "field 'dim' must be an integer of at least 1, got 0"),
     ("dim-bool", put("dim", True), MalformedFile,
-     "field 'dim' must be a positive integer, got True"),
+     "field 'dim' must be an integer of at least 1, got True"),
     ("dim-str", put("dim", "6"), MalformedFile,
-     "field 'dim' must be a positive integer, got '6'"),
+     "field 'dim' must be an integer of at least 1, got '6'"),
     ("entries", put("entries", {}), MalformedFile, "field 'entries' must be a list of rows"),
     ("row-str", put("entries", 1, "row"), MalformedFile,
      "entries[1]: expected a list of [re, im] pairs"),
@@ -97,11 +98,11 @@ REPORT_CASES = [
     ("no-dim", put("report", "dim", DELETE), MalformedFile,
      "report: missing required field 'dim'"),
     ("dim-zero", put("report", "dim", 0), MalformedFile,
-     "report.dim must be a positive integer, got 0"),
+     "report.dim must be an integer of at least 1, got 0"),
     ("dim-bool", put("report", "dim", True), MalformedFile,
-     "report.dim must be a positive integer, got True"),
+     "report.dim must be an integer of at least 1, got True"),
     ("dim-float", put("report", "dim", 2.0), MalformedFile,
-     "report.dim must be a positive integer, got 2.0"),
+     "report.dim must be an integer of at least 1, got 2.0"),
     ("basis", put("report", "intersection_basis", {}), MalformedFile,
      "report.intersection_basis must be a list of vectors"),
     ("basis-vector", put("report", "intersection_basis", 0, []), MalformedFile,
@@ -269,22 +270,40 @@ def test_chi_rule_is_the_intersection_cosine_rule(gap, kept):
 
 def test_cli_simulate_file_whose_states_do_not_rebuild_is_malformed(tmp_path, capsys):
     # Each side's weights sum to 1 + 0.9e-9, within WEIGHT_TOL (1e-9), and each
-    # vector has norm 1 + 0.95e-10, within ORTHONORMALITY_TOL (1e-10), so writer
-    # and reader take the file; the states it rebuilds have trace 1 + 1.09e-9,
-    # beyond trace_tol (1e-9).  That is bad input (2), not a failed round trip (1).
+    # vector has norm 1 + 0.95e-10, within ORTHONORMALITY_TOL (1e-10); the states
+    # they rebuild have trace 1 + 1.09e-9, beyond trace_tol (1e-9).  The writer
+    # refuses them, the reader refuses a valid file edited to hold them, and
+    # simulate reads that file as bad input (2), not a failed round trip (1).
     s, weight = 1 + 0.95e-10, 0.5 + 0.45e-9
     head, tail = PureState(np.array([s, 0.0])), PureState(np.array([0.0, s]))
     d = SharedDecomposition(head, weight, weight, ((weight, tail),), ((weight, tail),))
-    mixed = validate_density(np.eye(2) / 2)
+    report = check_bfm([HALF, HALF])
+    rebuild = (
+        "decomposition rebuilds no valid state: invalid operator: "
+        "trace (measured 1.000000e+00, allowed 1.0e-09)"
+    )
+    with pytest.raises(ValueError) as exc:
+        report_document(report, ["a", "b"], d, build_witness(d))
+    assert str(exc.value) == rebuild
+
+    unit = SharedDecomposition(
+        basis_state(2, 0), 0.5, 0.5, ((0.5, basis_state(2, 1)),), ((0.5, basis_state(2, 1)),)
+    )
+    doc = report_document(report, ["a", "b"], unit, build_witness(unit))
+    section = doc["decomposition"]
+    section["p0"] = section["q0"] = weight
+    section["chi"][0][0] = s  # the real part of chi's first entry
+    for rest in (section["rest_a"], section["rest_b"]):
+        rest[0]["weight"] = weight
+        rest[0]["state"][1][0] = s
+    doc["witness"]["normalization"] = build_witness(d).normalization
     path = tmp_path / "witness.json"
-    doc = report_document(check_bfm([mixed, mixed]), ["a", "b"], d, build_witness(d))
     path.write_text(dumps_canonical(doc))
-    assert load_report(str(path)).witness is not None
+    with pytest.raises(MalformedFile) as read:
+        load_report(str(path))
+    assert str(read.value) == rebuild
     capsys.readouterr()
     assert cli_main(["simulate", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (
-        f"error: {path}: the decomposition rebuilds no valid state: invalid operator: "
-        "trace (measured 1.000000e+00, allowed 1.0e-09)\n"
-    )
+    assert err == f"error: {rebuild}\n"

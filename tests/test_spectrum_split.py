@@ -26,7 +26,7 @@ from qcompat import (
     validate_density,
     verify_joint,
 )
-from qcompat import cli, compat, witness
+from qcompat import cli, compat, states
 from qcompat.linalg import _split_spectrum
 from conftest import compatible_pair, planted_set, spy
 
@@ -110,7 +110,7 @@ def test_witness_stages_split_each_state_once(monkeypatch, build, dim):
     # the intersection and the decomposition both read the one named split
     a, b, _ = compatible_pair(np.random.default_rng(dim), dim)
     seen = spy(monkeypatch, _split_spectrum)  # in every module that binds it
-    assert all(vars(m)["_split_spectrum"] is not _split_spectrum for m in (compat, witness, cli))
+    assert all(vars(m)["_split_spectrum"] is not _split_spectrum for m in (compat, states, cli))
     build(a, b)
     assert len(seen) == 2
 

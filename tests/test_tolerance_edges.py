@@ -97,7 +97,7 @@ def test_tolerances_reject_an_int_beyond_a_double(field, value):
     # numpy's TypeError from np.isfinite
     with pytest.raises(ValueError) as exc:
         Tolerances(**{field: value})
-    assert str(exc.value) == f"{field} must be finite and nonnegative, got {value!r}"
+    assert str(exc.value) == f"{field} must be a number, got {value!r}"
 
 
 @pytest.mark.parametrize(
