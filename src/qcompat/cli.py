@@ -19,7 +19,7 @@ import numpy as np
 from . import formats
 from .compat import CompatReport, _named_splits, check_bfm
 from .errors import Incompatible, MalformedFile, QcompatError, StateValidationError
-from .linalg import Tolerances, _split_spectrum, max_abs
+from .linalg import DEFAULT_TOLERANCES, Tolerances, _split_spectrum, max_abs
 from .states import DensityMatrix, validate_density
 from .witness import ROUND_TRIP_TOL, _decompose, build_witness, simulate_protocol
 
@@ -38,6 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the Tolerances defaults, written shortest (1e-9)
+    eig, overlap = (np.format_float_scientific(getattr(DEFAULT_TOLERANCES, f), trim="-",
+                    exp_digits=1) for f in ("eigenvalue_zero_tol", "overlap_tol"))
     for name, _, help_text, positionals, json_out in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         for dest in positionals:
@@ -54,13 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "--tol-eig",
             type=float,
             metavar="X",
-            help=f"eigenvalue zero cutoff (default 1e-9; env {ENV_TOL_EIG}, flag wins)",
+            help=f"eigenvalue zero cutoff (default {eig}; env {ENV_TOL_EIG}, flag wins)",
         )
         p.add_argument(
             "--tol-overlap",
             type=float,
             metavar="Y",
-            help="overlap / intersection threshold (default 1e-7)",
+            help=f"overlap / intersection threshold (default {overlap})",
         )
         if json_out:
             p.add_argument("--json", metavar="PATH", help="write the full report file here")
@@ -181,14 +184,11 @@ def _cmd_simulate(args: argparse.Namespace, tol: Tolerances) -> int:
     parsed = formats.load_report(args.witness_file)
     if parsed.witness is None:
         raise MalformedFile(f"{args.witness_file} carries no witness section")
-    w = parsed.witness
-    result = simulate_protocol(w, tol)
-    rho_a, rho_b = w.decomposition.rho_a(), w.decomposition.rho_b()
-    dev_a = max_abs(result.rho_alice.matrix - rho_a.matrix)
-    dev_b = max_abs(result.rho_bob.matrix - rho_b.matrix)
-    overlap = float(
-        abs(np.vdot(result.joint.amplitudes, w.decomposition.chi.amplitudes)) ** 2
-    )
+    result = simulate_protocol(parsed.witness, tol)
+    d = parsed.decomposition  # its states were rebuilt and kept as the file was read
+    dev_a = max_abs(result.rho_alice.matrix - d.rho_a().matrix)
+    dev_b = max_abs(result.rho_bob.matrix - d.rho_b().matrix)
+    overlap = float(abs(np.vdot(result.joint.amplitudes, d.chi.amplitudes)) ** 2)
     print(f"alice outcome-0 probability = {_fmt(result.p_alice)}, "
           f"reduced-state deviation = {_fmt(dev_a)}")
     print(f"bob   outcome-0 probability = {_fmt(result.p_bob)}, "

@@ -407,6 +407,14 @@ def _pairwise_norms(
     return float(product), float(commutator)
 
 
+def _pair_norms(a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None):
+    """``(tol, product, commutator)``: the tolerances in force and one pair's
+    :func:`_pairwise_norms`, after :func:`_require_equal_dims`."""
+    tol = tol or DEFAULT_TOLERANCES
+    _require_equal_dims([a, b])
+    return tol, *_pairwise_norms([a, b], tol)
+
+
 def check_pi(
     a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = None
 ) -> tuple[bool, float]:
@@ -418,9 +426,7 @@ def check_pi(
     enters through its kept spectrum, under the ``delta`` bound of
     :class:`CompatReport`, so each fresh state is eigendecomposed once there.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    _require_equal_dims([a, b])
-    norm = _pairwise_norms([a, b], tol)[1]
+    tol, _, norm = _pair_norms(a, b, tol)
     return norm <= tol.overlap_tol, norm
 
 
@@ -434,9 +440,7 @@ def check_pii(
     the ``delta`` bound of :class:`CompatReport`, so each fresh state is
     eigendecomposed once there.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    _require_equal_dims([a, b])
-    norm = _pairwise_norms([a, b], tol)[0]
+    tol, norm, _ = _pair_norms(a, b, tol)
     return norm > tol.overlap_tol, norm
 
 

@@ -33,6 +33,7 @@ from .linalg import (
     _hermitian_deviation,
     _hermitian_part,
     _integer,
+    _number,
     _Split,
     _split_spectrum,
     as_complex_matrix,
@@ -71,15 +72,24 @@ _EIGVALSH_ROUNDING_FACTOR = 8
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _check_weights(weights: Sequence[float], what: str) -> None:
-    """The one rule for mixture weights: each strictly positive, and their sum
-    within ``WEIGHT_TOL`` of one (a NaN weight fails both)."""
-    bad = [w for w in weights if not w > 0]
+def _mixture_terms(terms, what: str) -> tuple[tuple[float, PureState], ...]:
+    """The one rule for the terms ``(w_k, |xi_k>)`` of a mixture, returned with
+    each weight as its double: every weight a number (:func:`~qcompat.linalg._number`)
+    and strictly positive, their sum within ``WEIGHT_TOL`` of one, and at
+    least one term, all of one dimension.  Else ``ValueError`` names ``what``."""
+    terms = tuple((_number(w, f"{what} weight"), s) for w, s in terms)
+    if not terms:
+        raise ValueError(f"{what} needs at least one component")
+    dims = sorted({s.dim for _, s in terms})
+    if len(dims) != 1:
+        raise ValueError(f"{what} components have mixed dimensions {dims}")
+    bad = [w for w, _ in terms if not w > 0]
     if bad:
-        raise ValueError(f"{what} must be strictly positive, got {bad[0]!r}")
-    total = sum(weights)
+        raise ValueError(f"{what} weights must be strictly positive, got {bad[0]!r}")
+    total = sum(w for w, _ in terms)
     if not abs(total - 1.0) <= WEIGHT_TOL:
-        raise ValueError(f"{what} sum to {total!r}, expected 1")
+        raise ValueError(f"{what} weights sum to {total!r}, expected 1")
+    return terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +183,8 @@ class DensityMatrix:
 class Ensemble:
     """A convex mixture ``{(w_k, |xi_k>)}`` of pure states.
 
-    Weights are strictly positive and sum to one within ``WEIGHT_TOL``;
+    Each weight is a number, strictly positive, and the weights sum to one
+    within ``WEIGHT_TOL``, the one mixture rule (:func:`_mixture_terms`);
     mixtures of mixed states are not representable (flatten them to pure
     components before constructing).
     """
@@ -181,14 +192,7 @@ class Ensemble:
     components: tuple[tuple[float, PureState], ...]
 
     def __post_init__(self):
-        comps = tuple((float(w), s) for w, s in self.components)
-        if not comps:
-            raise ValueError("ensemble needs at least one component")
-        dims = {s.dim for _, s in comps}
-        if len(dims) != 1:
-            raise ValueError(f"ensemble components have mixed dimensions {sorted(dims)}")
-        _check_weights([w for w, _ in comps], "weights")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", _mixture_terms(self.components, "ensemble"))
 
     @property
     def dim(self) -> int:

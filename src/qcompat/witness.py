@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ChiOutsideSupport, Incompatible
 from .linalg import DEFAULT_TOLERANCES, Subspace, Tolerances, _Split, _lex_order
 from .states import DensityMatrix, PureState, _mixture, validate_density
-from .states import _check_weights, _nonzero_probability, _state_split
+from .states import _mixture_terms, _nonzero_probability, _state_split
 from .compat import _common_support, _named_splits
 
 __all__ = [
@@ -49,8 +49,11 @@ class SharedDecomposition:
 
     ``rho_a = p0 |chi><chi| + sum_i p_i |psi_i><psi_i|`` with the ``rest_a``
     terms carrying the ``(p_i, |psi_i>)`` pairs, and likewise ``rho_b`` with
-    ``q0`` and ``rest_b``.  Each side's weights follow the one mixture rule
-    of ``states``: strictly positive, summing to one within ``WEIGHT_TOL``.
+    ``q0`` and ``rest_b``.  Each side's terms follow the one mixture rule of
+    ``states`` (``states._mixture_terms``): every weight a number, strictly
+    positive, the weights summing to one within ``WEIGHT_TOL``, and every
+    vector of chi's dimension.  Each side's state is rebuilt on first use and
+    kept (:meth:`rho_a`, :meth:`rho_b`).
     """
 
     chi: PureState
@@ -60,14 +63,9 @@ class SharedDecomposition:
     rest_b: tuple[Component, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p0", float(self.p0))
-        object.__setattr__(self, "q0", float(self.q0))
-        object.__setattr__(self, "rest_a", tuple((float(w), s) for w, s in self.rest_a))
-        object.__setattr__(self, "rest_b", tuple((float(w), s) for w, s in self.rest_b))
-        for name, terms in zip("ab", self._terms()):
-            _check_weights([w for w, _ in terms], f"weights of decomposition {name}")
-            if any(s.dim != self.chi.dim for _, s in terms):
-                raise ValueError(f"rest_{name} states must match the shared-state dimension")
+        a, b = (_mixture_terms(t, f"decomposition {side}") for side, t in zip("ab", self._terms()))
+        for name, value in (("p0", a[0][0]), ("q0", b[0][0]), ("rest_a", a[1:]), ("rest_b", b[1:])):
+            object.__setattr__(self, name, value)
 
     def _terms(self) -> tuple[tuple[Component, ...], tuple[Component, ...]]:
         """Each state's terms, the shared one first: ``((p0, chi), *rest_a)``
@@ -78,13 +76,22 @@ class SharedDecomposition:
     def dim(self) -> int:
         return self.chi.dim
 
+    def _rebuilt(self, side: int) -> DensityMatrix:
+        """The state of side ``side`` (0 for "A", 1 for "B"), validated from its
+        terms on first use and kept.  No lock, as for ``DensityMatrix.spectrum``:
+        callers racing on first use build equal states."""
+        kept = self.__dict__.setdefault("_states", {})
+        if side not in kept:
+            kept[side] = validate_density(_mixture(self._terms()[side]), label="AB"[side])
+        return kept[side]
+
     def rho_a(self) -> DensityMatrix:
-        """Reconstruct the first state from its decomposition."""
-        return validate_density(_mixture(self._terms()[0]), label="A")
+        """The first state, rebuilt from its decomposition once and kept."""
+        return self._rebuilt(0)
 
     def rho_b(self) -> DensityMatrix:
-        """Reconstruct the second state from its decomposition."""
-        return validate_density(_mixture(self._terms()[1]), label="B")
+        """The second state, rebuilt from its decomposition once and kept."""
+        return self._rebuilt(1)
 
 
 @dataclass(frozen=True, eq=False)

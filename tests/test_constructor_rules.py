@@ -70,7 +70,12 @@ CASES = [
      "subsystem dimension must be an integer of at least 1, got 0"),
     ("decomposition-rest-dim",
      lambda: SharedDecomposition(KET0, 0.5, 1.0, ((0.5, KET3),), ()), ValueError,
-     "rest_a states must match the shared-state dimension"),
+     "decomposition a components have mixed dimensions [2, 3]"),
+    ("ensemble-weight-negative", lambda: Ensemble(((1.2, KET0), (-0.2, KET1))), ValueError,
+     "ensemble weights must be strictly positive, got -0.2"),
+    ("decomposition-weights-sum",
+     lambda: SharedDecomposition(KET0, 1.0, 0.5, (), ((0.4, KET1),)), ValueError,
+     "decomposition b weights sum to 0.9, expected 1"),
     ("common-weight-chi-dim", lambda: max_common_weight(MIXED, KET3), ChiOutsideSupport,
      "state dimension 3 does not match rho dimension 2"),
     ("density-label-int", lambda: validate_density(np.eye(2) / 2, label=5), ValueError,
@@ -147,6 +152,14 @@ INTEGER_TAKERS = [
 # gives the value
 NUMBER_TAKERS = [
     ("tolerances", lambda v: Tolerances(trace_tol=v), ValueError, "trace_tol"),
+    ("ensemble-weight", lambda v: Ensemble(((v, KET0),)), ValueError, "ensemble weight"),
+    ("decomposition-p0", lambda v: SharedDecomposition(KET0, v, 1.0, (), ()), ValueError,
+     "decomposition a weight"),
+    ("decomposition-q0", lambda v: SharedDecomposition(KET0, 1.0, v, (), ()), ValueError,
+     "decomposition b weight"),
+    ("decomposition-rest-weight",
+     lambda v: SharedDecomposition(KET0, 1.0, 0.5, (), ((v, KET1),)), ValueError,
+     "decomposition b weight"),
     ("read-tolerances", read_edited("tolerances_used", "trace_tol"), MalformedFile,
      "tolerances_used: trace_tol"),
     ("read-p0", read_edited("decomposition", "p0"), MalformedFile, "decomposition: p0"),
@@ -201,6 +214,10 @@ def test_numpy_integers_and_floats_pass_both_rules():
     assert basis_state(i64(2), i64(1)).amplitudes[1] == 1
     assert type(Subspace(i64(2), np.eye(2)).ambient_dim) is int
     assert Tolerances(trace_tol=np.float64(1e-9)).trace_tol == 1e-9
+    halves = ((np.float32(0.5), KET0), (np.float64(0.5), KET1))
+    assert [type(w) for w, _ in Ensemble(halves).components] == [float, float]
+    d = SharedDecomposition(KET0, np.float64(0.5), np.int64(1), (halves[1],), ())
+    assert (type(d.p0), type(d.q0), type(d.rest_a[0][0])) == (float, float, float)
     doc = edited(("witness", "dims"), [i64(2), i64(1), i64(2)])
     for section, key in [("witness", "normalization"), ("decomposition", "p0"),
                          ("tolerances_used", "trace_tol")]:

@@ -24,6 +24,7 @@ from qcompat import (
     verify_joint,
 )
 from qcompat.cli import cli_main
+from qcompat.formats import load_report
 from conftest import (
     compatible_pair,
     planted_set,
@@ -187,3 +188,19 @@ def test_not_psd_input_makes_one_eigvalsh(monkeypatch):
         validate_density((frame * weights) @ frame.conj().T)
     assert info.value.violations[0][0] == "positivity lambda_min"
     assert eigvalshs == [(DIM, DIM)]
+
+
+def test_cli_witness_and_simulate_rebuild_each_side_once(monkeypatch, tmp_path):
+    a, b, _ = compatible_pair(np.random.default_rng(490), DIM)
+    paths, out = write_states(tmp_path, [a, b]), str(tmp_path / "w.json")
+    choleskys = spy(monkeypatch, np.linalg.cholesky, np.linalg)
+    assert cli_main(["witness", *paths, "--json", out]) == 0
+    # the two input states, then each side rebuilt once as the file is written
+    assert choleskys == [(DIM, DIM)] * 4
+    choleskys.clear()
+    assert cli_main(["simulate", out]) == 0
+    # each side rebuilt once as the file is read, then the two reduced states
+    assert choleskys == [(DIM, DIM)] * 4
+    d = load_report(out).decomposition
+    assert len(d.rest_a) and len(d.rest_b)
+    assert d.rho_a() is d.rho_a() and d.rho_b() is d.rho_b()

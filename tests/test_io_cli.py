@@ -391,6 +391,18 @@ def test_cli_subcommand_arguments(name):
     ] == [HELP_ACTION, *SUBCOMMANDS[name][1]]
 
 
+def test_cli_help_states_the_tolerances_defaults(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option: no wrap inside a number
+    assert cli_main(["check", "--help"]) == 0
+    out = capsys.readouterr().out
+    defaults = {f.name: f.default for f in dataclasses.fields(Tolerances)}
+    options = {"--tol-eig X": "eigenvalue_zero_tol", "--tol-overlap Y": "overlap_tol"}
+    for option, field in options.items():
+        (line,) = [line for line in out.splitlines() if line.strip().startswith(option)]
+        stated = line.partition("(default ")[2].rstrip(")").partition(";")[0]
+        assert float(stated) == defaults[field]
+
+
 def test_cli_json_identical_across_runs(corpus, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -185,6 +185,10 @@ def test_eigen_ensemble_gives_back_the_cutoff_mass():
         ([1.0, 0.0], False),
         ([0.5, float("nan")], False),
         ([float("nan")], False),
+        # not numbers under the one number rule, though float() would take the first two
+        ([True], False),
+        (["1"], False),
+        ([None], False),
     ],
 )
 def test_ensemble_and_decomposition_share_one_weight_rule(weights, ok):
