@@ -18,12 +18,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, FewerThanTwoStates, NotPure
 from .linalg import (
-    DEFAULT_TOLERANCES,
     Subspace,
     Tolerances,
     _Split,
     _hermitian_deviation,
     _split_spectrum,
+    _tolerances,
     intersect,
     max_abs,
     support_of,  # not called here; bench/tests/test_qbench.py reads it via compat (ROADMAP 0)
@@ -377,7 +377,7 @@ def _pairwise_norms(
     screened value or bound is not finite, every pair is formed in double as
     without the screen.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     n, dim = len(states), states[0].dim
     ranks = [dim] * n
     if dim >= _THIN_MIN_DIM:  # from here a rank below D / 2 lets the kept factor stand in
@@ -410,7 +410,7 @@ def _pairwise_norms(
 def _pair_norms(a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None):
     """``(tol, product, commutator)``: the tolerances in force and one pair's
     :func:`_pairwise_norms`, after :func:`_require_equal_dims`."""
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     _require_equal_dims([a, b])
     return tol, *_pairwise_norms([a, b], tol)
 
@@ -459,7 +459,7 @@ def check_bfm(
     Each state's spectrum is split once, named and positivity-checked, and
     both the intersection and the pairwise pass read that split.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     if len(states) < 2:
         raise FewerThanTwoStates(
             f"compatibility needs at least two state assignments, got {len(states)}"
@@ -487,7 +487,7 @@ def check_pure_pair(
     a support raises ValueError naming the state, as :func:`check_bfm` does;
     both states are split before either rank is checked.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     splits = _named_splits([a, b], tol)
     for split in splits:
         if split.rank != 1:
@@ -540,7 +540,7 @@ def verify_joint(
     joint state restricted to that observer's null space.  Both read the
     joint's kept spectrum ``W Lambda W^dag``: no D x D x D product is formed.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     if not observers:
         raise ValueError("verify_joint needs at least one observer state")
     _require_equal_dims([joint, *observers])

@@ -38,7 +38,7 @@ import numpy as np
 from .compat import CompatReport
 from .errors import MalformedFile, SchemaVersionUnsupported, ShapeMismatch, StateValidationError
 from .linalg import Subspace, Tolerances, _cosine_floor, _integer, _number, max_abs
-from .states import WEIGHT_TOL, PureState
+from .states import WEIGHT_TOL, PureState, _label
 from .witness import ROUND_TRIP_TOL, SharedDecomposition, WitnessState
 
 __all__ = [
@@ -216,12 +216,6 @@ def _load_json(source) -> dict:
 # The rules below are the readers' and the writers' alike: a reader raises
 # MalformedFile when one fails, a writer ValueError.
 
-def _check_label(label, error) -> None:
-    """A matrix file's label is a string or absent."""
-    if label is not None and not isinstance(label, str):
-        raise error(f"field 'label' must be a string, got {label!r}")
-
-
 def _check_sections(inputs, n_states, intersection_dim, decomposed, witnessed, error) -> None:
     """A report's inputs are strings; it covers at least two states, one per
     input if any are named, and exactly two, whose supports meet (intersection
@@ -321,9 +315,7 @@ def parse_matrix(source: str | Path | IO) -> tuple[np.ndarray, str | None]:
 
     matrix = _pairs_to_array(entries, (dim, dim), "entries")
 
-    label = doc.get("label")
-    _check_label(label, MalformedFile)
-    return matrix, label
+    return matrix, _label(doc.get("label"), "field 'label'", MalformedFile)
 
 
 def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
@@ -331,7 +323,7 @@ def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"expected a square matrix of at least 1 x 1, got shape {m.shape}")
-    _check_label(label, ValueError)
+    _label(label, "field 'label'")
     doc: dict = {"schema_version": SCHEMA_VERSION, "dim": int(m.shape[0])}
     if label is not None:
         doc["label"] = label

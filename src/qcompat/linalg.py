@@ -103,6 +103,18 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+
+def _tolerances(tol) -> Tolerances:
+    """The one rule for the ``tol`` every public function takes: None means
+    ``DEFAULT_TOLERANCES``, a :class:`Tolerances` stands as it is, and anything
+    else raises ``ValueError``."""
+    if tol is None:
+        return DEFAULT_TOLERANCES
+    if not isinstance(tol, Tolerances):
+        raise ValueError(f"tol must be a Tolerances or None, got {tol!r}")
+    return tol
+
+
 # Structural, not a ``Tolerances`` field: an orthonormal basis is an internal
 # invariant (unit-norm eigenvectors, SVD factors), not a physical threshold.
 # Its gram matrix deviates from the identity by a few ulps times D, far below
@@ -300,7 +312,7 @@ def hermitian_eigendecompose(
         If the eigenvectors LAPACK returns are not orthonormal to
         ``ORTHONORMALITY_TOL``.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     a = as_complex_matrix(m)
     deviation = float(_hermitian_deviation(a))
     if deviation > tol.hermiticity_tol:
@@ -348,7 +360,7 @@ def support_of(m, tol: Tolerances | None = None) -> Subspace:
     Requires a Hermitian PSD input (else NegativeEigenvalue); the orthogonal
     complement of the result is exactly :func:`null_of` of the same matrix.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     return _split_spectrum(hermitian_eigendecompose(m, tol), tol).support
 
 
@@ -357,7 +369,7 @@ def null_of(m, tol: Tolerances | None = None) -> Subspace:
 
     Requires a Hermitian PSD input (else NegativeEigenvalue), as :func:`support_of` does.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     return _split_spectrum(hermitian_eigendecompose(m, tol), tol).null
 
 
@@ -406,7 +418,7 @@ def intersect(a: Subspace, *rest: Subspace, tol: Tolerances | None = None) -> Su
     AmbientMismatch
         If the subspaces live in spaces of different dimension.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     for s in rest:
         if s.ambient_dim != a.ambient_dim:
             raise AmbientMismatch(f"ambient dimensions differ: {a.ambient_dim} vs {s.ambient_dim}")

@@ -25,7 +25,6 @@ from .errors import (
     ZeroProbabilityOutcome,
 )
 from .linalg import (
-    DEFAULT_TOLERANCES,
     ORTHONORMALITY_TOL,
     Tolerances,
     _eigh_canonical,
@@ -36,6 +35,7 @@ from .linalg import (
     _number,
     _Split,
     _split_spectrum,
+    _tolerances,
     as_complex_matrix,
 )
 
@@ -74,9 +74,16 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 def _mixture_terms(terms, what: str) -> tuple[tuple[float, PureState], ...]:
     """The one rule for the terms ``(w_k, |xi_k>)`` of a mixture, returned with
-    each weight as its double: every weight a number (:func:`~qcompat.linalg._number`)
+    each weight as its double: every term a ``(weight, PureState)`` pair (a
+    tuple or a list), every weight a number (:func:`~qcompat.linalg._number`)
     and strictly positive, their sum within ``WEIGHT_TOL`` of one, and at
     least one term, all of one dimension.  Else ``ValueError`` names ``what``."""
+    terms = tuple(terms)
+    for t in terms:
+        seq = isinstance(t, (tuple, list))
+        if not (seq and len(t) == 2 and isinstance(t[1], PureState)):
+            got = f"({', '.join(type(x).__name__ for x in t)})" if seq else type(t).__name__
+            raise ValueError(f"{what} components must be (weight, PureState) pairs, got {got}")
     terms = tuple((_number(w, f"{what} weight"), s) for w, s in terms)
     if not terms:
         raise ValueError(f"{what} needs at least one component")
@@ -90,6 +97,15 @@ def _mixture_terms(terms, what: str) -> tuple[tuple[float, PureState], ...]:
     if not abs(total - 1.0) <= WEIGHT_TOL:
         raise ValueError(f"{what} weights sum to {total!r}, expected 1")
     return terms
+
+
+def _label(value, what: str, error=ValueError) -> str | None:
+    """The one label rule, for a state's observer label and a matrix file's
+    label alike: a string or None, returned as it is.  Else ``error`` names
+    ``what``."""
+    if value is not None and not isinstance(value, str):
+        raise error(f"{what} must be a string or None, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,18 +163,18 @@ class DensityMatrix:
     ``matrix`` holds the Hermitian part ``(m + m^dag) / 2`` of the matrix
     ``m`` it is given (:func:`~qcompat.linalg._hermitian_part`), a fresh
     read-only array, so every state is exactly Hermitian; an exactly
-    Hermitian ``m`` keeps its values.  ``label`` is a string or None, else
-    ``ValueError``: a report writes it as an input name.  Construct
-    through :func:`validate_density`, which bounds how far ``m`` was from
-    Hermitian; the dataclass itself only checks structure, not physicality.
+    Hermitian ``m`` keeps its values.  ``label`` is a string or None
+    (:func:`_label`), else ``ValueError``: a report writes it as an input
+    name.  Construct through :func:`validate_density`, which bounds how far
+    ``m`` was from Hermitian; the dataclass itself only checks structure,
+    not physicality.
     """
 
     matrix: np.ndarray
     label: str | None = None
 
     def __post_init__(self):
-        if self.label is not None and not isinstance(self.label, str):
-            raise ValueError(f"label must be a string or None, got {self.label!r}")
+        _label(self.label, "label")
         h = _hermitian_part(as_complex_matrix(self.matrix))
         h.setflags(write=False)
         object.__setattr__(self, "matrix", h)
@@ -250,7 +266,7 @@ def validate_density(
         Physicality violations; ``.violations`` carries every failed
         invariant with its measured magnitude.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     a = np.asarray(m, dtype=complex)  # the input as given; the state checks its shape
     rho = DensityMatrix(a, label=label)
 
@@ -294,7 +310,7 @@ def from_ensemble(e: Ensemble, tol: Tolerances | None = None) -> DensityMatrix:
 def _state_split(rho: DensityMatrix, tol: Tolerances | None) -> _Split:
     """The :func:`_split_spectrum` of one state's kept spectrum, named for its
     error: a cutoff that empties the support raises ValueError."""
-    return _split_spectrum(rho.spectrum, tol or DEFAULT_TOLERANCES, f"state (label {rho.label!r})")
+    return _split_spectrum(rho.spectrum, _tolerances(tol), f"state (label {rho.label!r})")
 
 
 def eigen_ensemble(rho: DensityMatrix, tol: Tolerances | None = None) -> Ensemble:
@@ -395,7 +411,7 @@ def project_and_renormalize(
         If ``p`` is at the numerical floor; the conditional state is then
         undefined (the measured probability rides on the exception).
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     dims = _check_dims(psi.dim, dims)
     n = len(dims)
     subsystem = _integer(subsystem, "subsystem", least=0, error=DimensionMismatch)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChiOutsideSupport, Incompatible
-from .linalg import DEFAULT_TOLERANCES, Subspace, Tolerances, _Split, _lex_order
+from .linalg import Subspace, Tolerances, _Split, _lex_order, _tolerances
 from .states import DensityMatrix, PureState, _mixture, validate_density
 from .states import _mixture_terms, _nonzero_probability, _state_split
 from .compat import _common_support, _named_splits
@@ -162,7 +162,7 @@ def choose_common_state(
     Incompatible
         If the support intersection is trivial.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     return _common_state(a, b, _common_support(_named_splits([a, b], tol), tol))
 
 
@@ -248,7 +248,7 @@ def build_shared_decomposition(
     the state's kept spectrum (see :func:`_split_off`), with no further
     eigendecomposition.  These terms are not orthogonal.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     splits = _named_splits([a, b], tol)
     return _decompose(a, b, splits, _common_support(splits, tol))
 
@@ -308,7 +308,7 @@ def simulate_protocol(
         If an outcome's probability is at the numerical floor, which needs a
         leading weight ``p0`` or ``q0`` near ``eigenvalue_zero_tol``.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     alice, bob = _zero_blocks(w)
     p_alice, rho_alice = _outcome_zero(alice, "A", tol)
     p_bob, rho_bob = _outcome_zero(bob, "B", tol)

@@ -42,7 +42,7 @@ from qcompat import (
     validate_density,
 )
 from qcompat.formats import report_document, serialize_matrix
-from qcompat.linalg import _BLOCK
+from qcompat.linalg import _BLOCK, _tolerances
 
 DATA = Path(__file__).parent / "data"
 BIG = "1" + "0" * 400  # the integer 10**400, beyond the range of a double
@@ -167,7 +167,7 @@ def delta_bound(a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = Non
     ``eigenvalue_zero_tol`` drops (0 when none is), ``lambda_max`` the largest
     eigenvalue.  The commutator norm may move twice as far.
     """
-    cutoff = (tol or Tolerances()).eigenvalue_zero_tol
+    cutoff = _tolerances(tol).eigenvalue_zero_tol
     (da, la), (db, lb) = (
         (float(np.abs(v[v <= cutoff]).max(initial=0.0)), float(v[0]))
         for v in (a.spectrum[0], b.spectrum[0])
@@ -182,7 +182,7 @@ def product_bound(a: DensityMatrix, b: DensityMatrix, tol: Tolerances | None = N
     :func:`delta_bound` plus :func:`product_rounding`."""
     if a.dim < 32:  # the documented floor of the thin factor
         return 0.0
-    cutoff = (tol or Tolerances()).eigenvalue_zero_tol
+    cutoff = _tolerances(tol).eigenvalue_zero_tol
     if all(2 * np.count_nonzero(s.spectrum[0] > cutoff) >= s.dim for s in (a, b)):
         return 0.0
     return delta_bound(a, b, tol) + product_rounding(a.dim)
@@ -352,7 +352,7 @@ def whole_stack_norms(states, tol=None):
     """Oracle of the pairwise pass: each left state forms the whole stack of
     its products with its later partners, and every pair's norms are kept.
     Returns ``(product norms, commutator norms)`` in ``combinations`` order."""
-    tol = tol or Tolerances()
+    tol = _tolerances(tol)
     n, dim = len(states), states[0].dim
     ranks = [dim] * n
     if dim >= 32:

@@ -1,18 +1,22 @@
 """Each rejection of the library's constructors and operations outside the file
-formats, one fault per call, and the one integer rule and the one number rule
-at every taker, the file readers and writers included.
+formats, one fault per call, the one integer rule and the one number rule at
+every taker, the file readers and writers included, and the one tolerance
+rule at every public function that takes ``tol``.
 
 Every case breaks one rule and pins the exception class and the exact message.
 """
 
 import copy
 import dataclasses
+import inspect
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qcompat
 from qcompat import (
     ChiOutsideSupport,
     DensityMatrix,
@@ -24,12 +28,26 @@ from qcompat import (
     Subspace,
     Tolerances,
     basis_state,
+    build_shared_decomposition,
+    build_witness,
     check_bfm,
+    check_pi,
+    check_pii,
+    check_pure_pair,
+    choose_common_state,
+    eigen_ensemble,
+    from_ensemble,
+    hermitian_eigendecompose,
+    intersect,
     max_common_weight,
+    null_of,
     partial_trace,
     project_and_renormalize,
+    simulate_protocol,
+    support_of,
     tensor,
     validate_density,
+    verify_joint,
 )
 from qcompat.formats import parse_matrix, parse_report_document, report_document
 from conftest import DATA, golden_pair, golden_witness_document
@@ -78,6 +96,18 @@ CASES = [
      "decomposition b weights sum to 0.9, expected 1"),
     ("common-weight-chi-dim", lambda: max_common_weight(MIXED, KET3), ChiOutsideSupport,
      "state dimension 3 does not match rho dimension 2"),
+    ("ensemble-term-not-a-state", lambda: Ensemble(((1.0, np.array([1, 0])),)), ValueError,
+     "ensemble components must be (weight, PureState) pairs, got (float, ndarray)"),
+    ("ensemble-term-three-items", lambda: Ensemble(((1.0, KET0, 0),)), ValueError,
+     "ensemble components must be (weight, PureState) pairs, got (float, PureState, int)"),
+    ("ensemble-term-bare-weight", lambda: Ensemble((1.0,)), ValueError,
+     "ensemble components must be (weight, PureState) pairs, got float"),
+    ("decomposition-chi-not-a-state",
+     lambda: SharedDecomposition(np.array([1, 0]), 1.0, 1.0, (), ()), ValueError,
+     "decomposition a components must be (weight, PureState) pairs, got (float, ndarray)"),
+    ("decomposition-rest-not-a-state",
+     lambda: SharedDecomposition(KET0, 1.0, 0.5, (), ((0.5, np.array([0, 1])),)), ValueError,
+     "decomposition b components must be (weight, PureState) pairs, got (float, ndarray)"),
     ("density-label-int", lambda: validate_density(np.eye(2) / 2, label=5), ValueError,
      "label must be a string or None, got 5"),
     ("density-label-bytes", lambda: DensityMatrix(np.eye(2) / 2, label=b"A"), ValueError,
@@ -205,6 +235,60 @@ def test_every_number_taker_states_the_one_number_rule(call, error, what, value)
         call(value)
     assert type(exc.value) is error
     assert str(exc.value) == f"{what} must be a number, got {value!r}"
+
+
+A, B = golden_pair()
+WITNESS = build_witness(build_shared_decomposition(A, B))
+
+# id and the call that hands ``tol`` in, one row per public function that takes it
+TOL_TAKERS = [
+    ("hermitian-eigendecompose", lambda t: hermitian_eigendecompose(A.matrix, t)),
+    ("support-of", lambda t: support_of(A.matrix, t)),
+    ("null-of", lambda t: null_of(A.matrix, t)),
+    ("intersect", lambda t: intersect(Subspace(2, np.eye(2)), tol=t)),
+    ("validate-density", lambda t: validate_density(A.matrix, t)),
+    ("from-ensemble", lambda t: from_ensemble(Ensemble(((1.0, KET0),)), t)),
+    ("eigen-ensemble", lambda t: eigen_ensemble(B, t)),
+    ("partial-trace", lambda t: partial_trace(MIXED4, (2, 2), [0], t)),
+    ("project-and-renormalize", lambda t: project_and_renormalize(KET00, (2, 2), 0, KET0, t)),
+    ("check-pi", lambda t: check_pi(A, B, t)),
+    ("check-pii", lambda t: check_pii(A, B, t)),
+    ("check-bfm", lambda t: check_bfm([A, B], t)),
+    ("check-pure-pair", lambda t: check_pure_pair(A, A, t)),
+    ("verify-joint", lambda t: verify_joint(A, [A, B], t)),
+    ("choose-common-state", lambda t: choose_common_state(A, B, t)),
+    ("max-common-weight", lambda t: max_common_weight(B, KET0, t)),
+    ("build-shared-decomposition", lambda t: build_shared_decomposition(A, B, t)),
+    ("simulate-protocol", lambda t: simulate_protocol(WITNESS, t)),
+]
+TOL_PARAMS = [pytest.param(t[1], id=t[0]) for t in TOL_TAKERS]
+
+# a falsy value, a bare number, a mapping, and an object with every field of
+# Tolerances whose overlap_tol Tolerances itself rejects
+NOT_TOLERANCES = [0, 1e-7, {"overlap_tol": 1e-7}, SimpleNamespace(
+    hermiticity_tol=1e-9, eigenvalue_zero_tol=1e-9, trace_tol=1e-9, overlap_tol=0.7)]
+
+
+@pytest.mark.parametrize("value", NOT_TOLERANCES, ids=["zero", "number", "dict", "namespace"])
+@pytest.mark.parametrize("call", TOL_PARAMS)
+def test_every_tol_taker_states_the_one_tolerance_rule(call, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"tol must be a Tolerances or None, got {value!r}"
+
+
+def test_the_tolerance_table_holds_every_public_function_that_takes_tol():
+    public = (getattr(qcompat, name) for name in qcompat.__all__)
+    takers = {f.__name__ for f in public if inspect.isfunction(f)
+              and "tol" in inspect.signature(f).parameters}
+    assert takers == {t[0].replace("-", "_") for t in TOL_TAKERS}
+
+
+@pytest.mark.parametrize("call", TOL_PARAMS)
+def test_every_tol_taker_takes_none_or_tolerances(call):
+    call(None)
+    call(Tolerances(overlap_tol=1e-6))
 
 
 def test_numpy_integers_and_floats_pass_both_rules():

@@ -28,7 +28,7 @@ from qcompat import (
     projector_from,
     validate_density,
 )
-from qcompat.cli import _COMMANDS, _build_parser, cli_main
+from qcompat.cli import _COMMANDS, _build_parser, cli_main, main
 from qcompat.formats import (
     dumps_canonical,
     load_report,
@@ -137,7 +137,7 @@ def test_every_source_is_read_as_utf8(tmp_path):
 def test_serialize_matrix_rejects_a_label_the_reader_rejects(label):
     with pytest.raises(ValueError) as exc:
         serialize_matrix(A.matrix, label=label)
-    assert str(exc.value) == f"field 'label' must be a string, got {label!r}"
+    assert str(exc.value) == f"field 'label' must be a string or None, got {label!r}"
 
 
 def test_matrix_round_trip_is_exact():
@@ -1146,6 +1146,18 @@ def test_cli_overflow_prints_no_warning_beside_its_diagnostic(tmp_path, capsys):
     assert cli_main(["validate", write_state(tmp_path / "big.json", np.diag([1e308, 1e308]))]) == 1
     captured = capsys.readouterr()
     assert "trace" in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("args, code", [(["check"], 2), (["validate", "A"], 0),
+                                         (["validate", "missing"], 2)])
+def test_main_exits_with_cli_mains_code(args, code, monkeypatch, tmp_path, capsys):
+    # the console script's entry point, in process: sys.argv in, SystemExit out
+    write_state(tmp_path / "A", A.matrix)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["qcompat", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == cli_main(args) == code
 
 
 @pytest.mark.parametrize("module", ["qcompat", "qcompat.cli"])
